@@ -6,6 +6,11 @@ equal to the cache line size", §IV), while the Decomposition Storage
 Model stores each attribute contiguously.  Both layouts place their bytes
 in the machine's :class:`~repro.memory.image.MemoryImage`, so every
 architecture scans the *same physical data*.
+
+A scan only reads its table, so both layouts freeze their regions once
+filled: they become read-only, and checkpoints reference them instead of
+copying them.  A DSM column region is a view of the column array itself
+(in a service worker, of the attached shared-memory dataset).
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ class NsmTable:
         for i, column in enumerate(columns):
             view[:, i] = data[column]
             self.column_offsets[column] = i * COLUMN_VALUE_BYTES
+        alloc.freeze()
         self.columns = {
             column: ColumnRef(
                 column, self.base + self.column_offsets[column], TUPLE_BYTES
@@ -82,7 +88,8 @@ class DsmTable:
         self.name = name
         self.columns: Dict[str, ColumnRef] = {}
         for column in data.column_names():
-            alloc = image.allocate_array(f"{name}.{column}", data[column].astype(np.int32))
+            alloc = image.map_array(f"{name}.{column}",
+                                    np.asarray(data[column], dtype=np.int32))
             self.columns[column] = ColumnRef(column, alloc.base, COLUMN_VALUE_BYTES)
 
     def column(self, name: str) -> ColumnRef:

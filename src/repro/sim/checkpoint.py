@@ -9,13 +9,16 @@ module bounds the rework to one *pass*:
 * :class:`RunMonitor` observes the :class:`~repro.codegen.base.TraceRun`
   stream of one point as it is consumed.  Every change of ``run.family``
   is a pass boundary (the codegens stamp each generated pass with a
-  distinct family tuple); at each boundary the monitor pickles the whole
-  machine + execution pair — timing state, memory image, partial
-  statistics, everything a :class:`~repro.sim.results.RunResult` is
-  later derived from — into a :class:`CheckpointStore` sidecar keyed by
-  the point's cache key.
+  distinct family tuple); at each boundary the monitor pickles the
+  machine + execution pair into a :class:`CheckpointStore` sidecar keyed
+  by the point's cache key.  The pickle holds only what a resume cannot
+  rebuild: timing state, partial statistics and the written pages of
+  the memory image.  The read-only table regions travel as references
+  (name, base, size, checksum), and all-zero pages are left out (see
+  :mod:`repro.memory.image`).
 * On retry, a fresh worker rebuilds the workload (the codegen side is a
-  deterministic function of the data), restores the snapshot, skips the
+  deterministic function of the data), restores the snapshot, rebinds
+  its table regions from the rebuilt machine, skips the
   already-consumed runs of the regenerated stream without simulating
   them, and resumes.  The resumed result is bit-identical to an
   uninterrupted run: the snapshot *is* the uninterrupted run's state at
@@ -25,11 +28,13 @@ module bounds the rework to one *pass*:
   progress-aware watchdog listens to (see :mod:`repro.service.service`).
 
 Checkpoint files carry a JSON header plus a SHA-256-checksummed pickle
-payload; a truncated or corrupted file is quarantined to
-``*.quarantine`` and reported as "no checkpoint" — resumption degrades
-to a from-scratch retry, never to wrong state.  Single-pass streams
-(tuple strategy's one opaque run, HIPE's fused column scan) simply never
-hit a boundary and keep the PR 6 restart-from-zero behaviour.
+payload; a truncated or corrupted file, or one whose table regions do
+not match the rebuilt machine's (base, size or checksum), is
+quarantined to ``*.quarantine`` and reported as "no checkpoint" —
+resumption degrades to a from-scratch retry, never to wrong state.
+Single-pass streams (tuple strategy's one opaque run, HIPE's fused
+column scan) simply never hit a boundary and keep the PR 6
+restart-from-zero behaviour.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from ..testing import faults
 logger = logging.getLogger("repro.checkpoint")
 
 #: bump when the checkpoint layout changes; old files quarantine-free miss
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 #: subdirectory of the result cache holding checkpoint sidecars
 DEFAULT_CHECKPOINT_SUBDIR = "checkpoints"
@@ -156,8 +161,9 @@ class CheckpointStore:
         Degrades to "not checkpointed" instead of raising: a full disk
         (``OSError``/ENOSPC, read-only filesystem) or an unpicklable
         state object must never kill the simulation it was meant to
-        protect — the miss is *logged* (``last_error`` records what went
-        wrong, ``save_failures`` counts).  The previous snapshot, when
+        protect (pickle raises ``AttributeError`` for a local function) —
+        the miss is *logged* (``last_error`` records what went wrong,
+        ``save_failures`` counts).  The previous snapshot, when
         one exists, is rotated to ``<key>.ckpt.prev`` before the new one
         lands, so a write torn by SIGKILL/power loss still leaves the
         last *complete* pass resumable.
@@ -187,7 +193,8 @@ class CheckpointStore:
                 os.replace(path, self.prev_path_for(key))
             os.replace(tmp, path)
             return True
-        except (OSError, TypeError, ValueError, pickle.PicklingError) as exc:
+        except (OSError, AttributeError, TypeError, ValueError,
+                pickle.PicklingError) as exc:
             self.save_failures += 1
             self.last_error = f"{type(exc).__name__}: {exc}"
             logger.log(
@@ -212,24 +219,33 @@ class CheckpointStore:
             return None
         return header
 
-    def load(self, key: str) -> Optional[Checkpoint]:
+    def load(
+        self, key: str, rebind: Optional[Callable[[Any], None]] = None
+    ) -> Optional[Checkpoint]:
         """The resumable snapshot for ``key``, or None.
+
+        ``rebind`` receives the unpickled machine and re-attaches what
+        the snapshot only references; a ``ValueError`` from it means the
+        snapshot does not fit the rebuilt machine.
 
         Missing file and stale schema are plain misses; a corrupt or
         truncated file (unparsable header, checksum mismatch, unpickle
-        failure) is quarantined to ``<name>.quarantine`` so the broken
-        bytes never masquerade as machine state.  A quarantined *current*
-        snapshot falls back to the previous generation (rotated aside at
+        failure), or one that does not fit the rebuilt machine, is
+        quarantined to ``<name>.quarantine`` so the broken bytes never
+        masquerade as machine state.  A quarantined *current* snapshot
+        falls back to the previous generation (rotated aside at
         every save) — a write torn mid-flight costs one pass of rework,
         not the whole point; only when both generations are unusable
         does the retry start from scratch.
         """
-        checkpoint = self._load_path(self.path_for(key))
+        checkpoint = self._load_path(self.path_for(key), rebind)
         if checkpoint is not None:
             return checkpoint
-        return self._load_path(self.prev_path_for(key))
+        return self._load_path(self.prev_path_for(key), rebind)
 
-    def _load_path(self, path: Path) -> Optional[Checkpoint]:
+    def _load_path(
+        self, path: Path, rebind: Optional[Callable[[Any], None]]
+    ) -> Optional[Checkpoint]:
         try:
             handle = open(path, "rb")
         except OSError:
@@ -256,6 +272,12 @@ class CheckpointStore:
                 except Exception:
                     self._quarantine(path, "unpicklable payload")
                     return None
+                if rebind is not None:
+                    try:
+                        rebind(machine)
+                    except ValueError as exc:
+                        self._quarantine(path, f"does not fit: {exc}")
+                        return None
                 return Checkpoint(
                     machine=machine,
                     execution=execution,
@@ -352,7 +374,6 @@ class RunMonitor:
         heartbeat: Optional[Callable[[Dict[str, Any]], None]] = None,
         pass_hook: Optional[Callable[[int], None]] = None,
         heartbeat_interval: float = 0.5,
-        snapshot_min_interval: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
         deadline: Optional[float] = None,
         stop_check: Optional[Callable[[int], Optional[str]]] = None,
@@ -364,19 +385,6 @@ class RunMonitor:
         self.heartbeat_interval = heartbeat_interval
         self.deadline = deadline
         self.stop_check = stop_check
-        # Snapshot throttle: pickling a large machine costs real time
-        # (~1.2 s / 80 MB at 1M rows), so ops can bound the overhead by
-        # spacing snapshots — rework after a crash is then bounded by
-        # the interval instead of one pass.  Default 0 = every boundary.
-        if snapshot_min_interval is None:
-            try:
-                snapshot_min_interval = float(
-                    os.environ.get("REPRO_CHECKPOINT_INTERVAL", "0") or 0
-                )
-            except ValueError:
-                snapshot_min_interval = 0.0
-        self.snapshot_min_interval = snapshot_min_interval
-        self._last_snapshot = time.monotonic()
         self.meta = dict(meta or {})
         # resume bookkeeping (filled by load_resume)
         self.skip_runs = 0
@@ -393,11 +401,18 @@ class RunMonitor:
 
     # -- resume -------------------------------------------------------------
 
-    def load_resume(self) -> Optional[Any]:
-        """Restore this point's snapshot; returns the machine or None."""
+    def load_resume(self, machine: Any) -> Optional[Any]:
+        """Restore this point's snapshot; returns the machine or None.
+
+        ``machine`` is the fresh machine built from the point's data:
+        the snapshot's table regions are rebound from its image.
+        """
         if self.store is None or not self.key:
             return None
-        checkpoint = self.store.load(self.key)
+        checkpoint = self.store.load(
+            self.key,
+            rebind=lambda restored: restored.image.rebind(machine.image),
+        )
         if checkpoint is None:
             return None
         self.skip_runs = checkpoint.runs_consumed
@@ -455,10 +470,8 @@ class RunMonitor:
 
     def _boundary(self, consumed: int) -> None:
         # Decide *before* snapshotting whether this boundary abandons
-        # the point (deadline passed, drain/recycle requested): an
-        # abandoning boundary always snapshots, overriding the throttle,
-        # so "checkpoint then abandon" holds even under
-        # REPRO_CHECKPOINT_INTERVAL spacing.
+        # the point (deadline passed, drain/recycle requested); the
+        # snapshot then precedes the abandon.
         abandon: Optional[CheckpointAbandon] = None
         if self.deadline is not None and time.time() >= self.deadline:
             abandon = DeadlineExceeded(self.pass_ordinal, self.deadline)
@@ -466,11 +479,7 @@ class RunMonitor:
             reason = self.stop_check(self.pass_ordinal)
             if reason:
                 abandon = CheckpointAbandon(reason, self.pass_ordinal)
-        due = abandon is not None or (
-            time.monotonic() - self._last_snapshot
-            >= self.snapshot_min_interval
-        )
-        if self.store is not None and self.key and due:
+        if self.store is not None and self.key:
             if self._settle is not None:
                 self._settle()
             if self.store.save(
@@ -478,7 +487,6 @@ class RunMonitor:
                 self.pass_ordinal, consumed, meta=self.meta,
             ):
                 self.snapshots_taken += 1
-                self._last_snapshot = time.monotonic()
         self._beat(consumed, force=True)
         if self.pass_hook is not None:
             self.pass_hook(self.pass_ordinal)

@@ -52,8 +52,9 @@ DEFAULT_ROWS = 32_768
 #: generated tables memoised per (schema digest, rows, seed): a sweep
 #: process simulating many points of one workload regenerates the same
 #: deterministic table for every point otherwise.  Tables are read-only
-#: to every consumer (codegen reads columns, tables copy them into the
-#: machine's memory image), so sharing is safe; the cap bounds memory.
+#: to every consumer (codegen reads columns, tables copy or map them
+#: into the machine's memory image), so sharing is safe; the cap bounds
+#: memory.
 _TABLE_MEMO: dict = {}
 _TABLE_MEMO_MAX = 4
 
@@ -124,10 +125,11 @@ def run_scan(
     for its key, simulation resumes from that pass boundary.  The fresh
     machine still serves codegen — the run stream is a deterministic
     function of the *data*, and memory-image addresses are a
-    deterministic function of the allocation sequence — but the runs
-    the snapshot already covers are skipped and the restored machine
-    carries all functional and timing state, so the resumed result is
-    bit-identical to an uninterrupted run.
+    deterministic function of the allocation sequence — and lends the
+    restored machine its read-only table regions (checksum-verified);
+    the runs the snapshot already covers are skipped and the restored
+    machine carries all timing state and written memory, so the resumed
+    result is bit-identical to an uninterrupted run.
     """
     arch = arch.lower()
     if arch not in _CODEGENS:
@@ -140,7 +142,7 @@ def run_scan(
     workload = build_workload(machine, data, scan.layout, plan=plan)
     runs = _CODEGENS[arch].generate_plan_runs(workload, scan)
     if monitor is not None:
-        restored = monitor.load_resume()
+        restored = monitor.load_resume(machine)
         if restored is not None:
             machine = restored
     core_result = machine.run_runs(runs, exact=exact, monitor=monitor)

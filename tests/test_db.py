@@ -160,6 +160,20 @@ class TestTables:
         values = self.image.view("lineitem_dsm.l_discount", np.int32)
         assert np.array_equal(values, self.data["l_discount"])
 
+    def test_table_regions_are_read_only(self):
+        nsm = NsmTable(self.image, self.data)
+        dsm = DsmTable(self.image, self.data)
+        for address in (nsm.tuple_address(3),
+                        dsm.column("l_discount").address_of(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                self.image.write(address, np.ones(4, dtype=np.uint8))
+
+    def test_dsm_regions_share_the_column_arrays(self):
+        DsmTable(self.image, self.data)
+        for column in self.data.column_names():
+            region = self.image.region(f"lineitem_dsm.{column}").data
+            assert np.shares_memory(region, self.data[column])
+
     def test_scan_buffers(self):
         buffers = allocate_scan_buffers(self.image, 512)
         assert buffers.bitmask_bytes == 64  # 512 bits

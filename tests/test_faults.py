@@ -15,6 +15,7 @@ flakiness by construction.
 
 import json
 import os
+import pickle
 import time
 from multiprocessing import shared_memory
 
@@ -22,6 +23,8 @@ import pytest
 
 from repro.codegen.base import ScanConfig
 from repro.db.datagen import generate_lineitem
+from repro.db.workloads import selectivity_scan_plan
+from repro.memory.image import PAGE_BYTES
 from repro.memory.shared_data import (
     SEGMENT_PREFIX,
     DatasetHandle,
@@ -31,6 +34,7 @@ from repro.memory.shared_data import (
     sweep_stale_segments,
 )
 from repro.service import JobState, SimulationService
+from repro.sim import runner
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
@@ -118,7 +122,7 @@ class TestFaultSpec:
 # -- in-process checkpoint resume (no service, no processes) -----------------
 
 
-def _interrupt_at_pass(store, key, arch, scan, at_pass=1):
+def _interrupt_at_pass(store, key, arch, scan, at_pass=1, plan=None):
     """Run a point but raise after the checkpoint of ``at_pass``."""
 
     def bomb(pass_ordinal):
@@ -127,7 +131,7 @@ def _interrupt_at_pass(store, key, arch, scan, at_pass=1):
 
     monitor = RunMonitor(store=store, key=key, pass_hook=bomb)
     with pytest.raises(_Interrupt):
-        run_scan(arch, scan, rows=ROWS, seed=1994, monitor=monitor)
+        run_scan(arch, scan, rows=ROWS, seed=1994, plan=plan, monitor=monitor)
     return monitor
 
 
@@ -160,17 +164,56 @@ class TestCheckpointResume:
         assert monitor.resumed_from_pass is None
         assert result.to_dict() == reference  # monitor is transparent
 
-    def test_snapshot_throttle_spaces_checkpoints(self, tmp_path):
-        # With a huge min interval no boundary is "due": ops can bound
-        # the pickling overhead, trading rework-after-crash for speed.
-        arch, scan = POINTS[0]
-        reference = run_scan(arch, scan, rows=ROWS, seed=1994).to_dict()
+    def test_hipe_selectivity_point_resumes_bit_identically(self, tmp_path):
+        # HIPE writes mask pages before its one boundary; the resume
+        # must find them in the snapshot's sparse page encoding.
+        arch, scan = POINTS[3]
+        plan = selectivity_scan_plan(0.4)
+        reference = run_scan(arch, scan, rows=ROWS, seed=1994,
+                             plan=plan).to_dict()
         store = CheckpointStore(tmp_path)
-        monitor = RunMonitor(store=store, key="throttled",
-                             snapshot_min_interval=3600.0)
-        result = run_scan(arch, scan, rows=ROWS, seed=1994, monitor=monitor)
-        assert monitor.snapshots_taken == 0
-        assert not store.path_for("throttled").exists()
+        interrupted = _interrupt_at_pass(store, "hipe-sel", arch, scan,
+                                         plan=plan)
+        assert interrupted.snapshots_taken == 1
+        resumed = RunMonitor(store=store, key="hipe-sel")
+        result = run_scan(arch, scan, rows=ROWS, seed=1994, plan=plan,
+                          monitor=resumed)
+        assert resumed.resumed_from_pass == 1
+        assert result.to_dict() == reference
+
+    def test_unpicklable_local_function_degrades_to_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        arch, scan = POINTS[3]
+        plan = selectivity_scan_plan(0.4)  # one boundary, so one save
+        reference = run_scan(arch, scan, rows=ROWS, seed=1994,
+                             plan=plan).to_dict()
+
+        build_machine = runner.build_machine
+
+        def planted_machine(*args, **kwargs):
+            machine = build_machine(*args, **kwargs)
+
+            def local_hook():
+                return None
+
+            machine.local_hook = local_hook  # pickle: AttributeError
+            return machine
+
+        monkeypatch.setattr(runner, "build_machine", planted_machine)
+        store = CheckpointStore(tmp_path)
+        returned = []
+
+        def recording_save(*args, **kwargs):
+            returned.append(CheckpointStore.save(store, *args, **kwargs))
+            return returned[-1]
+
+        store.save = recording_save
+        monitor = RunMonitor(store=store, key="local")
+        result = run_scan(arch, scan, rows=ROWS, seed=1994, plan=plan,
+                          monitor=monitor)
+        assert returned == [False]
+        assert store.save_failures == 1
         assert result.to_dict() == reference
 
     def test_monitor_without_store_is_transparent(self):
@@ -227,6 +270,30 @@ class TestCheckpointIntegrity:
         assert store.load("damaged") is None
         assert store.quarantined == 0  # honest version skew
         assert path.exists()
+
+    def test_snapshot_carries_no_table_bytes_and_no_zero_pages(
+        self, tmp_path
+    ):
+        # The DSM table (32 KiB here) and the untouched materialisation
+        # buffer (128 KiB) stay out; the mask fits in one written page.
+        arch, scan = POINTS[2]
+        store = CheckpointStore(tmp_path)
+        _interrupt_at_pass(store, "lean", arch, scan)
+        image = store.load("lean").machine.image
+        assert len(pickle.dumps(image)) < 3 * PAGE_BYTES
+
+    def test_snapshot_of_another_table_quarantines(self, tmp_path):
+        # Same key, different data: the referenced table regions fail
+        # their checksum on rebind, so the file is treated as corrupt.
+        arch, scan = POINTS[0]
+        store, path = self._saved(tmp_path)
+        reference = run_scan(arch, scan, rows=ROWS, seed=7).to_dict()
+        monitor = RunMonitor(store=store, key="damaged")
+        result = run_scan(arch, scan, rows=ROWS, seed=7, monitor=monitor)
+        assert store.quarantined == 1
+        assert path.with_name(path.name + ".quarantine").exists()
+        assert monitor.resumed_from_pass is None  # no resume: from zero
+        assert result.to_dict() == reference
 
     def test_corrupted_checkpoint_degrades_to_fresh_run(self, tmp_path):
         # The retry after quarantine starts from scratch and is still right.

@@ -1,6 +1,8 @@
 """Unit + property tests for the memory subsystem: mapping, DRAM, vaults,
 links, the cube, and the functional image."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +249,29 @@ class TestMemoryImage:
         alloc = self.image.allocate_array("col", values)
         assert np.array_equal(self.image.view("col", np.int32), values)
         assert alloc.size == 400
+
+    def test_snapshot_references_frozen_regions_and_drops_zero_pages(self):
+        table = self.image.map_array("table", np.arange(4096, dtype=np.int32))
+        buf = self.image.allocate("buf", 5 * 4096 + 100)
+        self.image.write(buf.base + 2 * 4096 + 7, np.full(3, 9, np.uint8))
+        self.image.write(buf.end - 1, np.ones(1, np.uint8))  # short last page
+        blob = pickle.dumps(self.image)
+        assert len(blob) < 3 * 4096  # two written pages, no table bytes
+        restored = pickle.loads(blob)
+        with pytest.raises(KeyError):
+            restored.read(table.base, 4)  # unbound until rebound
+        restored.rebind(self.image)
+        for alloc in (table, buf):
+            assert np.array_equal(restored.read(alloc.base, alloc.size),
+                                  alloc.data)
+
+    def test_rebind_rejects_a_different_table(self):
+        self.image.map_array("table", np.arange(64, dtype=np.int32))
+        restored = pickle.loads(pickle.dumps(self.image))
+        other = MemoryImage(1 << 20)
+        other.map_array("table", np.arange(1, 65, dtype=np.int32))
+        with pytest.raises(ValueError, match="differs"):
+            restored.rebind(other)
 
     def test_alignment(self):
         a = self.image.allocate("a", 10)
