@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..cpu.isa import AluFunc, Uop
+from ..cpu.isa import AluFunc, Uop, alu, branch
 from ..db.datagen import LineitemData
 from ..db.plan import Predicate, QueryPlan
 from ..db.table import DsmTable, NsmTable, ScanBuffers
@@ -181,8 +181,8 @@ class TraceRun:
       exactly when they lower to the same static uops (same pcs, same
       classes, same branch directions, same sizes) with addresses that
       advance uniformly by the declared ``regions``.  ``key=None`` marks
-      an *opaque* run the replay layer must always simulate (prologues,
-      epilogues, data-dependent tuple loops, aggregate reductions).
+      an *opaque* run the replay layer must always simulate (aggregate
+      reductions, whose uop streams are data-dependent per chunk).
     * ``count`` / ``make(j)`` — ``make`` yields the uops of iteration
       ``j`` (0-based within the run) and may be called for any subset of
       iterations in increasing order; it must reseat its register
@@ -342,24 +342,134 @@ def group_runs(
 
 
 def skip_pattern_key_ids(dead, n_iters: int, unroll: int) -> np.ndarray:
-    """Vectorised run-boundary ids for a chunk-skip-keyed column pass.
+    """Vectorised run-boundary ids for a flag-keyed pass.
 
     Two iterations share a :func:`group_runs` key exactly when their
-    per-chunk skip-flag patterns match — except the final iteration,
-    whose loop branch (and possibly chunk sizes) always differ, so it
-    gets an id no flag pattern can produce.  ``dead`` is the per-chunk
-    dead-flag vector (None for an unconditioned first pass).
+    per-item flag patterns match — except the final iteration, whose
+    loop branch (and possibly item sizes) always differ, so it gets an
+    id no flag pattern can produce.  ``dead`` holds ``unroll`` flags per
+    iteration: the per-chunk dead flags of a column pass (None for an
+    unconditioned first pass) or the per-tuple match flags of a tuple
+    pass.
     """
-    if dead is not None:
+    if dead is None:
+        key_ids = np.zeros(n_iters, dtype=np.int64)
+    else:
         padded = np.zeros(n_iters * unroll, dtype=bool)
         padded[:len(dead)] = dead
-        key_ids = padded.reshape(n_iters, unroll).dot(
-            1 << np.arange(unroll, dtype=np.int64)
-        )
-    else:
-        key_ids = np.zeros(n_iters, dtype=np.int64)
-    key_ids[-1] += np.int64(1) << (unroll + 1)
+        patterns = padded.reshape(n_iters, unroll)
+        if unroll < 63:
+            key_ids = patterns.dot(1 << np.arange(unroll, dtype=np.int64))
+        else:  # too wide for one integer: number the distinct patterns
+            packed = np.packbits(patterns, axis=1)
+            key_ids = np.unique(packed, axis=0, return_inverse=True)[1]
+            key_ids = key_ids.reshape(-1).astype(np.int64)
+    key_ids[-1] = -1
     return key_ids
+
+
+def tuple_grouping(op_bytes: int, tuple_bytes: int) -> Tuple[int, int]:
+    """``(tuples per op, ops per tuple)`` of a tuple-at-a-time scan.
+
+    An op of at least one tuple covers ``op // tuple`` whole tuples (2
+    and 4 at 128 and 256 B over 64 B tuples); a smaller op visits each
+    tuple in ``ceil(tuple / op)`` pieces.
+    """
+    if op_bytes >= tuple_bytes:
+        return op_bytes // tuple_bytes, 1
+    return 1, -(-tuple_bytes // op_bytes)
+
+
+def tuple_runs(
+    workload: ScanWorkload,
+    config: ScanConfig,
+    tag: str,
+    pcs: "PcAllocator",
+    regs: "RegAllocator",
+    induction: int,
+    fixed_regs: Tuple[int, ...],
+    group_body: Callable[[int, int, int, int], Iterator[Uop]],
+    group_regs: int,
+    match_regs: int,
+    bulk_of: Optional[Callable[[int, Tuple], Optional[Callable]]] = None,
+) -> Iterator[TraceRun]:
+    """A tuple-at-a-time (NSM) pass as match-keyed trace runs.
+
+    The scaffold every tuple lowering shares.  One iteration is one
+    unrolled loop body: up to ``unroll`` *groups* — the tuples one op
+    covers (:func:`tuple_grouping`) — then the induction/loop-branch
+    overhead.  ``group_body(u, row, n, out)`` lowers the group in body
+    slot ``u``: ``n`` tuples from ``row``, whose matches materialise to
+    output slots ``out, out + 1, ...``; it allocates ``group_regs``
+    registers plus ``match_regs`` per matching tuple.
+
+    An iteration's key is its per-tuple match flags plus a final-
+    iteration bit (:func:`skip_pattern_key_ids`), so a run is a stretch
+    of iterations whose matches sit at the same body positions.  Its
+    regions are the tuple stream and the materialisation stream, which
+    advances by the run's matches per iteration.  Tuple runs declare no
+    fragment family: fragment learning on them costs time and stitches
+    nothing.
+    """
+    table = workload.nsm
+    if table is None:
+        raise ValueError("tuple-at-a-time needs the NSM table")
+    tuple_bytes = table.tuple_bytes
+    group, __ = tuple_grouping(config.op_bytes, tuple_bytes)
+    rows = workload.rows
+    unroll = config.unroll
+    groups = -(-rows // group)
+    n_iters = -(-groups // unroll)
+    width = unroll * group  # tuples per full iteration
+    matches = workload.final_mask
+    padded = np.zeros(n_iters * width, dtype=bool)
+    padded[:rows] = matches
+    per_iter = padded.reshape(n_iters, width).sum(axis=1)
+    out_before = np.zeros(n_iters + 1, dtype=np.int64)
+    np.cumsum(per_iter, out=out_before[1:])
+    mat_base = workload.buffers.materialize_base
+
+    def iteration_key(i: int):
+        flags = tuple(matches[i * width:(i + 1) * width].tolist())
+        n_groups = min(unroll, groups - i * unroll)
+        nregs = n_groups * group_regs + int(per_iter[i]) * match_regs
+        return (flags, i == n_iters - 1), nregs
+
+    def make_iteration(i: int) -> Iterator[Uop]:
+        out_index = int(out_before[i])
+        first = i * unroll
+        last = min(first + unroll, groups) - 1
+        for g in range(first, last + 1):
+            row = g * group
+            n = min(group, rows - row)
+            yield from group_body(g - first, row, n, out_index)
+            out_index += int(np.count_nonzero(matches[row:row + n]))
+            if g == last:
+                yield alu(pcs.site("ind"), srcs=(induction,), dst=induction)
+                yield branch(pcs.site("loop"), taken=g != groups - 1,
+                             srcs=(induction,))
+
+    def regions_of(i0: int, count: int) -> Tuple[Region, ...]:
+        lo = i0 * width
+        hi = min((i0 + count) * width, rows)
+        return (
+            Region(table.tuple_address(lo), table.tuple_address(hi),
+                   width * tuple_bytes),
+            Region(mat_base + int(out_before[i0]) * tuple_bytes,
+                   mat_base + int(out_before[i0 + count]) * tuple_bytes,
+                   int(per_iter[i0]) * tuple_bytes),
+        )
+
+    return group_runs(
+        regs, n_iters,
+        iteration_key=iteration_key,
+        make_iteration=make_iteration,
+        run_key=lambda key: (tag, config.op_bytes, unroll) + key,
+        regions_of=regions_of,
+        bulk_of=bulk_of,
+        fixed_regs=fixed_regs,
+        key_ids=skip_pattern_key_ids(matches, n_iters, width),
+    )
 
 
 def flatten_runs(runs: Iterator[TraceRun]) -> Iterator[Uop]:
@@ -539,11 +649,11 @@ def lower_plan_runs(
 ) -> Iterator[TraceRun]:
     """Lower ``workload.plan`` as a steady-state run sequence.
 
-    Column-mode filters come from the backend's ``lower_filter_runs``
-    (structured loop-body runs the replay layer can fast-forward); tuple
-    mode and every Aggregate lowering stay opaque — their uop streams
-    are data-dependent per tuple/chunk, which is exactly the
-    "round-trip serialisation must resolve cycle-exactly" case.
+    The Filter comes from the backend's ``lower_filter_runs``: structured
+    loop-body runs the kernels compile and the replay layer can
+    fast-forward — keyed by chunk-skip flags in column mode and by
+    per-tuple match flags in tuple mode.  Aggregate lowerings stay
+    opaque: their uop streams are data-dependent per chunk.
     """
     plan = workload.plan
     if plan is None:
@@ -554,9 +664,6 @@ def lower_plan_runs(
             "bitmask the Aggregate consumes (use a keep-everything predicate "
             "for full-table aggregation)"
         )
-    if config.strategy == "column" and hasattr(backend, "lower_filter_runs"):
-        yield from backend.lower_filter_runs(workload, config)
-    else:
-        yield opaque_run(backend.lower_filter(workload, config))
+    yield from backend.lower_filter_runs(workload, config)
     if plan.aggregate is not None:
         yield opaque_run(backend.lower_aggregate(workload, config))

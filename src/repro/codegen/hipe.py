@@ -54,7 +54,7 @@ from .base import (
     lower_plan,
     lower_plan_runs,
 )
-from .hive import ENGINE_REGS, tuple_at_a_time as hive_tuple_at_a_time
+from .hive import ENGINE_REGS, tuple_runs as hive_tuple_runs
 
 #: engine registers per chunk body: two, alternated across the three
 #: column levels (level 2 reuses level 0's register once its flags have
@@ -280,7 +280,7 @@ def column_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop
 def generate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
     """Dispatch on the configured strategy (tuple mode = HIVE lowering)."""
     if config.strategy == "tuple":
-        return hive_tuple_at_a_time(workload, config)
+        return flatten_runs(hive_tuple_runs(workload, config))
     return column_at_a_time(workload, config)
 
 
@@ -291,9 +291,9 @@ lower_filter = generate
 
 
 def lower_filter_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """Filter lowering as steady-state runs (column strategy only)."""
-    if config.strategy != "column":
-        raise ValueError("run-structured lowering exists for column mode only")
+    """Filter lowering as steady-state runs (tuple mode = HIVE's runs)."""
+    if config.strategy == "tuple":
+        return hive_tuple_runs(workload, config)
     return column_runs(workload, config)
 
 

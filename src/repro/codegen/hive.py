@@ -53,6 +53,8 @@ from .base import (
     group_runs,
     lower_plan,
     lower_plan_runs,
+    tuple_grouping,
+    tuple_runs as base_tuple_runs,
 )
 
 #: engine registers reserved for codegen use (the bank has 36)
@@ -62,8 +64,9 @@ _COL_REGS_FIRST = 1  # compare overwrites the loaded register
 _COL_REGS_LATER = 2  # loaded column + previous mask
 
 
-def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """NSM scan: one locked block per tuple group (Figure 3a HIVE bars)."""
+def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
+    """NSM scan, one locked block per tuple group, as match-keyed trace
+    runs (Figure 3a HIVE bars)."""
     if workload.nsm is None:
         raise ValueError("tuple-at-a-time needs the NSM table")
     table = workload.nsm
@@ -76,20 +79,14 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
         (table.column_offsets[p.column], p.func, p.lo, p.hi)
         for p in workload.predicates
     )
-    out_index = 0
-
     op = config.op_bytes
     tuple_bytes = table.tuple_bytes
-    group = max(1, op // tuple_bytes)
-    pieces = ceil_div(tuple_bytes, op) if op < tuple_bytes else 1
+    __, pieces = tuple_grouping(op, tuple_bytes)
     mask_engine_reg = pieces  # engine register holding the match result
-    rows = workload.rows
-    unroll = config.unroll
-    groups = ceil_div(rows, group)
 
-    for g in range(groups):
-        u = g % unroll
-        base_row = g * group
+    def group_body(u: int, base_row: int, n: int, out_index: int) -> Iterator[Uop]:
+        # A partial last group loads and compares only the tuples that remain.
+        size = min(op, n * tuple_bytes)
         yield pim(pcs.site(f"lock{u}"), PimInstruction(PimOp.LOCK))
         for k in range(pieces):
             yield pim(
@@ -97,7 +94,7 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
                 PimInstruction(
                     PimOp.PIM_LOAD,
                     address=table.tuple_address(base_row) + k * op,
-                    size=min(op, group * tuple_bytes),
+                    size=size,
                     dst_reg=k,
                 ),
             )
@@ -105,7 +102,7 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
             pcs.site(f"cmp{u}"),
             PimInstruction(
                 PimOp.PIM_ALU,
-                size=min(op, group * tuple_bytes),
+                size=size,
                 src_regs=(0,),
                 dst_reg=mask_engine_reg,
                 compound=terms,
@@ -121,10 +118,8 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
         )
         # As with the HMC baseline, the compiled offload loop replaces
         # the interpreted iterator; the core only checks matches.
-        for t in range(group):
+        for t in range(n):
             row = base_row + t
-            if row >= rows:
-                break
             matched = bool(matches[row])
             yield branch(pcs.site(f"br{u}_{t}"), taken=matched, srcs=(status,))
             if matched:
@@ -137,9 +132,19 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
                             srcs=(vec, result_ptr))
                 yield alu(pcs.site(f"bump{u}"), srcs=(result_ptr,), dst=result_ptr)
                 out_index += 1
-        if u == unroll - 1 or g == groups - 1:
-            yield alu(pcs.site("ind"), srcs=(induction,), dst=induction)
-            yield branch(pcs.site("loop"), taken=g != groups - 1, srcs=(induction,))
+
+    return base_tuple_runs(
+        workload, config, "hivetup", pcs, regs, induction,
+        fixed_regs=(induction, result_ptr),
+        group_body=group_body,
+        group_regs=1,  # the unlock status
+        match_regs=1,
+    )
+
+
+def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
+    """NSM scan: one locked block per tuple group (Figure 3a HIVE bars)."""
+    return flatten_runs(tuple_runs(workload, config))
 
 
 def _column_block_width(config: ScanConfig, p: int) -> int:
@@ -420,9 +425,9 @@ lower_filter = generate
 
 
 def lower_filter_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """Filter lowering as steady-state runs (column strategy only)."""
-    if config.strategy != "column":
-        raise ValueError("run-structured lowering exists for column mode only")
+    """Filter lowering as steady-state runs."""
+    if config.strategy == "tuple":
+        return tuple_runs(workload, config)
     return column_runs(workload, config)
 
 

@@ -44,6 +44,8 @@ from .base import (
     lower_plan,
     lower_plan_runs,
     skip_pattern_key_ids,
+    tuple_grouping,
+    tuple_runs as base_tuple_runs,
 )
 
 
@@ -57,8 +59,19 @@ def _compound_terms(workload: ScanWorkload):
     return tuple(terms)
 
 
-def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """NSM scan with in-memory tuple compares (Figure 3a's HMC bars)."""
+def _loadcmp(address: int, size: int, **shape) -> PimInstruction:
+    """One HMC load-compare returning its match mask."""
+    return PimInstruction(PimOp.HMC_LOADCMP, address=address, size=size,
+                          returns_value=True, **shape)
+
+
+def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
+    """NSM scan with in-memory tuple compares, as match-keyed trace runs
+    (Figure 3a's HMC bars).
+
+    The bulk hook logs the load-compares of skipped iterations, so the
+    runner's mask check sees every group.
+    """
     if workload.nsm is None:
         raise ValueError("tuple-at-a-time needs the NSM table")
     table = workload.nsm
@@ -66,45 +79,36 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
     regs = RegAllocator()
     induction = regs.new()
     result_ptr = regs.new()
-    terms = _compound_terms(workload)
+    shape = {"compound": _compound_terms(workload),
+             "tuple_stride": table.tuple_bytes}
     matches = workload.final_mask
-    out_index = 0
-
     op = config.op_bytes
     tuple_bytes = table.tuple_bytes
-    group = max(1, op // tuple_bytes)  # tuples covered by one 128/256 B op
-    pieces = ceil_div(tuple_bytes, op) if op < tuple_bytes else 1
+    group, pieces = tuple_grouping(op, tuple_bytes)
     rows = workload.rows
     unroll = config.unroll
-
     groups = ceil_div(rows, group)
-    for g in range(groups):
-        u = g % unroll
-        base_row = g * group
+
+    def group_body(u: int, base_row: int, n: int, out_index: int) -> Iterator[Uop]:
         mask_reg = regs.new()
         for k in range(pieces):
-            # The piece holding the predicate columns returns the match
-            # mask; remaining pieces complete the whole-tuple visit.
+            # Each piece compares the predicate columns it holds (the AND
+            # of a tuple's pieces is its match).  The match branches wait
+            # on the first piece, which holds Q6's columns; remaining
+            # pieces complete the whole-tuple visit.  A partial last
+            # group reads only the tuples that remain.
             dst = mask_reg if k == 0 else regs.new()
             yield pim(
                 pcs.site(f"hmc{u}_{k}"),
-                PimInstruction(
-                    PimOp.HMC_LOADCMP,
-                    address=table.tuple_address(base_row) + k * op,
-                    size=min(op, group * tuple_bytes),
-                    compound=terms,
-                    tuple_stride=tuple_bytes,
-                    returns_value=True,
-                ),
+                _loadcmp(table.tuple_address(base_row) + k * op,
+                         min(op, n * tuple_bytes), **shape),
                 dst=dst,
             )
         # The compiled offload loop replaced the interpreted iterator
         # (§III: the workload is recompiled to use PIM instructions);
         # only the per-tuple match checks and materialisation remain.
-        for t in range(group):
+        for t in range(n):
             row = base_row + t
-            if row >= rows:
-                break
             matched = bool(matches[row])
             yield branch(pcs.site(f"br{u}_{t}"), taken=matched, srcs=(mask_reg,))
             if matched:
@@ -119,9 +123,37 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
                             srcs=(vec, result_ptr))
                 yield alu(pcs.site(f"bump{u}"), srcs=(result_ptr,), dst=result_ptr)
                 out_index += 1
-        if u == unroll - 1 or g == groups - 1:
-            yield alu(pcs.site("ind"), srcs=(induction,), dst=induction)
-            yield branch(pcs.site("loop"), taken=g != groups - 1, srcs=(induction,))
+
+    def bulk_of(i0, key):
+        def bulk(machine, j0, j1, _i0=i0):
+            """Log the skipped groups' load-compares (program order)."""
+            first = (_i0 + j0) * unroll
+            limit = min((_i0 + j1) * unroll, groups)
+            whole = min(limit, rows // group)  # groups of `group` tuples
+            spans = [(first, whole, group), (max(first, whole), limit,
+                                             rows - whole * group)]
+            for g0, g1, n in spans:
+                if g1 > g0:
+                    starts = table.tuple_address(0) + _np.arange(g0, g1) * (
+                        group * tuple_bytes)
+                    addresses = (starts[:, None] + _np.arange(pieces) * op).reshape(-1)
+                    machine.backend.log_loadcmps(
+                        addresses, _loadcmp(0, min(op, n * tuple_bytes), **shape))
+        return bulk
+
+    return base_tuple_runs(
+        workload, config, "hmctup", pcs, regs, induction,
+        fixed_regs=(induction, result_ptr),
+        group_body=group_body,
+        group_regs=pieces,
+        match_regs=1,
+        bulk_of=bulk_of,
+    )
+
+
+def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
+    """NSM scan with in-memory tuple compares (Figure 3a's HMC bars)."""
+    return flatten_runs(tuple_runs(workload, config))
 
 
 def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
@@ -152,7 +184,6 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
             dead = chunk_dead_flags(prev_running, rpc, n_chunks)
         else:
             dead = None
-        pass_bits = workload.predicate_mask(p)
 
         def iteration_key(i: int):
             first = i * unroll
@@ -190,15 +221,8 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
                     mask_reg = regs.new()
                     yield pim(
                         pcs.site(f"p{pass_index}_hmc{pos}"),
-                        PimInstruction(
-                            PimOp.HMC_LOADCMP,
-                            address=col.address_of(start),
-                            size=(stop - start) * 4,
-                            func=pred.func,
-                            imm_lo=pred.lo,
-                            imm_hi=pred.hi,
-                            returns_value=True,
-                        ),
+                        _loadcmp(col.address_of(start), (stop - start) * 4,
+                                 func=pred.func, imm_lo=pred.lo, imm_hi=pred.hi),
                         dst=mask_reg,
                     )
                     if prev_mask is not None:
@@ -213,26 +237,28 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
                     yield branch(pcs.site(f"p{pass_index}_loop"), taken=stop != rows,
                                  srcs=(induction,))
 
-        def make_bulk(i0, dead_flags, bits):
-            def bulk(machine, j0, j1, _i0=i0, _dead=dead_flags, _bits=bits):
-                """Vault-computed masks of skipped chunks (program order).
+        def make_bulk(i0, dead_flags, pred, col):
+            def bulk(machine, j0, j1, _i0=i0, _dead=dead_flags, _pred=pred,
+                     _col=col):
+                """Log the skipped chunks' load-compares (program order).
 
-                Vectorised across the whole skipped span: converged runs
-                cover full-size chunks only (a short tail chunk changes
-                the run shape), so the span's chunk masks pack as one
-                reshaped ``packbits`` call instead of one per chunk.
+                Their masks are then evaluated from the memory image,
+                exactly like those of simulated chunks; only the
+                addresses are computed here, vectorised across the span.
                 """
-                backend = machine.backend
                 first = (_i0 + j0) * unroll
                 limit = min((_i0 + j1) * unroll, n_chunks)
                 chunks = _np.arange(first, limit)
                 if _dead is not None:
                     chunks = chunks[~_dead[first:limit]]
-                if chunks.size == 0:
-                    return
-                lanes = _bits[chunks[:, None] * rpc + _np.arange(rpc)]
-                packed = _np.packbits(lanes, axis=1, bitorder="little")
-                backend.computed_masks.extend(packed)
+                whole = (chunks + 1) * rpc <= rows
+                for part, lanes in ((chunks[whole], rpc),
+                                    (chunks[~whole], rows % rpc)):
+                    if part.size:
+                        machine.backend.log_loadcmps(
+                            _col.base + part * (rpc * _col.stride),
+                            _loadcmp(0, lanes * 4, func=_pred.func,
+                                     imm_lo=_pred.lo, imm_hi=_pred.hi))
             return bulk
 
         rows_per_iter = unroll * rpc
@@ -260,8 +286,8 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
             run_key=(lambda key, _p=p:
                      ("hmccol", _p, config.op_bytes, unroll) + key),
             regions_of=regions_of,
-            bulk_of=(lambda i0, key, _dead=dead, _bits=pass_bits:
-                     make_bulk(i0, _dead, _bits)),
+            bulk_of=(lambda i0, key, _dead=dead, _pred=predicate, _col=column:
+                     make_bulk(i0, _dead, _pred, _col)),
             fixed_regs=(induction,),
             key_ids=key_ids,
             family=("hmccol", p, config.op_bytes, unroll),
@@ -287,9 +313,9 @@ lower_filter = generate
 
 
 def lower_filter_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """Filter lowering as steady-state runs (column strategy only)."""
-    if config.strategy != "column":
-        raise ValueError("run-structured lowering exists for column mode only")
+    """Filter lowering as steady-state runs."""
+    if config.strategy == "tuple":
+        return tuple_runs(workload, config)
     return column_runs(workload, config)
 
 

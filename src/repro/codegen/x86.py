@@ -38,12 +38,14 @@ from .base import (
     TraceRun,
     chunk_bounds,
     chunk_dead_flags,
+    compare_uop_count,
     flatten_runs,
     group_runs,
     iterator_overhead,
     lower_plan,
     lower_plan_runs,
     skip_pattern_key_ids,
+    tuple_runs as base_tuple_runs,
 )
 
 
@@ -54,37 +56,37 @@ def _check(config: ScanConfig) -> None:
         raise ValueError("x86 unrolling is limited to 8x (register pressure)")
 
 
-def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """NSM materialising scan (Figure 3a's x86 bars)."""
+def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
+    """NSM materialising scan as match-keyed trace runs (Figure 3a's x86 bars)."""
     _check(config)
     if workload.nsm is None:
         raise ValueError("tuple-at-a-time needs the NSM table")
     table = workload.nsm
+    buffers = workload.buffers
     pcs = PcAllocator()
     regs = RegAllocator()
     induction = regs.new()
     result_ptr = regs.new()
-    pieces = ceil_div(table.tuple_bytes, config.op_bytes)
-    matches = workload.final_mask
-    out_index = 0
-
     iter_state = regs.new()
-    rows = workload.rows
-    unroll = config.unroll
-    for row in range(rows):
-        u = row % unroll
+    op = config.op_bytes
+    tuple_bytes = table.tuple_bytes
+    pieces = ceil_div(tuple_bytes, op)
+    matches = workload.final_mask
+    # one register per compare uop, plus one per conjunction AND
+    compare_regs = sum(map(compare_uop_count, workload.predicates)) + (
+        len(workload.predicates) - 1)
+
+    def tuple_body(u: int, row: int, n: int, out_index: int) -> Iterator[Uop]:
         # Volcano next(): per-tuple interpretation, serial across tuples.
         yield from iterator_overhead(pcs, regs, iter_state,
-                                     workload.buffers.scratch_base, u)
+                                     buffers.scratch_base, u)
         tuple_addr = table.tuple_address(row)
         vec = regs.batch(pieces)
         # Load the entire tuple, op-size bytes at a time (§II-B: the
         # tuple-at-a-time scan loads the whole tuple).
         for k in range(pieces):
-            yield load(
-                pcs.site(f"ld{u}_{k}"), tuple_addr + k * config.op_bytes,
-                config.op_bytes, dst=vec[k],
-            )
+            yield load(pcs.site(f"ld{u}_{k}"), tuple_addr + k * op, op,
+                       dst=vec[k])
         # Evaluate the conjunction on the piece holding the predicate
         # columns (vec[0]): range compares cost two compares + an AND.
         cursor = vec[0]
@@ -108,18 +110,24 @@ def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
         matched = bool(matches[row])
         yield branch(pcs.site(f"br_match{u}"), taken=matched, srcs=(cursor,))
         if matched:
-            out_addr = workload.buffers.materialize_base + out_index * table.tuple_bytes
+            out_addr = buffers.materialize_base + out_index * tuple_bytes
             for k in range(pieces):
-                yield store(
-                    pcs.site(f"mat{u}_{k}"), out_addr + k * config.op_bytes,
-                    config.op_bytes, srcs=(vec[k], result_ptr),
-                )
+                yield store(pcs.site(f"mat{u}_{k}"), out_addr + k * op, op,
+                            srcs=(vec[k], result_ptr))
             yield alu(pcs.site(f"bump{u}"), srcs=(result_ptr,), dst=result_ptr)
-            out_index += 1
-        if u == unroll - 1 or row == rows - 1:
-            # Loop overhead once per unrolled body.
-            yield alu(pcs.site("ind"), srcs=(induction,), dst=induction)
-            yield branch(pcs.site("loop"), taken=row != rows - 1, srcs=(induction,))
+
+    return base_tuple_runs(
+        workload, config, "x86tup", pcs, regs, induction,
+        fixed_regs=(induction, result_ptr, iter_state),
+        group_body=tuple_body,
+        group_regs=4 + pieces + compare_regs,  # iterator, tuple, compares
+        match_regs=0,
+    )
+
+
+def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
+    """NSM materialising scan (Figure 3a's x86 bars)."""
+    return flatten_runs(tuple_runs(workload, config))
 
 
 def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
@@ -268,9 +276,9 @@ lower_filter = generate
 
 
 def lower_filter_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """Filter lowering as steady-state runs (column strategy only)."""
-    if config.strategy != "column":
-        raise ValueError("run-structured lowering exists for column mode only")
+    """Filter lowering as steady-state runs."""
+    if config.strategy == "tuple":
+        return tuple_runs(workload, config)
     return column_runs(workload, config)
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..common.units import align_up
 
@@ -178,6 +179,37 @@ class MemoryImage:
         alloc = self._find(address, nbytes)
         off = address - alloc.base
         return alloc.data[off : off + nbytes].copy()
+
+    def gather(self, addresses: np.ndarray, nbytes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Read ``nbytes`` at each of ``addresses`` in one vectorised pass.
+
+        Returns the ``(len(addresses), nbytes)`` uint8 rows (a copy) and
+        each address's offset within its allocation.  A range outside
+        every allocation raises ``KeyError``, as :meth:`read` does.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        bases = np.asarray(self._bases, dtype=np.int64)
+        index = np.searchsorted(bases, addresses, side="right") - 1
+        inside = index >= 0
+        if inside.all():
+            ends = np.asarray([a.end for a in self._allocs], dtype=np.int64)
+            inside = addresses + nbytes <= ends[index]
+        if not inside.all():
+            address = int(addresses[np.argmin(inside)])
+            raise KeyError(
+                f"range [{address:#x}, {address + nbytes:#x}) not inside any allocation"
+            )
+        offsets = addresses - bases[index]
+        regions = np.unique(index)
+        if regions.size == 1:
+            windows = sliding_window_view(self._allocs[regions[0]].data, nbytes)
+            return windows[offsets], offsets
+        rows = np.empty((addresses.size, nbytes), dtype=np.uint8)
+        for region in regions:
+            chosen = index == region
+            windows = sliding_window_view(self._allocs[region].data, nbytes)
+            rows[chosen] = windows[offsets[chosen]]
+        return rows, offsets
 
     def write(self, address: int, data: np.ndarray) -> None:
         """Write a uint8 array at ``address``."""

@@ -3,6 +3,11 @@
 Shared by the per-vault HMC ISA units and the HIVE/HIPE logic layer.
 Comparison results follow the engines' convention: matching lanes produce
 1, others 0 — the "zero flag" of a lane is simply "result == 0".
+
+The compare semantics live in one place, :func:`compare_flags`; every
+consumer (the engines' ALU, whole-tuple compound compares, the HMC
+load-compare masks) goes through it.  It is shape-agnostic, so a batch
+of operations evaluates as one array with a leading op axis.
 """
 
 from __future__ import annotations
@@ -10,6 +15,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..cpu.isa import AluFunc
+
+
+def compare_flags(func: AluFunc, lanes: np.ndarray, lo: int, hi: int = 0) -> np.ndarray:
+    """Boolean match flags of an immediate compare, lane-wise, any shape."""
+    if func == AluFunc.CMP_RANGE:
+        flags = lanes >= lo
+        flags &= lanes <= hi
+        return flags
+    if func == AluFunc.CMP_GE:
+        return lanes >= lo
+    if func == AluFunc.CMP_GT:
+        return lanes > lo
+    if func == AluFunc.CMP_LE:
+        return lanes <= lo
+    if func == AluFunc.CMP_LT:
+        return lanes < lo
+    if func == AluFunc.CMP_EQ:
+        return lanes == lo
+    raise ValueError(f"unsupported compare function {func!r}")
 
 
 def apply_alu(
@@ -25,18 +49,8 @@ def apply_alu(
     0/1 lanes of ``a``'s dtype.  Arithmetic/logic functions operate on
     ``a`` and ``b`` (``b`` defaults to the immediate ``imm_lo`` broadcast).
     """
-    if func == AluFunc.CMP_GE:
-        return (a >= imm_lo).astype(a.dtype)
-    if func == AluFunc.CMP_GT:
-        return (a > imm_lo).astype(a.dtype)
-    if func == AluFunc.CMP_LE:
-        return (a <= imm_lo).astype(a.dtype)
-    if func == AluFunc.CMP_LT:
-        return (a < imm_lo).astype(a.dtype)
-    if func == AluFunc.CMP_EQ:
-        return (a == imm_lo).astype(a.dtype)
-    if func == AluFunc.CMP_RANGE:
-        return ((a >= imm_lo) & (a <= imm_hi)).astype(a.dtype)
+    if is_comparison(func):
+        return compare_flags(func, a, imm_lo, imm_hi).astype(a.dtype)
     operand = b if b is not None else np.full_like(a, imm_lo)
     if func == AluFunc.AND:
         return a & operand
@@ -47,31 +61,6 @@ def apply_alu(
     if func == AluFunc.MUL:
         return a * operand
     raise ValueError(f"unsupported ALU function {func!r}")
-
-
-def compare_mask_bits(func: AluFunc, lanes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Packed little-endian match bits of an immediate compare.
-
-    The hot verification path of the HMC load-compare: produces the
-    response bitmask without materialising an integer lane vector
-    (boolean compare -> packbits directly).
-    """
-    if func == AluFunc.CMP_RANGE:
-        flags = lanes >= lo
-        flags &= lanes <= hi
-    elif func == AluFunc.CMP_GE:
-        flags = lanes >= lo
-    elif func == AluFunc.CMP_GT:
-        flags = lanes > lo
-    elif func == AluFunc.CMP_LE:
-        flags = lanes <= lo
-    elif func == AluFunc.CMP_LT:
-        flags = lanes < lo
-    elif func == AluFunc.CMP_EQ:
-        flags = lanes == lo
-    else:
-        raise ValueError(f"unsupported compare function {func!r}")
-    return np.packbits(flags, bitorder="little")
 
 
 def is_comparison(func: AluFunc) -> bool:
@@ -86,31 +75,63 @@ def is_comparison(func: AluFunc) -> bool:
     )
 
 
-def apply_compound(raw: np.ndarray, stride: int, terms) -> np.ndarray:
-    """Evaluate a whole-tuple conjunction over row-store bytes.
+def compound_flags(raw: np.ndarray, stride: int, terms, phase: int = 0) -> np.ndarray:
+    """Whole-tuple conjunction over row-store bytes, as boolean flags.
 
-    ``raw`` is a uint8 array covering whole tuples of ``stride`` bytes;
-    ``terms`` is a sequence of ``(byte_offset, func, lo, hi)`` — each term
-    compares the int32 at that offset of every tuple.  Terms whose offset
-    falls outside ``raw`` (a partial-tuple piece) are skipped.  Returns
-    one int32 match flag (0/1) per tuple.
+    ``raw`` is uint8, either one operation's bytes ``(size,)`` or a batch
+    ``(ops, size)`` of same-sized operations.  ``terms`` is a sequence of
+    ``(byte_offset, func, lo, hi)``; each compares the int32 at that
+    offset of a tuple of ``stride`` bytes.
+
+    An operation of at least ``stride`` bytes covers whole tuples and
+    yields one flag per tuple.  A smaller one is a *piece* that starts
+    ``phase`` bytes into its tuple: a term is evaluated only when its
+    column lies wholly inside the piece, read at its offset relative to
+    the piece, and a piece holding no predicate column matches
+    everything — ANDing a tuple's pieces gives the full conjunction.
+    Returns flags of shape ``(tuples,)`` or ``(ops, tuples)``.
     """
-    ntuples = max(1, raw.size // stride)
-    usable = raw[: ntuples * stride].reshape(ntuples, -1)
-    result = np.ones(ntuples, dtype=np.int32)
+    batch = raw.reshape(1, -1) if raw.ndim == 1 else raw
+    ops, size = batch.shape
+    width = min(size, stride)
+    ntuples = max(1, size // stride)
+    tuples = batch[:, : ntuples * width].reshape(ops, ntuples, width)
+    flags = np.ones((ops, ntuples), dtype=bool)
     for offset, func, lo, hi in terms:
-        if offset + 4 > usable.shape[1]:
+        start = offset - phase
+        if start < 0 or start + 4 > width:
             continue
-        values = usable[:, offset : offset + 4].copy().view(np.int32).reshape(-1)
-        result &= apply_alu(func, values, imm_lo=lo, imm_hi=hi)
-    return result
+        values = np.ascontiguousarray(tuples[:, :, start : start + 4])
+        flags &= compare_flags(func, values.view(np.int32)[:, :, 0], lo, hi)
+    return flags[0] if raw.ndim == 1 else flags
 
 
-def mask_to_bits(mask_lanes: np.ndarray) -> np.ndarray:
-    """Pack 0/1 lanes into a bitmask byte array (LSB-first)."""
-    return np.packbits(mask_lanes.astype(bool), bitorder="little")
+def apply_compound(raw: np.ndarray, stride: int, terms) -> np.ndarray:
+    """:func:`compound_flags` as int32 0/1 lanes (the engines' ALU result)."""
+    return compound_flags(raw, stride, terms).astype(np.int32)
 
 
-def bits_to_mask(bits: np.ndarray, lanes: int) -> np.ndarray:
-    """Unpack a bitmask byte array back into ``lanes`` boolean lanes."""
-    return np.unpackbits(bits, count=lanes, bitorder="little").astype(bool)
+def loadcmp_bits(raw: np.ndarray, inst, offsets: np.ndarray) -> np.ndarray:
+    """Packed response bitmasks of a batch of HMC load-compares.
+
+    ``raw`` holds the ``(ops, size)`` bytes the operations read; they all
+    share ``inst``'s shape (size, compare, compound terms).  ``offsets``
+    are their addresses relative to the start of their allocation: a
+    compound compare over a piece of a tuple evaluates at the piece's
+    phase within the tuple.  Returns ``(ops, mask bytes)`` uint8,
+    little-endian bit order — one row per operation.
+    """
+    stride = inst.tuple_stride
+    if inst.compound is None:
+        dtype = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}[inst.lane_bytes]
+        flags = compare_flags(inst.func, raw.view(dtype), inst.imm_lo, inst.imm_hi)
+    elif inst.size >= stride:  # whole tuples
+        flags = compound_flags(raw, stride, inst.compound)
+    else:  # one piece per op, evaluated at its phase within the tuple
+        phases = offsets % stride
+        flags = np.empty((raw.shape[0], 1), dtype=bool)
+        for phase in np.unique(phases):
+            chosen = phases == phase
+            flags[chosen] = compound_flags(raw[chosen], stride, inst.compound,
+                                           int(phase))
+    return np.packbits(flags, axis=1, bitorder="little")

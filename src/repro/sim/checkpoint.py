@@ -32,9 +32,9 @@ payload; a truncated or corrupted file, or one whose table regions do
 not match the rebuilt machine's (base, size or checksum), is
 quarantined to ``*.quarantine`` and reported as "no checkpoint" —
 resumption degrades to a from-scratch retry, never to wrong state.
-Single-pass streams (tuple strategy's one opaque run, HIPE's fused
-column scan) simply never hit a boundary and keep the PR 6
-restart-from-zero behaviour.
+Single-pass streams (a tuple-at-a-time scan, whose match-keyed runs
+declare no family, and HIPE's fused column scan) simply never hit a
+boundary and restart from zero on retry.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..testing import faults
 logger = logging.getLogger("repro.checkpoint")
 
 #: bump when the checkpoint layout changes; old files quarantine-free miss
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 #: subdirectory of the result cache holding checkpoint sidecars
 DEFAULT_CHECKPOINT_SUBDIR = "checkpoints"

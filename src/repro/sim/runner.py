@@ -27,7 +27,7 @@ from ..codegen import hive as hive_codegen
 from ..codegen import hmc as hmc_codegen
 from ..codegen import x86 as x86_codegen
 from ..codegen.aggregate import aggregate_slots, engine_lowering_falls_back
-from ..codegen.base import ScanConfig, ScanWorkload
+from ..codegen.base import ScanConfig, ScanWorkload, chunk_dead_flags, tuple_grouping
 from ..common.config import DEFAULT_SCALE
 from ..db.datagen import LineitemData, generate_table
 from ..db.plan import QueryPlan
@@ -228,42 +228,70 @@ def _verify_hmc_masks(machine: Machine, workload: ScanWorkload, scan: ScanConfig
     """Check the vault-computed compare masks against the reference.
 
     In column mode the HMC load-compare masks, conjoined per chunk in
-    issue order, must reproduce the final reference mask; in tuple mode
-    the compound masks are checked per tuple group.
+    issue order, must reproduce the final reference mask.  In tuple mode
+    each group's piece masks, ANDed, must reproduce its tuples' matches.
     """
     backend = machine.backend
-    if backend is None or not getattr(backend, "computed_masks", None):
+    if backend is None or not hasattr(backend, "mask_table"):
         return False
-    if scan.strategy != "column":
-        return True  # tuple-mode masks are exercised by unit tests
+    flat, widths = backend.mask_table()
+    if widths.size == 0:
+        return False
+    if scan.strategy == "tuple":
+        produced = _tuple_mask(flat, widths, workload, scan)
+    else:
+        produced = _column_mask(flat, widths, workload, scan)
+    return produced is not None and bool(np.array_equal(produced, workload.final_mask))
+
+
+def _tuple_mask(flat, widths, workload: ScanWorkload, scan: ScanConfig):
+    """The match vector a tuple pass's load-compare masks imply (None if
+    the ops do not cover the table one group at a time)."""
+    group, pieces = tuple_grouping(scan.op_bytes, workload.nsm.tuple_bytes)
+    rows = workload.rows
+    groups = -(-rows // group)
+    if widths.size != groups * pieces or (widths != 1).any():
+        return None
+    per_group = np.bitwise_and.reduce(flat.reshape(groups, pieces), axis=1)
+    bits = np.unpackbits(per_group[:, None], axis=1, bitorder="little")
+    return bits[:, :group].reshape(-1)[:rows].astype(bool)
+
+
+def _column_mask(flat, widths, workload: ScanWorkload, scan: ScanConfig):
+    """The conjunction a column scan's load-compare masks imply: one op
+    per live chunk and pass, in issue order (None if the ops do not)."""
     rows = workload.rows
     rpc = scan.rows_per_op
-    running = None
-    chunks_per_pass = -(-rows // rpc)
-    masks = backend.computed_masks
+    n_chunks = -(-rows // rpc)
+    tail = rows - (n_chunks - 1) * rpc  # lanes of the last chunk
+    full_bytes = -(-rpc // 8)
+    ends = np.cumsum(widths, dtype=np.int64)
+    running = np.ones(rows, dtype=bool)
     cursor = 0
     for p in range(len(workload.predicates)):
-        prev = workload.running_mask(p - 1) if p > 0 else None
-        pass_mask = np.zeros(rows, dtype=bool)
-        included = []  # (start, stop, bit offset into the pass's masks)
-        bit_cursor = 0
-        pass_masks = []
-        for c in range(chunks_per_pass):
-            start = c * rpc
-            stop = min(start + rpc, rows)
-            if p > 0 and not bool(prev[start:stop].any()):
-                continue  # chunk was skipped: no HMC op was issued
-            included.append((start, stop, bit_cursor))
-            pass_masks.append(masks[cursor])
-            bit_cursor += masks[cursor].size * 8
-            cursor += 1
-        if not included:
-            running = pass_mask if running is None else (running & pass_mask)
-            continue
-        # One unpack for the whole pass instead of one per chunk.
-        bits = np.unpackbits(np.concatenate(pass_masks),
-                             bitorder="little").astype(bool)
-        for start, stop, offset in included:
-            pass_mask[start:stop] = bits[offset:offset + (stop - start)]
-        running = pass_mask if running is None else (running & pass_mask)
-    return bool(np.array_equal(running, workload.final_mask))
+        if p > 0:  # a dead chunk was skipped: no HMC op was issued
+            live = np.flatnonzero(~chunk_dead_flags(
+                workload.running_mask(p - 1), rpc, n_chunks))
+        else:
+            live = np.arange(n_chunks)
+        ops = live.size
+        expected = np.full(ops, full_bytes, dtype=np.int64)
+        short = bool(ops) and int(live[-1]) == n_chunks - 1 and tail != rpc
+        if short:
+            expected[-1] = -(-tail // 8)
+        if cursor + ops > widths.size or not np.array_equal(
+                widths[cursor:cursor + ops], expected):
+            return None
+        start = int(ends[cursor - 1]) if cursor else 0
+        pass_bytes = flat[start:start + int(expected.sum())]
+        whole = ops - short
+        lanes = np.zeros((n_chunks, rpc), dtype=bool)
+        lanes[live[:whole]] = np.unpackbits(
+            pass_bytes[:whole * full_bytes].reshape(whole, full_bytes),
+            axis=1, bitorder="little")[:, :rpc]
+        if short:
+            lanes[-1, :tail] = np.unpackbits(
+                pass_bytes[whole * full_bytes:], bitorder="little")[:tail]
+        running &= lanes.reshape(-1)[:rows]
+        cursor += ops
+    return running if cursor == widths.size else None

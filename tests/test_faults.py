@@ -22,7 +22,8 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.codegen.base import ScanConfig
-from repro.db.datagen import generate_lineitem
+from repro.db.datagen import generate_lineitem, generate_table
+from repro.db.query6 import q6_select_plan
 from repro.db.workloads import selectivity_scan_plan
 from repro.memory.image import PAGE_BYTES
 from repro.memory.shared_data import (
@@ -42,7 +43,8 @@ from repro.sim.checkpoint import (
     checkpoints_enabled,
 )
 from repro.sim.engine import ExperimentEngine, PointExecutionError, ResultCache
-from repro.sim.runner import run_scan
+from repro.sim.machine import build_machine
+from repro.sim.runner import _CODEGENS, build_workload, run_scan
 from repro.testing import faults
 
 ROWS = 2048
@@ -281,6 +283,22 @@ class TestCheckpointIntegrity:
         _interrupt_at_pass(store, "lean", arch, scan)
         image = store.load("lean").machine.image
         assert len(pickle.dumps(image)) < 3 * PAGE_BYTES
+
+    def test_hmc_snapshot_holds_masks_as_flat_arrays(self):
+        # The masks travel as one packed array plus one of widths, not
+        # as one numpy object per load-compare.
+        plan = q6_select_plan()
+        machine = build_machine("hmc")
+        workload = build_workload(
+            machine, generate_table(plan.table, 32_768, 1994), "dsm", plan=plan)
+        machine.run(_CODEGENS["hmc"].generate_plan(
+            workload, ScanConfig("dsm", "column", 256)))
+        backend = machine.backend
+        ops = backend.mask_table()[1].size
+        state = {name: value for name, value in backend.__getstate__().items()
+                 if name not in ("hmc", "image", "stats")}
+        assert ops > 1000
+        assert len(pickle.dumps(state)) < 16 * ops
 
     def test_snapshot_of_another_table_quarantines(self, tmp_path):
         # Same key, different data: the referenced table regions fail

@@ -42,6 +42,16 @@ class TestRunScan:
         assert result.cycles > 0
         assert result.verified in (None, True)
 
+    @pytest.mark.parametrize("arch", ["hmc", "hive", "hipe"])
+    @pytest.mark.parametrize("op", [128, 256])
+    @pytest.mark.parametrize("rows", [8193, 8194])
+    def test_tuple_scan_partial_last_group(self, arch, op, rows):
+        # The last op covers only the tuples that remain, never reading
+        # past the NSM table.
+        result = run_scan(arch, ScanConfig("nsm", "tuple", op), rows=rows)
+        assert result.cycles > 0
+        assert result.verified is (True if arch == "hmc" else None)
+
     @pytest.mark.parametrize("op", [16, 32, 64, 128, 256])
     def test_hive_all_op_sizes_verify(self, data, op):
         result = run_scan("hive", ScanConfig("dsm", "column", op, unroll=2),

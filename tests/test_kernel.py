@@ -15,6 +15,7 @@ from repro.codegen.base import ScanConfig
 from repro.cpu.kernel import (
     MIN_COMPILE_BENEFIT,
     KernelRunner,
+    consume_runs,
     kernels_enabled,
 )
 from repro.db.datagen import generate_table
@@ -44,6 +45,42 @@ def test_kernel_bit_identical_to_uncompiled(arch, op, exact, monkeypatch):
     assert not kernels_enabled()
     uncompiled = run_scan(arch, scan, rows=ROWS, exact=exact)
     assert _fingerprint(compiled) == _fingerprint(uncompiled)
+
+
+#: tuple points: groups of 1, 2 and 4 tuples; HIPE falls back to HIVE
+TUPLE_POINTS = [("x86", 16), ("hmc", 16), ("hmc", 256), ("hive", 128),
+                ("hipe", 64)]
+
+
+@pytest.mark.parametrize("arch,op", TUPLE_POINTS)
+def test_tuple_points_identical_across_paths(arch, op, monkeypatch):
+    """Match-keyed tuple runs: kernel on/off x exact/replay agree.
+
+    2053 rows is a multiple of neither the group size nor the unroll,
+    so the final iteration holds a partial group.
+    """
+    scan = ScanConfig("nsm", "tuple", op, 3)
+    fingerprints = []
+    for kernel in ("1", "0"):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        for exact in (False, True):
+            fingerprints.append(
+                _fingerprint(run_scan(arch, scan, rows=2053, exact=exact)))
+    assert fingerprints[0][2] in (None, True)
+    assert all(f == fingerprints[0] for f in fingerprints[1:])
+
+
+def test_tuple_scan_compiles_kernels(monkeypatch):
+    """An x86-16B tuple pass runs through compiled run bodies."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    plan = q6_select_plan()
+    data = generate_table(plan.table, 4096, 1994)
+    machine = build_machine("x86")
+    workload = build_workload(machine, data, "nsm", plan=plan)
+    execution = machine.core.execution()
+    consume_runs(execution, _CODEGENS["x86"].generate_plan_runs(
+        workload, ScanConfig("nsm", "tuple", 16, 1)))
+    assert execution.kernel_shapes
 
 
 def _drive(arch, op, rows=ROWS):

@@ -11,8 +11,8 @@ from repro.memory.hmc import Hmc
 from repro.memory.image import MemoryImage
 from repro.pim.hive import HiveBackend, HiveEngine
 from repro.pim.hipe import HipeBackend, HipeEngine
-from repro.pim.hmc_isa import HmcIsaBackend
-from repro.pim.ops import apply_alu, apply_compound, bits_to_mask, mask_to_bits
+from repro.pim.hmc_isa import MASK_SLICE_OPS, HmcIsaBackend
+from repro.pim.ops import apply_alu, apply_compound
 from repro.pim.register_bank import PimRegisterBank
 
 
@@ -63,14 +63,6 @@ class TestPimOps:
         raw = np.zeros(8, dtype=np.uint8)
         terms = ((64, AluFunc.CMP_GE, 5, 0),)  # offset beyond the piece
         assert apply_compound(raw, stride=8, terms=terms).tolist() == [1]
-
-    @given(st.lists(st.booleans(), min_size=1, max_size=200))
-    @settings(max_examples=60)
-    def test_mask_bits_roundtrip(self, flags):
-        lanes = np.array(flags, dtype=np.int32)
-        packed = mask_to_bits(lanes)
-        assert np.array_equal(bits_to_mask(packed, len(flags)),
-                              np.array(flags, dtype=bool))
 
 
 class TestRegisterBank:
@@ -131,6 +123,131 @@ class TestHmcIsaBackend:
     def test_rejects_engine_ops(self):
         with pytest.raises(ValueError):
             self.backend.submit(pim(1, PimInstruction(PimOp.LOCK)), 0)
+
+    def test_out_of_range_loadcmp_raises(self):
+        alloc = self.image.allocate_array("col", np.arange(4, dtype=np.int32))
+        inst = PimInstruction(PimOp.HMC_LOADCMP, address=alloc.end - 8,
+                              size=16, func=AluFunc.CMP_GE, imm_lo=0,
+                              returns_value=True)
+        self.backend.submit(pim(1, inst), 0)
+        with pytest.raises(KeyError):
+            self.backend.mask_table()
+
+
+_PYTHON_COMPARE = {
+    AluFunc.CMP_GE: lambda v, lo, hi: v >= lo,
+    AluFunc.CMP_GT: lambda v, lo, hi: v > lo,
+    AluFunc.CMP_LE: lambda v, lo, hi: v <= lo,
+    AluFunc.CMP_LT: lambda v, lo, hi: v < lo,
+    AluFunc.CMP_EQ: lambda v, lo, hi: v == lo,
+    AluFunc.CMP_RANGE: lambda v, lo, hi: lo <= v <= hi,
+}
+
+
+def _reference_mask(image, inst, table_base):
+    """One load-compare's mask, evaluated value by value in Python."""
+    raw = image.read(inst.address, inst.size)
+    if inst.compound is None:
+        lanes = raw.view(np.int32).tolist()
+        flags = [_PYTHON_COMPARE[inst.func](v, inst.imm_lo, inst.imm_hi)
+                 for v in lanes]
+    else:
+        stride = inst.tuple_stride
+        phase = (inst.address - table_base) % stride
+        flags = []
+        for t in range(max(1, inst.size // stride)):
+            ok = True
+            for offset, func, lo, hi in inst.compound:
+                start = t * stride + offset - phase
+                if offset < phase or offset + 4 > phase + min(inst.size, stride):
+                    continue  # the column lies outside this piece
+                value = int(raw[start:start + 4].view(np.int32)[0])
+                ok = ok and _PYTHON_COMPARE[func](value, lo, hi)
+            flags.append(ok)
+    return np.packbits(np.array(flags, dtype=bool), bitorder="little")
+
+
+class TestHmcBulkMasks:
+    """Bulk-evaluated masks equal per-op evaluation at issue time."""
+
+    TUPLES = 64
+    TERMS = ((0, AluFunc.CMP_GE, -200, 0), (20, AluFunc.CMP_RANGE, -300, 300),
+             (36, AluFunc.CMP_LT, 100, 0))
+
+    def _stream(self, seed, n_ops):
+        rng = np.random.default_rng(seed)
+        hmc, image = make_cube()
+        column = image.allocate_array(
+            "col", rng.integers(-500, 500, 1024, dtype=np.int32))
+        table = image.allocate_array(
+            "nsm", rng.integers(-500, 500, self.TUPLES * 16, dtype=np.int32))
+        backend = HmcIsaBackend(hmc, image)
+        reference = []
+        # One instruction object per body step, its address overwritten
+        # before each submit, as the compiled kernels do.
+        column_insts = {}
+        for i in range(n_ops):
+            kind = rng.integers(0, 4)
+            size = int(rng.choice([16, 32, 64, 128, 256]))
+            if kind == 0:  # an update, followed by a compare of its bytes
+                address = column.base + 4 * int(rng.integers(0, 1024 - 64))
+                backend.submit(pim(1, PimInstruction(
+                    PimOp.HMC_UPDATE, address=address, size=16,
+                    func=AluFunc.ADD, imm_lo=int(rng.integers(-50, 50)))), i)
+                inst = PimInstruction(PimOp.HMC_LOADCMP, address=address,
+                                      size=16, func=AluFunc.CMP_GE, imm_lo=0,
+                                      returns_value=True)
+            elif kind == 1:  # a compound compare over tuples or a piece
+                if size >= 64:
+                    t = int(rng.integers(0, self.TUPLES - size // 64 + 1))
+                    address = table.base + 64 * t
+                else:
+                    t = int(rng.integers(0, self.TUPLES))
+                    piece = int(rng.integers(0, 64 // size))
+                    address = table.base + 64 * t + piece * size
+                inst = PimInstruction(PimOp.HMC_LOADCMP, address=address,
+                                      size=size, compound=self.TERMS,
+                                      tuple_stride=64, returns_value=True)
+            else:  # a column compare through a reused instruction
+                func = list(_PYTHON_COMPARE)[int(rng.integers(0, 6))]
+                inst = column_insts.setdefault((size, func), PimInstruction(
+                    PimOp.HMC_LOADCMP, size=size, func=func, imm_lo=-100,
+                    imm_hi=150, returns_value=True))
+                inst.address = column.base + 4 * int(
+                    rng.integers(0, 1024 - size // 4 + 1))
+            reference.append(_reference_mask(image, inst, table.base))
+            backend.submit(pim(1, inst), i)
+        return backend, reference
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bulk_equals_per_op(self, seed):
+        backend, reference = self._stream(seed, 300)
+        masks = backend.computed_masks
+        assert len(masks) == len(reference)
+        for got, want in zip(masks, reference):
+            assert got.tolist() == want.tolist()
+
+    def test_update_between_compares_of_one_address(self):
+        hmc, image = make_cube()
+        alloc = image.allocate_array("col", np.array([1, 7, 3, 9], np.int32))
+        backend = HmcIsaBackend(hmc, image)
+        compare = PimInstruction(PimOp.HMC_LOADCMP, address=alloc.base,
+                                 size=16, func=AluFunc.CMP_GE, imm_lo=5,
+                                 returns_value=True)
+        backend.submit(pim(1, compare), 0)
+        backend.submit(pim(2, PimInstruction(
+            PimOp.HMC_UPDATE, address=alloc.base, size=16, func=AluFunc.ADD,
+            imm_lo=3)), 10)
+        backend.submit(pim(1, compare), 20)
+        first, second = backend.computed_masks
+        assert np.unpackbits(first, count=4, bitorder="little").tolist() == [0, 1, 0, 1]
+        assert np.unpackbits(second, count=4, bitorder="little").tolist() == [0, 1, 1, 1]
+
+    def test_log_spanning_slices(self):
+        backend, reference = self._stream(3, MASK_SLICE_OPS + 700)
+        flat, widths = backend.mask_table()
+        assert widths.size == len(reference)
+        assert flat.tolist() == np.concatenate(reference).tolist()
 
 
 class TestHiveEngine:

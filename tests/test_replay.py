@@ -131,6 +131,10 @@ _GOLDEN_STREAMS = {
     ("hive", "dsm", "column", 256, 4): "b1c087833d5eaca7",
     ("hipe", "dsm", "column", 256, 1): "1acfced95b014c7c",
     ("hive", "nsm", "tuple", 64, 1): "d0cf2f4de5a7485b",
+    # pinned before the tuple scans became match-keyed runs
+    ("hmc", "nsm", "tuple", 16, 1): "91df16368af60fa5",
+    ("hmc", "nsm", "tuple", 256, 2): "3af567b69aecb5df",
+    ("hive", "nsm", "tuple", 256, 2): "1fce6bccecaa2803",
 }
 
 
@@ -159,6 +163,37 @@ def test_uop_streams_match_golden_digests(point):
         digest.update(repr((u.cls.value, u.pc, tuple(u.srcs), u.dst,
                             u.address, u.size, u.taken, pim_t)).encode())
     assert digest.hexdigest()[:16] == _GOLDEN_STREAMS[point]
+
+
+@pytest.mark.parametrize("layout,strategy,op", [
+    ("dsm", "column", 16), ("dsm", "column", 256),
+    ("nsm", "tuple", 16), ("nsm", "tuple", 256),
+])
+def test_hmc_bulk_logs_what_simulation_logs(layout, strategy, op):
+    """A replayed span's masks come from memory, like simulated ones.
+
+    Each run's bulk hook, called on a span, must leave exactly the
+    load-compare masks that simulating the same iterations leaves.
+    """
+    plan = q6_select_plan()
+    data = generate_table(plan.table, 4099, 7)  # a partial last chunk/group
+    scan = ScanConfig(layout, strategy, op, 2)
+    skipped, simulated = build_machine("hmc"), build_machine("hmc")
+    runs = hmc.lower_filter_runs(
+        build_workload(skipped, data, layout, plan=plan), scan)
+    execution = simulated.core.execution()
+    build_workload(simulated, data, layout, plan=plan)
+    for run in runs:
+        j0 = run.count // 3
+        run.bulk(skipped, j0, run.count)
+        for j in range(j0, run.count):
+            for uop in run.make(j):
+                execution.process(uop)
+    bulk_bytes, bulk_widths = skipped.backend.mask_table()
+    sim_bytes, sim_widths = simulated.backend.mask_table()
+    assert bulk_widths.size > 0
+    assert bulk_widths.tolist() == sim_widths.tolist()
+    assert bulk_bytes.tolist() == sim_bytes.tolist()
 
 
 def test_run_make_reseats_registers():

@@ -159,6 +159,33 @@ class TestMaskVerification:
                           rows=ROWS, data=data)
         assert result.verified is True
 
+    @pytest.mark.parametrize("op", [16, 32, 64, 128, 256])
+    def test_hmc_tuple_masks_verify(self, data, op):
+        result = run_scan("hmc", ScanConfig("nsm", "tuple", op), rows=ROWS,
+                          data=data)
+        assert result.verified is True
+
+    @pytest.mark.parametrize("strategy", ["tuple", "column"])
+    def test_hmc_verification_catches_a_flipped_bit(self, data, strategy):
+        from repro.sim.runner import _CODEGENS, _verify_hmc_masks
+
+        layout = "nsm" if strategy == "tuple" else "dsm"
+        scan = ScanConfig(layout, strategy, 16)
+        machine = build_machine("hmc")
+        workload = build_workload(machine, data, layout)
+        machine.run(_CODEGENS["hmc"].generate(workload, scan))
+        assert _verify_hmc_masks(machine, workload, scan)
+        # Clear the first matching row's bit: in tuple mode in its first
+        # piece's mask (4 pieces per tuple), in column mode in pass 0's
+        # mask of its chunk (4 rows per chunk, one byte per op).
+        row = int(np.flatnonzero(workload.final_mask)[0])
+        flat, __ = machine.backend.mask_table()  # the stored masks
+        if strategy == "tuple":
+            flat[4 * row] ^= 1
+        else:
+            flat[row // 4] ^= 1 << (row % 4)
+        assert not _verify_hmc_masks(machine, workload, scan)
+
     def test_workload_reference_matches_query6(self, data):
         machine = build_machine("x86")
         workload = build_workload(machine, data, "dsm")

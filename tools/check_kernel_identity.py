@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Cross-check run-compiled kernels against the uncompiled uop path.
 
-Runs the Q6 column scan on every architecture twice — once with run
+Runs the Q6 column scan on every architecture, and the NSM
+tuple-at-a-time scan on x86, HMC and HIVE, twice — once with run
 compilation enabled (the default) and once with ``REPRO_KERNEL=0`` — on
 both the replay path and the ``REPRO_EXACT=1`` slow path, and asserts
-cycles, uops, statistics and energy are bit-identical.  This is the CI
-smoke that keeps :mod:`repro.cpu.kernel` honest: the generated kernels
-transcribe :meth:`CoreExecution.process`, and any divergence between
-the two paths is a compiler bug, never a model change.
+cycles, uops, verification, statistics and energy are bit-identical.
+This is the CI smoke that keeps :mod:`repro.cpu.kernel` honest: the
+generated kernels transcribe :meth:`CoreExecution.process`, and any
+divergence between the two paths is a compiler bug, never a model
+change.
 
 Usage::
 
@@ -22,7 +24,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-ARCHS = [("x86", 64), ("x86", 16), ("hmc", 256), ("hive", 256), ("hipe", 256)]
+#: (arch, layout, strategy, op bytes); the tuple points cover the
+#: match-keyed tuple run shapes (HMC-16B: four load-compares per tuple)
+POINTS = [
+    ("x86", "dsm", "column", 64), ("x86", "dsm", "column", 16),
+    ("hmc", "dsm", "column", 256), ("hive", "dsm", "column", 256),
+    ("hipe", "dsm", "column", 256),
+    ("x86", "nsm", "tuple", 16), ("hmc", "nsm", "tuple", 16),
+    ("hive", "nsm", "tuple", 64),
+]
 
 
 def fingerprint(result) -> dict:
@@ -35,12 +45,13 @@ def fingerprint(result) -> dict:
     }
 
 
-def run_point(arch: str, op: int, rows: int, kernel: bool, exact: bool) -> dict:
+def run_point(arch: str, layout: str, strategy: str, op: int, rows: int,
+              kernel: bool, exact: bool) -> dict:
     os.environ["REPRO_KERNEL"] = "1" if kernel else "0"
     from repro.codegen.base import ScanConfig
     from repro.sim.runner import run_scan
 
-    result = run_scan(arch, ScanConfig("dsm", "column", op, 1), rows=rows,
+    result = run_scan(arch, ScanConfig(layout, strategy, op, 1), rows=rows,
                       exact=exact)
     return fingerprint(result)
 
@@ -49,11 +60,12 @@ def main() -> int:
     rows = int(sys.argv[1]) if len(sys.argv) > 1 else 32_768
     os.environ["REPRO_CACHE"] = "0"
     failures = 0
-    for arch, op in ARCHS:
+    for point in POINTS:
+        arch, layout, strategy, op = point
         for exact in (False, True):
-            compiled = run_point(arch, op, rows, kernel=True, exact=exact)
-            uncompiled = run_point(arch, op, rows, kernel=False, exact=exact)
-            label = f"{arch}-{op}B rows={rows} exact={exact}"
+            compiled = run_point(*point, rows, kernel=True, exact=exact)
+            uncompiled = run_point(*point, rows, kernel=False, exact=exact)
+            label = f"{arch}-{op}B {strategy} rows={rows} exact={exact}"
             if compiled == uncompiled:
                 print(f"  OK   {label}: cycles={compiled['cycles']:,} "
                       f"uops={compiled['uops']:,}")
