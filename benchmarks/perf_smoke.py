@@ -6,15 +6,12 @@ wall-second, then compared against the committed ``BENCH_PR7.json``
 baseline.  A >30 % throughput regression fails the gate.
 
 The payload also carries **replay canaries**: reduced-interleave-cube
-points on which the steady-state replay layer must *engage*.  The
-periodic canaries (HIVE Q6, HIPE selectivity) must converge and skip
-iterations; the fragment canary (HIPE Q6 on cyclic data) must *stitch*
-— memoised fragment transfer functions fast-forwarding the squash-
-fragmented pass.  A change that silently de-periodises the paper
-workloads or breaks fragment recurrence — greedy tie-breaking creeping
-back into a scheduler, a signature component drifting — flips a canary
-to ``engaged: false`` and fails the gate outright, independent of
-throughput.
+points on which the steady-state replay layer must *engage* — HIVE Q6
+and HIPE selectivity must converge and skip iterations.  A change that
+silently de-periodises the paper workloads — greedy tie-breaking
+creeping back into a scheduler, a signature component drifting — flips
+a canary to ``engaged: false`` and fails the gate outright, independent
+of throughput.
 
 Raw uops/sec varies with the host, so both the baseline and the current
 run include a *calibration score* — a fixed pure-Python workload timed
@@ -52,13 +49,10 @@ POINTS = [
 #: HIVE runs the paper's Q6; HIPE runs the single-predicate selectivity
 #: scan (its Q6 predicated-load squashes are data-aperiodic, so the
 #: guard *must* keep Q6 exact — engagement is asserted where the
-#: predicate stream is uniform, as designed).  The ``q6-cyclic`` kind
-#: tiles a 32K-row table so squash flag words recur: there the
-#: *fragment* engine must engage (``fragments_stitched > 0``).
+#: predicate stream is uniform, as designed).
 CANARIES = [
     ("canary-hive-q6", "hive", 256, 262_144, "q6"),
     ("canary-hipe-selectivity", "hipe", 256, 262_144, "selectivity"),
-    ("canary-hipe-q6-cyclic-fragments", "hipe", 256, 524_288, "q6-cyclic"),
 ]
 
 
@@ -112,41 +106,19 @@ def measure_canaries():
     canaries = {}
     for label, arch, op, rows, plan_kind in CANARIES:
         plan = selectivity_scan_plan(0.4) if plan_kind == "selectivity" else None
-        data = None
-        if plan_kind == "q6-cyclic":
-            data = _cyclic_q6_table(rows)
         start = time.perf_counter()
         result = run_scan(arch, ScanConfig("dsm", "column", op, 1), rows=rows,
-                          plan=plan, data=data, config=reduced_cube_config(arch))
+                          plan=plan, config=reduced_cube_config(arch))
         elapsed = time.perf_counter() - start
         replay = result.replay
-        if plan_kind == "q6-cyclic":
-            engaged = bool(replay is not None and replay.fragments_stitched > 0
-                           and replay.fragment_divergence == 0)
-        else:
-            engaged = bool(replay is not None and replay.runs_converged > 0
-                           and replay.skipped_iterations > 0)
         canaries[label] = {
-            "engaged": engaged,
+            "engaged": bool(replay is not None and replay.runs_converged > 0
+                            and replay.skipped_iterations > 0),
             "skipped_iterations": 0 if replay is None else replay.skipped_iterations,
             "simulated_iterations": 0 if replay is None else replay.simulated_iterations,
-            "stitched_fragments": 0 if replay is None else replay.fragments_stitched,
             "seconds": round(elapsed, 4),
         }
     return canaries
-
-
-def _cyclic_q6_table(rows: int, period: int = 32_768):
-    """Tile a Q6 table periodically (the fragment-recurrence regime)."""
-    import numpy as np
-
-    from repro.db.datagen import TableData, generate_table
-    from repro.db.query6 import q6_select_plan
-
-    base = generate_table(q6_select_plan().table, period, 1994)
-    reps = max(1, rows // period)
-    columns = {name: np.tile(col, reps) for name, col in base.columns.items()}
-    return TableData(rows=period * reps, columns=columns, schema=base.schema)
 
 
 def run_benchmark():

@@ -230,7 +230,8 @@ class TraceRun:
         self.fixed_regs = fixed_regs
         self.reg_base = reg_base
         #: flag-free pass identity shared by every run of one generated
-        #: pass; the replay layer's fragment memo tables are scoped by it
+        #: pass; a change of family is a checkpoint pass boundary
+        #: (:class:`~repro.sim.checkpoint.RunMonitor`)
         self.family = family
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -275,8 +276,7 @@ def group_runs(
 
     ``family`` is the pass's flag-free identity (arch tag, pass index,
     op bytes, unroll — everything the run key holds *except* the data-
-    dependent flag word); fragment-stitched replay scopes its memo
-    tables and its give-up bookkeeping by it.
+    dependent flag word); checkpoints snapshot where it changes.
     """
     if key_ids is not None and n_iters > 1:
         ids = np.asarray(key_ids)
@@ -408,8 +408,7 @@ def tuple_runs(
     of iterations whose matches sit at the same body positions.  Its
     regions are the tuple stream and the materialisation stream, which
     advances by the run's matches per iteration.  Tuple runs declare no
-    fragment family: fragment learning on them costs time and stitches
-    nothing.
+    family: a tuple scan is one pass, so it has no checkpoint boundary.
     """
     table = workload.nsm
     if table is None:

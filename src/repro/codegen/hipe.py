@@ -122,8 +122,8 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
     # Partial-predicated-loads extension: each predicated access's DRAM
     # transfer is sized by the chunk's matched-lane count, so the counts
     # join the iteration shape — replay then refuses or engages per
-    # fragment like any other data-shaped pass instead of the whole
-    # config bypassing the replay layer.
+    # run like any other data-shaped pass instead of the whole config
+    # bypassing the replay layer.
     lane_counts = None
     if workload.partial_lanes:
         lane_counts = [

@@ -349,11 +349,10 @@ class RunMonitor:
 
     * emits a throttled ``heartbeat`` callback per consumed run (the
       worker forwards these to the supervisor's watchdog),
-    * detects pass boundaries (``run.family`` transitions), settles any
-      deferred replay work, snapshots ``(machine, execution)`` into the
-      store, and then invokes ``pass_hook`` (the fault-injection seam —
-      firing *after* the snapshot is what makes "kill at pass N" resume
-      from pass N),
+    * detects pass boundaries (``run.family`` transitions), snapshots
+      ``(machine, execution)`` into the store, and then invokes
+      ``pass_hook`` (the fault-injection seam — firing *after* the
+      snapshot is what makes "kill at pass N" resume from pass N),
     * on resume, silently skips the ``runs_consumed`` runs the snapshot
       already covers (their functional effects live in the restored
       memory image),
@@ -396,7 +395,6 @@ class RunMonitor:
         self.snapshots_taken = 0
         self._machine: Optional[Any] = None
         self._execution: Optional[Any] = None
-        self._settle: Optional[Callable[[], None]] = None
         self._last_beat = 0.0
 
     # -- resume -------------------------------------------------------------
@@ -427,17 +425,10 @@ class RunMonitor:
 
     # -- stream observation -------------------------------------------------
 
-    def attach(
-        self,
-        machine: Any,
-        execution: Any,
-        runs,
-        settle: Optional[Callable[[], None]] = None,
-    ):
+    def attach(self, machine: Any, execution: Any, runs):
         """Wrap ``runs``; the machine consumes the wrapper instead."""
         self._machine = machine
         self._execution = execution
-        self._settle = settle
         return self._observe(runs)
 
     def _observe(self, runs):
@@ -480,8 +471,6 @@ class RunMonitor:
             if reason:
                 abandon = CheckpointAbandon(reason, self.pass_ordinal)
         if self.store is not None and self.key:
-            if self._settle is not None:
-                self._settle()
             if self.store.save(
                 self.key, self._machine, self._execution,
                 self.pass_ordinal, consumed, meta=self.meta,

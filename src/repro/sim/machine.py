@@ -59,13 +59,13 @@ class Machine:
         """Execute a steady-state run stream (see :mod:`repro.sim.replay`).
 
         ``exact`` is tri-state: ``None`` (default) follows the
-        environment (``REPRO_EXACT=1``/``REPRO_REPLAY=0`` force the
-        slow path), ``True`` simulates every uop regardless, and an
-        explicit ``False`` forces the replay path even under
-        ``REPRO_EXACT=1`` — callers can override the environment in
-        *both* directions.  Results are bit-identical either way; the
-        replay path is just asymptotically faster on converged scans.
-        Both paths run each body through the run-compiled kernels of
+        environment (``REPRO_EXACT=1`` forces the slow path), ``True``
+        simulates every uop regardless, and an explicit ``False`` forces
+        the replay path even under ``REPRO_EXACT=1`` — callers can
+        override the environment in *both* directions.  Results are
+        bit-identical either way; the replay path is just
+        asymptotically faster on converged scans.  Both paths run each
+        body through the run-compiled kernels of
         :mod:`repro.cpu.kernel` (disable with ``REPRO_KERNEL=0``;
         kernel and uncompiled execution are likewise bit-identical).
 
@@ -79,21 +79,13 @@ class Machine:
 
         if exact is None:
             exact = not replay_enabled()
+        execution = self._execution_for(monitor)
+        if monitor is not None:
+            runs = monitor.attach(self, execution, runs)
         if exact or self.hierarchy.directory is not None:
-            # (partial_predicated_loads used to force this path too; the
-            # run-shape key now carries per-chunk matched-lane counts,
-            # so replay sees the full timing shape and refuses or
-            # engages per fragment like any other data-shaped pass.)
-            execution = self._execution_for(monitor)
-            if monitor is not None:
-                runs = monitor.attach(self, execution, runs)
             consume_runs(execution, runs)
             return self._finish(execution.result())
-        execution = self._execution_for(monitor)
         executor = ReplayExecutor(self, execution)
-        if monitor is not None:
-            runs = monitor.attach(self, execution, runs,
-                                  settle=executor.settle)
         executor.consume(runs)
         self.replay_stats = executor.stats
         return self._finish(execution.result())

@@ -42,6 +42,13 @@ run the executor
    exact runs produce bit-identical
    :class:`~repro.sim.results.RunResult`\\ s.
 
+Each run is fully simulated or extrapolated before the next one is
+pulled, so a checkpoint may snapshot the machine at any pass boundary.
+Runs shorter than a structural period (the data-fragmented passes,
+whose skip or squash flags split them into short keyed runs) get only
+the commit-delta probe; runs too short even for that simulate as one
+kernel span, as on the exact path.
+
 The schedulers themselves are periodic *by construction* (PR 4): link
 lanes and functional units rotate round-robin instead of greedy
 earliest-free tie-breaking, vault command/FU servers are deterministic
@@ -59,7 +66,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..codegen.base import RegAllocator, TraceRun
@@ -112,75 +118,17 @@ MIN_SKIP_PERIODS = 3
 #: (bounds the skew the out-of-order front end can produce)
 GRACE = 1024
 
-# -- fragment stitching (data-fragmented passes) ----------------------------
-
-#: keyed runs shorter than this are *fragments*: too short for the
-#: periodic machinery (its 2*GRACE warmup plus MIN_REPEATS periods
-#: outlast anything below the structural-probe threshold), they are
-#: candidates for transfer-function memoisation instead
-FRAGMENT_MAX_COUNT = STRUCT_PROBE_MIN
-#: consistent observations of one (shape, flag word, entry signature)
-#: edge before its transfer function is trusted; the known sources of
-#: signature incompleteness (DRAM bank-phase crossings the normalised
-#: signature cannot see) diverge at the second observation, so three
-#: consistent ones poison them before any application
-FRAGMENT_TRUST_OBS = 3
-#: walks longer than this flush (a chain that never closes is simulated
-#: anyway; the cap bounds deferred-simulation memory)
-FRAGMENT_MAX_WALK = 4096
-#: signature-chain closures accumulated before a walk commits: one
-#: commit pays one plan+shift over the whole span, so batching amortises
-#: the relabelling cost over many fragments
-FRAGMENT_COMMIT_CLOSURES = 32
-#: trusted walks between forced re-simulations of a family (spot
-#: re-verification: a stale edge diverging after trust is poisoned and
-#: counted loudly in ``fragment_divergence``)
-FRAGMENT_RECHECK_EVERY = 64
-#: cache-trail length, in multiples of each level's set span, that the
-#: entry signature's address normalisation keeps position-relative (a
-#: line further behind the stream than this is certainly evicted)
-FRAGMENT_TRAIL_FILL = 16
-#: slack past the last committed address for state running ahead of the
-#: streams (prefetcher heads, in-flight fills)
-FRAGMENT_TRAIL_PAD = 65536
-#: memo entries per family (runaway backstop; first-seen entries past
-#: the cap are simply not recorded)
-FRAGMENT_MAX_EDGES = 65536
-#: learning gives up per family — honest refusal — once no edge reached
-#: trust with the signature overhead exceeding this fraction of the
-#: wall time the family spent *simulating* fragments, or after this
-#: many consecutive never-repeating signatures (x86's cache trail
-#: encodes the dead-chunk hole history and HMC/HIVE rewrite the mask
-#: bitmap in place, so those boundary states genuinely never recur;
-#: signatures there are pure overhead).  The budget is relative so the
-#: worst-case refusal tax is scale-free: a 0.3 s point and a 60 s SF1
-#: pass both cap learning at half their own simulation time (engageable
-#: patterns trust at ~0.2x, see the cyclic-Q6 tests).  The novelty
-#: budget must cover FRAGMENT_TRUST_OBS full cycles of a realistic
-#: fragment period (the paper cube's joint DRAM-phase cycle is ~70
-#: fragments), so an engageable pattern is never given up one cycle
-#: short of trust; the small absolute floor keeps startup jitter from
-#: tripping the relative test before any meaningful simulation ran.
-FRAGMENT_LEARN_FRACTION = 0.5
-FRAGMENT_LEARN_MIN_SECONDS = 0.05
-FRAGMENT_NOVELTY_LIMIT = 512
-
-
-def fragments_enabled() -> bool:
-    """Fragment stitching is on unless ``REPRO_FRAGMENTS=0`` disables it."""
-    return os.environ.get("REPRO_FRAGMENTS", "1").lower() not in (
-        "0", "false", "no")
-
 
 def replay_enabled() -> bool:
-    """Replay is on unless ``REPRO_EXACT``/``REPRO_REPLAY=0`` disable it."""
-    if os.environ.get("REPRO_EXACT", "0").lower() in ("1", "true", "yes"):
-        return False
-    return os.environ.get("REPRO_REPLAY", "1").lower() not in ("0", "false", "no")
+    """Replay is on unless ``REPRO_EXACT=1`` disables it."""
+    return os.environ.get("REPRO_EXACT", "0").lower() not in ("1", "true", "yes")
 
 
 class ReplayStats:
     """Bookkeeping of one replayed trace (not part of the RunResult)."""
+
+    # Always zero: perfbench's layer trace still reads these counters.
+    fragment_sigs = fragments_seen = fragments_stitched = 0
 
     def __init__(self) -> None:
         self.runs_seen = 0
@@ -189,25 +137,11 @@ class ReplayStats:
         self.simulated_iterations = 0
         self.skipped_iterations = 0
         self.skipped_uops = 0
-        # fragment stitching
-        self.fragments_seen = 0
-        self.fragments_stitched = 0
-        self.fragment_sigs = 0
-        self.fragment_commits = 0
-        self.fragment_commit_refusals = 0
-        self.fragment_flushes = 0
-        self.fragments_poisoned = 0
-        #: post-trust divergences caught by forced re-verification; any
-        #: non-zero value means an applied transfer function later
-        #: proved wrong-able and is pinned to zero by the test suite
-        self.fragment_divergence = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ReplayStats(converged {self.runs_converged}/{self.runs_seen} runs, "
             f"skipped {self.skipped_iterations} iters / {self.skipped_uops} uops, "
-            f"stitched {self.fragments_stitched}/{self.fragments_seen} fragments "
-            f"in {self.fragment_commits} commits, "
             f"simulated {self.simulated_iterations})"
         )
 
@@ -912,140 +846,6 @@ class _MachineState:
 
 
 # ---------------------------------------------------------------------------
-# fragment stitching: memoised transfer functions for short keyed runs
-# ---------------------------------------------------------------------------
-#
-# Data-fragmented passes (dead-chunk skip flags, HIPE predicated-load
-# squashes) split the trace into keyed runs far shorter than any
-# structural period, so the periodic machinery above never engages.  The
-# fragment layer memoises each short run's *transfer function* instead:
-# at a fragment boundary the full machine-state signature (normalised
-# relative to the fragment's address regions, with a bounded cache trail
-# kept position-relative) is taken, and the simulated outcome — clock
-# shift, uop advance, statistics/energy counter deltas, rotation
-# advances, and the predicted *exit* signature — is recorded against
-# ``(run key incl. flag word, iteration count, entry signature)``.  An
-# edge observed consistently FRAGMENT_TRUST_OBS times becomes trusted;
-# trusted edges let the executor *walk* incoming fragments without
-# simulating them, and the moment the predicted signature chain closes
-# on an earlier boundary signature the whole cycle is, by the same
-# argument as the periodic probe, one uniform shift of the machine — so
-# it commits through the identical plan/relabel/shift machinery.  A miss
-# anywhere (first-seen flag word, first-seen entry state, untrusted or
-# poisoned edge, non-contiguous regions) flushes the walk back to honest
-# simulation.  Boundaries are pure observation: a stream that never
-# recurs (x86's tag trail encodes the dead-chunk hole history) simply
-# never trusts an edge and gives its signature budget up — honest
-# refusal, bit-identical to exact simulation throughout.
-
-
-def _fragment_spans(trail: int, ahead: int, positions: List[int]):
-    """Stream-relative spans around a tuple of boundary positions.
-
-    A boundary signature must be a *canonical* function of the machine
-    state and the streams' current positions — independent of how long
-    the next fragment happens to be — or the same edge observed before
-    two different successors would record two different exit
-    signatures.  Each stream's span therefore extends a fixed ``trail``
-    behind its position (live cache conveyor) and a fixed ``ahead`` past
-    it (in-flight fills, prefetch heads), clipped deterministically
-    against neighbouring streams so spans never overlap.  The same
-    construction builds the commit relabelling map, which must cover
-    byte-for-byte the addresses the closure proof normalised.
-    """
-    order = sorted(range(len(positions)), key=lambda r: positions[r])
-    spans = []
-    prev_hi = None
-    for k, r in enumerate(order):
-        pos = positions[r]
-        ext_lo = pos - trail
-        if prev_hi is not None:
-            ext_lo = max(ext_lo, prev_hi)
-        ext_hi = pos + ahead
-        if k + 1 < len(order):
-            ext_hi = min(ext_hi, max(pos, positions[order[k + 1]] - trail))
-        spans.append((ext_lo, ext_hi, r))
-        prev_hi = ext_hi
-    return spans
-
-
-def fragment_entry_amap(trail: int, ahead: int, regions) -> _AddressMap:
-    """Normalisation map for a fragment-boundary signature.
-
-    Every address near a stream's current position — the trailing cache
-    conveyor behind it and the fixed look-ahead window before it — is
-    normalised relative to that position, so boundary states recur
-    position-independently; anything further out stays absolute and
-    must match exactly (it provably does not participate in the
-    stream).
-    """
-    positions = [r.lo for r in regions]
-    amap = _AddressMap.__new__(_AddressMap)
-    amap._spans = [(ext_lo, ext_hi, positions[r])
-                   for ext_lo, ext_hi, r in
-                   _fragment_spans(trail, ahead, positions)]
-    return amap
-
-
-class _FragmentEdge:
-    """One memoised transfer function (and its verification record)."""
-
-    __slots__ = ("dt", "uops", "counters", "rotations", "exit_sig",
-                 "obs", "trusted", "poisoned")
-
-    def __init__(self, dt, uops, counters, rotations, exit_sig) -> None:
-        self.dt = dt
-        self.uops = uops
-        self.counters = counters
-        self.rotations = rotations
-        self.exit_sig = exit_sig
-        self.obs = 1
-        self.trusted = False
-        self.poisoned = False
-
-    def same_outcome(self, dt, uops, counters, rotations, exit_sig) -> bool:
-        return (self.dt == dt and self.uops == uops
-                and self.counters == counters
-                and self.rotations == rotations
-                and self.exit_sig == exit_sig)
-
-
-class _FragmentFamily:
-    """Learning state for one codegen fragment family (one pass shape)."""
-
-    __slots__ = ("edges", "seen_sigs", "sig_seconds", "sim_seconds",
-                 "novel_streak", "trusted", "recheck", "disabled")
-
-    def __init__(self) -> None:
-        self.edges: Dict[tuple, _FragmentEdge] = {}
-        self.seen_sigs = set()
-        self.sig_seconds = 0.0
-        self.sim_seconds = 0.0
-        self.novel_streak = 0
-        self.trusted = 0
-        self.recheck = FRAGMENT_RECHECK_EVERY
-        self.disabled = False
-
-
-class _FragmentWalk:
-    """A chain of trusted edges walked without simulation."""
-
-    __slots__ = ("family", "gen", "entries", "cur_sig", "sig_index",
-                 "anchor_idx", "anchor_sig", "last_return", "closures")
-
-    def __init__(self, family: _FragmentFamily, gen: int, sig) -> None:
-        self.family = family
-        self.gen = gen
-        self.entries: List[tuple] = []  # (run, edge) in stream order
-        self.cur_sig = sig
-        self.sig_index = {sig: 0}  # boundary sig -> boundary index
-        self.anchor_idx = -1
-        self.anchor_sig = None
-        self.last_return = -1
-        self.closures = 0
-
-
-# ---------------------------------------------------------------------------
 # the executor
 # ---------------------------------------------------------------------------
 
@@ -1070,23 +870,6 @@ class ReplayExecutor:
         config = machine.hmc.config
         self._dram_span = (BLOCK_BYTES * config.num_vaults
                            * config.banks_per_vault)
-        # -- fragment stitching ---------------------------------------------
-        self._fragments_on = fragments_enabled()
-        self._families: Dict[tuple, _FragmentFamily] = {}
-        self._walk: Optional[_FragmentWalk] = None
-        self._pending_edge: Optional[tuple] = None
-        self._flushing = False
-        self._prev_raw = self.state.raw_snapshot()
-        self._frag_stat_keys = None
-        self._frag_gen = 0
-        #: bytes of cache conveyor trail the entry signature keeps
-        #: position-relative: enough for every level's sets to turn over
-        #: many times, so anything further behind a stream is certainly
-        #: evicted and only live trail participates in normalisation
-        self._frag_trail = sum(
-            level.num_sets * level.line_bytes * FRAGMENT_TRAIL_FILL
-            for level in self.state.levels
-        ) + FRAGMENT_TRAIL_PAD
 
     # -- plumbing -----------------------------------------------------------
 
@@ -1285,361 +1068,18 @@ class ReplayExecutor:
 
     # -- the driver ---------------------------------------------------------
 
-    def settle(self) -> None:
-        """Materialise all deferred work into machine/execution state.
-
-        Fragment stitching holds a walk (and a half-observed boundary
-        edge) in flight between runs; a pass-boundary snapshot must not
-        capture that limbo.  Flushing the walk back to honest simulation
-        is exactly what ``consume`` does when the chain breaks, so the
-        result stays bit-identical — and since fragment chains never
-        cross families anyway, settling at a family transition costs no
-        stitching opportunity.
-        """
-        self._flush_walk()
-        self._pending_edge = None
-
     def consume(self, runs) -> None:
-        """Simulate/extrapolate the full run stream."""
+        """Simulate/extrapolate the full run stream, one run at a time."""
         for run in runs:
-            if self._fragments_on and self._fragment_eligible(run):
-                self._consume_fragment(run)
-                continue
-            # A non-fragment run breaks the boundary chain: flush any
-            # walk back to simulation and drop the unfinished edge.
-            self._flush_walk()
-            self._pending_edge = None
             self._consume_run(run)
-        self._flush_walk()
-        self._pending_edge = None
-
-    # -- fragment stitching -------------------------------------------------
-
-    @staticmethod
-    def _fragment_eligible(run: TraceRun) -> bool:
-        return (run.key is not None and run.family is not None
-                and bool(run.regions) and run.reg_base is not None
-                and 0 < run.count < FRAGMENT_MAX_COUNT)
-
-    def _family_state(self, run: TraceRun) -> _FragmentFamily:
-        family = self._families.get(run.family)
-        if family is None:
-            family = self._families[run.family] = _FragmentFamily()
-        return family
-
-    def _simulate_run_span(self, run: TraceRun) -> None:
-        """Honest simulation of a whole fragment (kernel-compiled)."""
-        t0 = time.perf_counter()
-        KernelRunner(self.execution, run).iterations(0, run.count)
-        self.stats.simulated_iterations += run.count
-        family = self._families.get(run.family)
-        if family is not None:
-            # The learning budget is relative to honest simulation time
-            # (see FRAGMENT_LEARN_FRACTION).
-            family.sim_seconds += time.perf_counter() - t0
-
-    def _consume_fragment(self, run: TraceRun) -> None:
-        self.stats.fragments_seen += 1
-        family = self._family_state(run)
-        if family.disabled:
-            self._pending_edge = None
-            self._simulate_run_span(run)
-            return
-        walk = self._walk
-        if walk is not None:
-            if len(walk.entries) < FRAGMENT_MAX_WALK \
-                    and self._extend_walk(run):
-                return
-            self._flush_walk()
-        self._learn_fragment(family, run)
-
-    def _boundary_probe(self, family: _FragmentFamily, run: TraceRun):
-        """(signature hash, scalar snapshot) at the current boundary."""
-        state = self.state
-        execution = self.execution
-        t0 = time.perf_counter()
-        state.fixed_regs = run.fixed_regs
-        state.reg_phase = (run.reg_base or 0) % REG_WINDOW
-        state.refresh_stats()
-        keys = state.stat_keys()
-        if keys != self._frag_stat_keys:
-            # New counters appeared: outcome vectors are positional
-            # within one stats layout, so older edges must never match.
-            self._frag_stat_keys = keys
-            self._frag_gen += 1
-        raw_now = state.raw_snapshot()
-        # The normalised signature is position-independent, but DRAM
-        # bank/vault decode is not: whether two streams collide on a
-        # bank depends on their absolute positions modulo the interleave
-        # span.  Qualifying the signature with each stream's phase makes
-        # the boundary state a genuinely pure function of (signature,
-        # flag word) — and forces every committed cycle's advance to be
-        # a whole number of interleave spans, which preserves decode.
-        phases = tuple(r.lo % self._dram_span for r in run.regions)
-        sig = hash((self._frag_gen, phases, state.signature(
-            fragment_entry_amap(self._frag_trail, FRAGMENT_TRAIL_PAD,
-                                run.regions),
-            self._prev_raw)))
-        self._prev_raw = raw_now
-        scalars = (execution.last_commit, execution.index,
-                   tuple(state.counter_vector()),
-                   tuple(state.rotation_vector()))
-        family.sig_seconds += time.perf_counter() - t0
-        self.stats.fragment_sigs += 1
-        return sig, scalars
-
-    def _complete_pending_edge(self, exit_sig, scalars) -> None:
-        """Record the previous fragment's observed transfer function."""
-        pending = self._pending_edge
-        self._pending_edge = None
-        if pending is None:
-            return
-        family, desc, entry_sig, before = pending
-        now0, ix0, cnt0, rot0 = before
-        now1, ix1, cnt1, rot1 = scalars
-        if len(cnt0) != len(cnt1):
-            return  # stats layout changed mid-edge; unusable observation
-        dt = now1 - now0
-        uops = ix1 - ix0
-        counters = tuple(b - a for a, b in zip(cnt0, cnt1))
-        rotations = tuple(b - a for a, b in zip(rot0, rot1))
-        key = (desc, entry_sig)
-        edge = family.edges.get(key)
-        if edge is None:
-            if len(family.edges) < FRAGMENT_MAX_EDGES:
-                family.edges[key] = _FragmentEdge(
-                    dt, uops, counters, rotations, exit_sig)
-            return
-        if edge.poisoned:
-            return
-        if edge.same_outcome(dt, uops, counters, rotations, exit_sig):
-            edge.obs += 1
-            if not edge.trusted and edge.obs >= FRAGMENT_TRUST_OBS:
-                edge.trusted = True
-                family.trusted += 1
-            return
-        # Inconsistent: the signature does not determine this fragment's
-        # outcome (e.g. a DRAM bank-phase crossing outside the
-        # normalised state).  Poison the entry for good; if it had
-        # already been trusted — and possibly applied — count it loudly.
-        if edge.trusted:
-            family.trusted -= 1
-            self.stats.fragment_divergence += 1
-        edge.poisoned = True
-        self.stats.fragments_poisoned += 1
-
-    def _learn_fragment(self, family: _FragmentFamily, run: TraceRun) -> None:
-        if family.trusted == 0 and (
-                family.sig_seconds > max(FRAGMENT_LEARN_MIN_SECONDS,
-                                         FRAGMENT_LEARN_FRACTION
-                                         * family.sim_seconds)
-                or family.novel_streak >= FRAGMENT_NOVELTY_LIMIT):
-            # Give up on the family: its boundary states never recur
-            # (x86's tag trail encodes the dead-chunk hole history), so
-            # signatures are pure overhead.  Honest refusal.
-            family.disabled = True
-            family.edges.clear()
-            family.seen_sigs.clear()
-            self._pending_edge = None
-            self._simulate_run_span(run)
-            return
-        sig, scalars = self._boundary_probe(family, run)
-        self._complete_pending_edge(sig, scalars)
-        if sig in family.seen_sigs:
-            family.novel_streak = 0
-        else:
-            family.seen_sigs.add(sig)
-            family.novel_streak += 1
-        desc = (run.key, run.count)
-        edge = family.edges.get((desc, sig))
-        if (edge is not None and edge.trusted and not edge.poisoned
-                and not self._flushing):
-            if family.recheck > 0:
-                family.recheck -= 1
-                self._walk = _FragmentWalk(family, self._frag_gen, sig)
-                if self._extend_walk(run):
-                    return
-                self._walk = None  # geometry refused; fall back
-            else:
-                # Forced re-verification: simulate this one even though
-                # its edge is trusted, so a drifted machine would be
-                # caught (and the edge poisoned) rather than applied.
-                family.recheck = FRAGMENT_RECHECK_EVERY
-        self._pending_edge = (family, desc, sig, scalars)
-        self._simulate_run_span(run)
-
-    def _extend_walk(self, run: TraceRun) -> bool:
-        """Append ``run`` to the current walk if its edge is trusted."""
-        walk = self._walk
-        if walk.gen != self._frag_gen:
-            return False
-        entries = walk.entries
-        if entries:
-            prev = entries[-1][0]
-            if len(prev.regions) != len(run.regions) \
-                    or prev.fixed_regs != run.fixed_regs \
-                    or run.reg_base != (prev.reg_base
-                                        + prev.count * prev.regs_per_iter):
-                return False
-            for a, b in zip(prev.regions, run.regions):
-                if b.lo != a.hi:
-                    return False
-        edge = walk.family.edges.get(((run.key, run.count), walk.cur_sig))
-        if edge is None or not edge.trusted or edge.poisoned:
-            return False
-        entries.append((run, edge))
-        walk.cur_sig = edge.exit_sig
-        boundary = len(entries)
-        if walk.anchor_sig is None:
-            seen_at = walk.sig_index.get(walk.cur_sig)
-            if seen_at is None:
-                walk.sig_index[walk.cur_sig] = boundary
-            else:
-                # First closure: boundaries ``seen_at`` and ``boundary``
-                # share a signature, so the chain between them is one
-                # uniform shift — committable once enough of them
-                # accumulate to amortise the relabelling.
-                walk.anchor_idx = seen_at
-                walk.anchor_sig = walk.cur_sig
-                walk.last_return = boundary
-                walk.closures = 1
-        elif walk.cur_sig == walk.anchor_sig:
-            walk.last_return = boundary
-            walk.closures += 1
-            if walk.closures >= FRAGMENT_COMMIT_CLOSURES:
-                self._commit_and_rewalk(walk)
-        return True
-
-    def _flush_walk(self) -> None:
-        """Resolve the current walk: commit what closed, simulate the rest."""
-        walk = self._walk
-        if walk is None:
-            return
-        self._walk = None
-        self.stats.fragment_flushes += 1
-        entries = walk.entries
-        committed_to = 0
-        self._flushing = True
-        try:
-            if walk.anchor_sig is not None \
-                    and walk.last_return > walk.anchor_idx:
-                for run, __ in entries[:walk.anchor_idx]:
-                    self._learn_fragment(self._family_state(run), run)
-                if self._commit_segment(walk, walk.anchor_idx,
-                                        walk.last_return):
-                    committed_to = walk.last_return
-                else:
-                    self.stats.fragment_commit_refusals += 1
-                    committed_to = walk.anchor_idx
-            for run, __ in entries[committed_to:]:
-                self._learn_fragment(self._family_state(run), run)
-        finally:
-            self._flushing = False
-
-    def _commit_and_rewalk(self, walk: _FragmentWalk) -> None:
-        """Batch point: commit the accumulated closures, keep walking.
-
-        Called exactly at a closure return, so there is no tail beyond
-        the committed segment; afterwards the boundary signature *is*
-        the anchor signature (that is what the commit proved), so the
-        walk restarts from it without recomputing anything.
-        """
-        self._walk = None
-        entries = walk.entries
-        self._flushing = True
-        try:
-            for run, __ in entries[:walk.anchor_idx]:
-                self._learn_fragment(self._family_state(run), run)
-            if not self._commit_segment(walk, walk.anchor_idx,
-                                        walk.last_return):
-                self.stats.fragment_commit_refusals += 1
-                for run, __ in entries[walk.anchor_idx:]:
-                    self._learn_fragment(self._family_state(run), run)
-                return
-        finally:
-            self._flushing = False
-        self._walk = _FragmentWalk(walk.family, self._frag_gen,
-                                   walk.anchor_sig)
-
-    def _commit_segment(self, walk: _FragmentWalk, lo: int, hi: int) -> bool:
-        """Apply one closed signature cycle as a single shift."""
-        entries = walk.entries[lo:hi]
-        if not entries or self._frag_gen != walk.gen:
-            return False
-        state = self.state
-        self._pending_edge = None
-        first = entries[0][0]
-        last = entries[-1][0]
-        dt = uops = reg_advance = iterations = 0
-        counters: Optional[List[float]] = None
-        rotations: Optional[List[int]] = None
-        for run, edge in entries:
-            dt += edge.dt
-            uops += edge.uops
-            reg_advance += run.count * run.regs_per_iter
-            iterations += run.count
-            if counters is None:
-                counters = list(edge.counters)
-                rotations = list(edge.rotations)
-            else:
-                for i, d in enumerate(edge.counters):
-                    counters[i] += d
-                for i, d in enumerate(edge.rotations):
-                    rotations[i] += d
-        state.fixed_regs = first.fixed_regs
-        state.refresh_stats()
-        if len(state.counter_vector()) != len(counters):
-            return False
-        # The relabelling map covers exactly the addresses the entry
-        # signature normalised (same clipped trail/ahead spans around
-        # the anchor boundary's positions); everything outside was
-        # proven absolutely identical at the closure and keeps its
-        # identity.
-        positions = [r.lo for r in first.regions]
-        deltas = [last.regions[r].hi - first.regions[r].lo
-                  for r in range(len(first.regions))]
-        amap = _AddressMap.__new__(_AddressMap)
-        amap._spans = [(ext_lo, ext_hi, deltas[r]) for ext_lo, ext_hi, r
-                       in _fragment_spans(self._frag_trail,
-                                          FRAGMENT_TRAIL_PAD, positions)]
-        plans = state.plan_tag_relabel(amap)
-        if plans is None:
-            return False
-        pool_plans = state.plan_pool_relabel(amap)
-        if pool_plans is None:
-            return False
-        prefetch_plans = state.plan_prefetcher_relabel(amap, self._prev_raw)
-        if prefetch_plans is None:
-            return False
-        state.apply_tag_relabel(plans)
-        state.shift(dt, amap,
-                    uop_advance=uops,
-                    reg_advance=reg_advance,
-                    rotations=rotations,
-                    pool_plans=pool_plans,
-                    prefetch_plans=prefetch_plans)
-        state.add_counters(counters, 1)
-        for run, __ in entries:
-            if run.bulk is not None:
-                run.bulk(self.machine, 0, run.count)
-        self._prev_raw = state.raw_snapshot()
-        stats = self.stats
-        stats.fragment_commits += 1
-        stats.fragments_stitched += len(entries)
-        stats.skipped_iterations += iterations
-        stats.skipped_uops += uops
-        return True
-
-    # -- the per-run driver (periodic machinery) ----------------------------
 
     def _consume_run(self, run: TraceRun) -> None:
         execution = self.execution
         count = run.count
         self._runner = KernelRunner(execution, run)
         if run.key is None or count < MIN_RUN_ITERATIONS:
-            runner = self._runner
-            for j in range(count):
-                runner.iteration(j)
+            # Too short to probe: one kernel span, as on the exact path.
+            self._runner.iterations(0, count)
             if run.key is not None:
                 self.stats.simulated_iterations += count
             return

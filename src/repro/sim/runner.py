@@ -112,11 +112,12 @@ def run_scan(
     """Simulate one query plan on one architecture/configuration.
 
     ``plan`` defaults to the Q6 select scan (the paper's workload).
-    ``exact`` is tri-state: ``None`` defers to the ``REPRO_EXACT``
-    environment flag, ``True`` forces the uop-by-uop slow path, and an
-    explicit ``False`` forces the bit-identical steady-state replay
-    path even when ``REPRO_EXACT=1`` is set — per-run overrides win
-    over the environment in both directions.  ``config`` overrides the machine
+    ``exact`` is tri-state: ``None`` defers to ``REPRO_EXACT`` (the one
+    environment switch that turns replay off), ``True`` forces the
+    uop-by-uop slow path, and an explicit ``False`` forces the
+    bit-identical steady-state replay path even when ``REPRO_EXACT=1``
+    is set — per-run overrides win over the environment in both
+    directions.  ``config`` overrides the machine
     (e.g. :func:`~repro.common.config.reduced_cube_config`); cached
     experiment sweeps always use the standard per-arch machines.
 

@@ -406,14 +406,17 @@ def test_vault_servers_track_last_address():
 # ---------------------------------------------------------------------------
 
 
-def _engagement_point(arch, op, rows, plan=None):
+def _engagement_point(arch, op, rows, plan=None, data=None, config=None):
+    """Replay vs exact on one column point (reduced cube by default)."""
     from repro.common.config import reduced_cube_config
 
     scan = ScanConfig("dsm", "column", op, 1)
-    replayed = run_scan(arch, scan, rows=rows, plan=plan,
-                        config=reduced_cube_config(arch))
-    exact = run_scan(arch, scan, rows=rows, plan=plan,
-                     config=reduced_cube_config(arch), exact=True)
+    if config is None:
+        config = reduced_cube_config(arch)
+    replayed = run_scan(arch, scan, rows=rows, data=data, plan=plan,
+                        config=config, exact=False)
+    exact = run_scan(arch, scan, rows=rows, data=data, plan=plan,
+                     config=config, exact=True)
     assert result_fingerprint(replayed) == result_fingerprint(exact)
     return replayed.replay
 
@@ -443,12 +446,6 @@ def test_replay_guards_hipe_q6_squashes():
     refuse (the squash pattern never repeats) and stay bit-identical."""
     stats = _engagement_point("hipe", 256, 131_072)
     assert stats.runs_converged == 0  # aperiodic predicate stream
-    # The squash flags split the passes into sub-512-iteration keyed
-    # runs, which the fragment engine tracks (and, on random Q6 data,
-    # honestly refuses to stitch: entry signatures never recur).
-    assert stats.fragments_seen > 1
-    assert stats.fragments_stitched == 0
-    assert stats.fragment_divergence == 0
 
 
 def test_hipe_run_keys_carry_squash_flags():
@@ -469,9 +466,6 @@ def test_replay_env_escape_hatch(monkeypatch):
     monkeypatch.setenv("REPRO_EXACT", "1")
     assert not replay_enabled()
     monkeypatch.delenv("REPRO_EXACT")
-    monkeypatch.setenv("REPRO_REPLAY", "0")
-    assert not replay_enabled()
-    monkeypatch.delenv("REPRO_REPLAY")
     assert replay_enabled()
 
 
@@ -523,86 +517,52 @@ def test_exact_argument_overrides_env_both_directions(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fragment-stitched replay: memoised fragment transfer functions
+# data-fragmented passes: short keyed runs simulate, bit-identically
 # ---------------------------------------------------------------------------
 #
-# Data-fragmented passes (HIPE's squash flags split every pass into
-# short keyed runs) can never converge periodically; the fragment
-# engine instead memoises each fragment's observed transfer function
-# keyed by (flag word, count, entry signature) and fast-forwards only
-# recurring, verified boundary states.  The contract is the same as
-# periodic replay: bit-identical or honest refusal.
-
-
-def _cyclic_table(plan, period, reps, seed=1994):
-    """Tile a ``period``-row table so flag words and boundary states recur."""
-    import numpy as np
-
-    from repro.db.datagen import TableData
-
-    base = generate_table(plan.table, period, seed)
-    columns = {name: np.tile(col, reps) for name, col in base.columns.items()}
-    return TableData(rows=period * reps, columns=columns, schema=base.schema)
-
-
-def _fragment_point(arch, op, plan, rows, data=None):
-    from repro.common.config import reduced_cube_config
-
-    scan = ScanConfig("dsm", "column", op, 1)
-    config = reduced_cube_config(arch)
-    replayed = run_scan(arch, scan, rows=rows, data=data, plan=plan,
-                        config=config, exact=False)
-    exact = run_scan(arch, scan, rows=rows, data=data, plan=plan,
-                     config=config, exact=True)
-    assert result_fingerprint(replayed) == result_fingerprint(exact)
-    return replayed.replay
+# Skip and squash flags split a pass into keyed runs far shorter than a
+# structural period.  Replay must leave them to the compiled kernels:
+# no convergence and a result bit-identical to the exact path.
 
 
 @pytest.mark.parametrize("arch,op", [("x86", 64), ("hmc", 256),
                                      ("hive", 256), ("hipe", 256)])
 @pytest.mark.parametrize("plan_name", ["q6", "sel"])
 def test_fragment_bit_identity_reduced_cube(arch, op, plan_name):
-    """Whatever the fragment engine does on each arch — stitch (HIPE),
-    learn without trusting, or give up — results stay bit-identical."""
-    from repro.db.workloads import selectivity_scan_plan
-
+    """Fragmented Q6 and selectivity passes on each arch: replay
+    converges nowhere at 32 K rows and stays bit-identical."""
     plan = q6_select_plan() if plan_name == "q6" else selectivity_scan_plan(0.2)
-    stats = _fragment_point(arch, op, plan, rows=32_768)
-    assert stats.fragment_divergence == 0
+    stats = _engagement_point(arch, op, 32_768, plan=plan)
+    assert stats.runs_converged == 0
 
 
-def test_fragment_stitching_engages_hipe_cyclic():
-    """On cyclic data HIPE's squash-fragmented Q6 pass fast-forwards:
-    flag words and entry signatures recur, edges earn trust, and most
-    fragments stitch — bit-identically (the engagement demonstration)."""
-    plan = q6_select_plan()
-    data = _cyclic_table(plan, period=32_768, reps=16)
-    stats = _fragment_point("hipe", 256, plan, rows=data.rows, data=data)
-    assert stats.fragments_seen > 500
-    assert stats.fragments_stitched > 100
-    assert stats.fragment_commits >= 1
-    assert stats.skipped_iterations > 1_000
-    assert stats.fragments_poisoned == 0
-    assert stats.fragment_divergence == 0
+@pytest.mark.parametrize("arch,op", [("x86", 64), ("hmc", 256),
+                                     ("hive", 256), ("hipe", 256)])
+def test_replay_signs_nothing_on_32k_q6(arch, op, monkeypatch):
+    """No run of a 32 K-row Q6 column point on the standard machines
+    holds a structural probe, so replay takes no machine-state
+    signature at all and matches the exact path."""
+    from repro.sim import replay
 
+    signature = replay._MachineState.signature
+    calls = [0]
 
-def test_fragment_first_seen_states_refuse():
-    """Two periods are not enough to trust any edge (FRAGMENT_TRUST_OBS
-    consistent observations required), so nothing may stitch: first-seen
-    or once-seen transfer functions are never applied."""
-    plan = q6_select_plan()
-    data = _cyclic_table(plan, period=32_768, reps=2)
-    stats = _fragment_point("hipe", 256, plan, rows=data.rows, data=data)
-    assert stats.fragments_seen > 100
-    assert stats.fragments_stitched == 0
-    assert stats.fragment_divergence == 0
+    def counted(self, *args):
+        calls[0] += 1
+        return signature(self, *args)
+
+    monkeypatch.setattr(replay._MachineState, "signature", counted)
+    scan = ScanConfig("dsm", "column", op, 1)
+    replayed = run_scan(arch, scan, rows=32_768, exact=False)
+    assert calls[0] == 0
+    exact = run_scan(arch, scan, rows=32_768, exact=True)
+    assert result_fingerprint(replayed) == result_fingerprint(exact)
 
 
 def test_fragment_thue_morse_aperiodic_guard():
-    """An aperiodic (Thue-Morse) chunk-squash pattern: descriptors recur
-    but never periodically.  Stitching individual recurring transfer
-    functions is still sound — the pinned contract is bit-identity with
-    zero divergence, not refusal."""
+    """An aperiodic (Thue-Morse) chunk-squash pattern: squash flags
+    recur but never periodically, so nothing converges and the result
+    stays bit-identical."""
     import numpy as np
 
     from repro.db.datagen import Q6_SHIPDATE_HI, Q6_SHIPDATE_LO
@@ -618,22 +578,8 @@ def test_fragment_thue_morse_aperiodic_guard():
                         Q6_SHIPDATE_LO)       # whole chunk passes
     data.columns["l_shipdate"] = shipdate.astype(
         data.columns["l_shipdate"].dtype)
-    stats = _fragment_point("hipe", 256, plan, rows=rows, data=data)
-    assert stats.fragment_divergence == 0
+    stats = _engagement_point("hipe", 256, rows, plan=plan, data=data)
     assert stats.runs_converged == 0  # nothing about this trace is periodic
-
-
-def test_fragments_env_escape_hatch(monkeypatch):
-    """REPRO_FRAGMENTS=0 disables stitching (runs simulate honestly)."""
-    from repro.sim.replay import fragments_enabled
-
-    assert fragments_enabled()
-    monkeypatch.setenv("REPRO_FRAGMENTS", "0")
-    assert not fragments_enabled()
-    plan = q6_select_plan()
-    data = _cyclic_table(plan, period=8_192, reps=4)
-    stats = _fragment_point("hipe", 256, plan, rows=data.rows, data=data)
-    assert stats.fragments_stitched == 0
 
 
 def test_fragment_partial_loads_bit_identity():
@@ -644,14 +590,9 @@ def test_fragment_partial_loads_bit_identity():
 
     from repro.common.config import hipe_logic_config, reduced_cube_config
 
-    plan = q6_select_plan()
     config = replace(reduced_cube_config("hipe"),
                      pim=replace(hipe_logic_config(),
                                  partial_predicated_loads=True))
-    scan = ScanConfig("dsm", "column", 256, 1)
-    replayed = run_scan("hipe", scan, rows=32_768, plan=plan,
-                        config=config, exact=False)
-    exact = run_scan("hipe", scan, rows=32_768, plan=plan,
-                     config=config, exact=True)
-    assert replayed.replay is not None  # the replay path actually ran
-    assert result_fingerprint(replayed) == result_fingerprint(exact)
+    stats = _engagement_point("hipe", 256, 32_768, config=config)
+    assert stats is not None  # the replay path actually ran
+    assert stats.runs_converged == 0

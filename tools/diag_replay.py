@@ -4,26 +4,18 @@ Runs one (arch, config, rows) point with an instrumented probe that
 reports which signature parts differ at each failed boundary comparison.
 Usage: PYTHONPATH=src python tools/diag_replay.py hmc 256 2097152
 
-Extra argv flags (any order, after the three positionals):
-
-* ``mini``   — use the reduced-cube machine config,
-* ``frag``   — diagnose the *fragment* engine instead of the periodic
-  probe: reports which boundary (and which signature part) broke
-  stitching, and prints the flag-word reuse histogram per pass family,
-* ``cyclic`` — tile a small table periodically so fragment boundary
-  states actually recur (the engagement regime; random data mostly
-  yields first-seen flag words, i.e. honest refusal).
+An extra ``mini`` argument (after the three positionals) uses the
+reduced-cube machine config.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 
 from repro.codegen.base import ScanConfig
 from repro.db.query6 import q6_select_plan
-from repro.db.datagen import TableData, generate_table
+from repro.db.datagen import generate_table
 from repro.sim.machine import build_machine
 from repro.sim import replay
 from repro.sim.replay import ReplayExecutor, _AddressMap
@@ -150,134 +142,24 @@ class DiagExecutor(ReplayExecutor):
         return 2 * p, False
 
 
-class FragDiagExecutor(ReplayExecutor):
-    """Fragment-engine diagnosis: why did a fragment fail to stitch?
-
-    Keeps the *unhashed* boundary signature next to each hashed one so
-    a novel entry state can be diffed part-by-part against the known
-    entry state of the same (flag word, count) descriptor — pointing at
-    the machine structure (prefetcher table, tag conveyor, predictor,
-    ...) whose state refuses to recur.  Also histograms flag-word reuse
-    per pass family: stitching can only ever engage on descriptors that
-    repeat, so a flat histogram *is* the refusal explanation.
-    """
-
-    MAX_REPORTS = 12
-
-    def __init__(self, machine, execution) -> None:
-        super().__init__(machine, execution)
-        self._flag_hist: dict = {}   # family key -> Counter((flag, count))
-        self._sig_parts: dict = {}   # sig hash -> (phases, signature tuple)
-        self._reports = 0
-
-    def _boundary_probe(self, family, run):
-        prev_raw = self._prev_raw
-        sig, scalars = super()._boundary_probe(family, run)
-        if sig not in self._sig_parts and len(self._sig_parts) < 8192:
-            # Recompute the signature unhashed (state is read-only here;
-            # fixed_regs/reg_phase were just set by the parent probe).
-            parts = self.state.signature(
-                replay.fragment_entry_amap(
-                    self._frag_trail, replay.FRAGMENT_TRAIL_PAD, run.regions),
-                prev_raw)
-            phases = tuple(r.lo % self._dram_span for r in run.regions)
-            self._sig_parts[sig] = (phases, parts)
-        return sig, scalars
-
-    def _learn_fragment(self, family, run) -> None:
-        flag = run.key[len(run.family):] if run.family else run.key
-        hist = self._flag_hist.setdefault(run.family, Counter())
-        hist[(flag, run.count)] += 1
-        desc = (run.key, run.count)
-        known_sigs = [s for (d, s) in family.edges if d == desc]
-        sigs_before = len(family.seen_sigs)
-        was_disabled = family.disabled
-        super()._learn_fragment(family, run)
-        if family.disabled and not was_disabled:
-            print(f"family {run.family}: GAVE UP — honest refusal "
-                  f"(sig_seconds={family.sig_seconds:.2f}, "
-                  f"novel_streak={family.novel_streak})")
-            return
-        pending = self._pending_edge
-        if pending is None or len(family.seen_sigs) == sigs_before:
-            return  # stitched, recurring boundary, or family disabled
-        __, d, sig, ___ = pending
-        if d != desc or self._reports >= self.MAX_REPORTS:
-            return
-        self._reports += 1
-        at = self.stats.fragments_seen
-        if not known_sigs:
-            print(f"boundary @fragment {at}: first-seen flag word "
-                  f"{repr(flag)[:80]} count={run.count} — nothing memoised "
-                  f"for this descriptor yet (learning, not broken)")
-            return
-        print(f"boundary @fragment {at}: NOVEL entry state for known flag "
-              f"word {repr(flag)[:60]} count={run.count} — this broke "
-              f"stitching; diffing against the memoised entry state:")
-        new, old = self._sig_parts.get(sig), self._sig_parts.get(known_sigs[-1])
-        if new is None or old is None:
-            print("  (unhashed parts not retained)")
-            return
-        if new[0] != old[0]:
-            print(f"  DRAM interleave phase differs: {old[0]} -> {new[0]}")
-        diff_parts(old[1], new[1], "memoised entry vs novel entry")
-
-    def report(self) -> None:
-        print()
-        print("flag-word reuse per pass family "
-              "(stitching needs repeats in BOTH columns):")
-        for fam_key, hist in self._flag_hist.items():
-            family = self._families.get(fam_key)
-            total = sum(hist.values())
-            n_sigs = len(family.seen_sigs) if family else 0
-            trusted = family.trusted if family else 0
-            note = ", DISABLED (honest refusal)" if family and family.disabled else ""
-            print(f"family {fam_key}: {total} fragments, {len(hist)} distinct "
-                  f"(flag word, count) descriptors, {n_sigs} distinct entry "
-                  f"states, {trusted} trusted edges{note}")
-            for (flag, count), n in hist.most_common(8):
-                print(f"  x{n:<6} count={count:<6} flag={repr(flag)[:90]}")
-            if len(hist) > 8:
-                print(f"  ... {len(hist) - 8} more descriptors")
-
-
-def _cyclic_table(plan, rows: int, period: int = 32768, seed: int = 1994):
-    """Tile a ``period``-row table to ``rows`` so flag words recur."""
-    import numpy as np
-
-    period = min(period, rows)
-    reps = max(1, rows // period)
-    base = generate_table(plan.table, period, seed)
-    columns = {name: np.tile(col, reps) for name, col in base.columns.items()}
-    return TableData(rows=period * reps, columns=columns, schema=base.schema)
-
-
 def main():
     argv = sys.argv[1:]
-    flags = {a for a in argv[3:] if a in ("mini", "frag", "cyclic")}
     arch = argv[0] if len(argv) > 0 else "hmc"
     op = int(argv[1]) if len(argv) > 1 else 256
     rows = int(argv[2]) if len(argv) > 2 else 2_097_152
     config = None
-    if "mini" in flags:
+    if "mini" in argv[3:]:
         from repro.common.config import reduced_cube_config
         config = reduced_cube_config(arch)
     plan = q6_select_plan()
-    if "cyclic" in flags:
-        data = _cyclic_table(plan, rows)
-    else:
-        data = generate_table(plan.table, rows, 1994)
+    data = generate_table(plan.table, rows, 1994)
     machine = build_machine(arch, config=config)
     workload = build_workload(machine, data, "dsm", plan=plan)
     runs = _CODEGENS[arch].generate_plan_runs(
         workload, ScanConfig("dsm", "column", op, 1))
-    execution = machine.core.execution()
-    cls = FragDiagExecutor if "frag" in flags else DiagExecutor
-    executor = cls(machine, execution)
+    executor = DiagExecutor(machine, machine.core.execution())
     executor.consume(runs)
     print(executor.stats)
-    if isinstance(executor, FragDiagExecutor):
-        executor.report()
 
 
 if __name__ == "__main__":
