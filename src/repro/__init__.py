@@ -39,33 +39,33 @@ Experiment engine
 -----------------
 
 Figure sweeps are many independent (architecture, scan-config) points,
-so the package ships an :class:`~repro.sim.engine.ExperimentEngine`
-that fans points out over a ``multiprocessing`` pool (workers receive
-the shared dataset once) and memoises completed points in an on-disk
-cache under ``.repro_cache/``, keyed by architecture, configuration,
-rows, seed, cache scale, dataset digest, machine-config digest,
-result-shaping source digest, query-plan digest and package version.
-All
-figure harnesses (``repro.experiments``) route through a shared
+so the package ships an :class:`~repro.sim.engine.ExperimentEngine`,
+the only cache front of those sweeps.  It memoises completed points in
+an on-disk cache under ``.repro_cache/``, keyed by architecture,
+configuration, rows, seed, cache scale, dataset digest, machine-config
+digest, result-shaping source digest, query-plan digest and package
+version, and runs the misses in-process or, when several miss and
+``jobs > 1``, on a cache-less :class:`~repro.service.SimulationService`
+it owns (persistent workers, shared-memory datasets, crash retry and
+pass checkpoints; ``engine.close()`` or a ``with`` block stops them).
+All figure harnesses (``repro.experiments``) route through a shared
 default engine, so regenerating a figure twice — or figures that share
 points, as 3b/3c/3d do — is near-instant after the first run::
 
     from repro import ExperimentEngine, ScanConfig
 
-    engine = ExperimentEngine()          # REPRO_JOBS workers, cached
-    result = engine.sweep("demo", [
-        ("x86", ScanConfig("dsm", "column", 64, unroll=8)),
-        ("hipe", ScanConfig("dsm", "column", 256, unroll=32)),
-    ], rows=16_384)
+    with ExperimentEngine() as engine:   # REPRO_JOBS workers, cached
+        result = engine.sweep("demo", [
+            ("x86", ScanConfig("dsm", "column", 64, unroll=8)),
+            ("hipe", ScanConfig("dsm", "column", 256, unroll=32)),
+        ], rows=16_384)
     print(result.report())
 
 Environment knobs: ``REPRO_JOBS`` (worker count; ``1`` = serial with
-identical results), ``REPRO_CACHE_DIR`` (cache location),
-``REPRO_CACHE=0`` (disable caching), ``REPRO_ROWS`` (sweep sizes),
-``REPRO_SERVICE=1`` (route sweeps through the persistent
-:class:`~repro.service.SimulationService` — async jobs with streamed
-completed-first results, crash retry, and shared-memory dataset
-images instead of per-worker pickling; see ``repro.service``).
+identical results), ``REPRO_CACHE_DIR`` (cache location; checkpoints go
+to its ``checkpoints`` subdirectory or ``REPRO_CHECKPOINT_DIR``),
+``REPRO_CACHE=0`` (disable caching), ``REPRO_ROWS`` (sweep sizes).  The
+service's own knobs are documented on :class:`~repro.service.SimulationService`.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.

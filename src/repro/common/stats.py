@@ -153,3 +153,14 @@ class ratio:
 
     def __setstate__(self, state) -> None:
         self.numerator, self.denominator = state
+
+
+def json_number(value: object) -> float:
+    """A number read back from JSON as it was (an int stays an int).
+
+    Anything else raises ``TypeError``, so a damaged cache entry fails
+    to load (and is quarantined).
+    """
+    if isinstance(value, (int, float)):
+        return value
+    raise TypeError(f"expected a number, got {value!r}")

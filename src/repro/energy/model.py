@@ -25,7 +25,7 @@ from dataclasses import fields as dataclass_fields
 from typing import Dict
 
 from ..common.config import EnergyConfig, MachineConfig
-from ..common.stats import StatGroup
+from ..common.stats import StatGroup, json_number
 from ..common.units import CORE_CLOCK
 
 
@@ -88,13 +88,15 @@ class EnergyReport:
         Derived totals (``dram_total_pj``, ``total_pj``) are recomputed
         from the stored components, not read back.  The component list
         comes from the dataclass fields, so new components round-trip
-        without touching this method.
+        without touching this method.  Every number keeps its JSON type,
+        so an event count in ``detail`` stays an int.
         """
         names = [f.name for f in dataclass_fields(cls) if f.name != "detail"]
-        report = cls(**{name: float(payload.get(name, 0.0)) for name in names})
+        report = cls(**{name: json_number(payload.get(name, 0.0))
+                        for name in names})
         detail = payload.get("detail")
         if isinstance(detail, dict):
-            report.detail = {str(k): float(v) for k, v in detail.items()}
+            report.detail = {str(k): json_number(v) for k, v in detail.items()}
         return report
 
 

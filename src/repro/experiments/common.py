@@ -2,9 +2,9 @@
 
 The figure harnesses all funnel through :func:`sweep`, which delegates
 to a process-wide default :class:`~repro.sim.engine.ExperimentEngine` —
-parallel across points (``REPRO_JOBS``) and memoised on disk
-(``.repro_cache/``), so regenerating a figure twice, or figures that
-share points, costs one simulation per unique point.
+memoised on disk (``.repro_cache/``), so regenerating a figure twice, or
+figures that share points, costs one simulation per unique point; the
+misses run in parallel (``REPRO_JOBS``) on a service that engine owns.
 """
 
 from __future__ import annotations
@@ -58,8 +58,13 @@ def default_engine() -> ExperimentEngine:
 
 
 def set_default_engine(engine: Optional[ExperimentEngine]) -> None:
-    """Replace (or with ``None``, reset) the process-wide engine."""
+    """Replace (or with ``None``, reset) the process-wide engine.
+
+    The replaced engine is closed, so its service's workers stop.
+    """
     global _DEFAULT_ENGINE
+    if _DEFAULT_ENGINE is not None and _DEFAULT_ENGINE is not engine:
+        _DEFAULT_ENGINE.close()
     _DEFAULT_ENGINE = engine
 
 

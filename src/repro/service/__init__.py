@@ -56,9 +56,6 @@ from .service import (
     JobState,
     SimulationService,
     Ticket,
-    default_service,
-    service_routing_enabled,
-    shutdown_default_service,
 )
 from .worker import execute_point_payload, make_task_payload
 
@@ -74,13 +71,10 @@ __all__ = [
     "SimulationService",
     "Ticket",
     "backoff_delay",
-    "default_service",
     "describe_record",
     "execute_point_payload",
     "install_drain_handler",
     "make_task_payload",
     "parse_class_quotas",
-    "service_routing_enabled",
-    "shutdown_default_service",
     "start_http_server",
 ]

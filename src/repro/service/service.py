@@ -1,9 +1,9 @@
 """Simulation-as-a-service: a persistent async job engine over ``run_scan``.
 
-The :class:`~repro.sim.engine.ExperimentEngine` is a batch harness: it
-blocks in ``pool.map`` until the slowest point finishes, re-ships the
-dataset to every worker, and one crashed worker aborts the whole sweep.
-:class:`SimulationService` is the serving-shaped replacement:
+:class:`SimulationService` is the serving-shaped executor of simulation
+points; it is also what an :class:`~repro.sim.engine.ExperimentEngine`
+runs its parallel cache misses on (an engine-owned service with no
+cache of its own — the engine is the cache front there):
 
 * **submit** a (plan, arch, config, rows, seed) point and get a
   :class:`Ticket` back immediately;
@@ -19,10 +19,11 @@ dataset to every worker, and one crashed worker aborts the whole sweep.
   :mod:`multiprocessing.shared_memory` image
   (:mod:`repro.memory.shared_data`) keyed by its content digest —
   workers map it instead of unpickling 6 M-row columns per point;
-* the on-disk :class:`~repro.sim.engine.ResultCache` is shared with
-  ``ExperimentEngine`` — same :func:`~repro.sim.engine.point_key`, so
-  service results and batch sweep results are bit-identical cache
-  peers (either side warm-hits what the other computed).
+* a standalone service's on-disk :class:`~repro.sim.engine.ResultCache`
+  is shared with ``ExperimentEngine`` — both derive datasets and keys
+  with :func:`~repro.sim.engine.resolve_points`, so service results and
+  batch sweep results are bit-identical cache peers (either side
+  warm-hits what the other computed).
 
 Architecture: a supervisor thread owns worker lifecycle.  Each worker
 is a persistent process with a *private* task queue holding at most one
@@ -33,7 +34,6 @@ are thread-safe.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import multiprocessing
 import os
@@ -51,22 +51,16 @@ from ..common.config import DEFAULT_SCALE
 from ..db.datagen import LineitemData
 from ..db.plan import QueryPlan
 from ..memory.shared_data import DatasetImage, sweep_stale_segments
-from ..sim.checkpoint import (
-    DEFAULT_CHECKPOINT_SUBDIR,
-    CheckpointStore,
-    checkpoints_enabled,
-)
-from ..sim.engine import (
-    DEFAULT_CACHE_DIR,
+from ..sim.checkpoint import CheckpointStore, checkpoints_enabled
+# data_digest is unused here: kept because perfbench/layertrace.py patches it
+from ..sim.engine import (  # noqa: F401
     PointExecutionError,
     ResultCache,
     _cache_enabled,
-    _default_plan_digest,
     _resolve_jobs,
-    code_digest,
+    cache_directories,
     data_digest,
-    machine_digest,
-    point_key,
+    resolve_points,
 )
 from ..sim.results import ExperimentResult, RunResult
 from .admission import (
@@ -261,7 +255,8 @@ class SimulationService:
         lazily, up to this many, as jobs demand them.
     cache_dir / use_cache:
         The shared on-disk result cache — identical keys and entries
-        to :class:`~repro.sim.engine.ExperimentEngine`.
+        to :class:`~repro.sim.engine.ExperimentEngine`.  An engine's
+        own service runs with ``use_cache=False``.
     retries:
         How many times a job is re-dispatched after its worker *dies*
         (crash/kill, not Python exceptions).  Defaults to
@@ -336,23 +331,16 @@ class SimulationService:
         rss_watermark_mb: Optional[float] = None,
     ) -> None:
         self.jobs = _resolve_jobs(jobs)
-        cache_directory = cache_dir or os.environ.get(
-            "REPRO_CACHE_DIR", DEFAULT_CACHE_DIR
+        cache_directory, checkpoint_directory = cache_directories(
+            cache_dir, checkpoint_dir
         )
-        if _cache_enabled(use_cache):
-            self.cache: Optional[ResultCache] = ResultCache(cache_directory)
-        else:
-            self.cache = None
-        if checkpoints_enabled(checkpoints):
-            directory = checkpoint_dir or os.environ.get(
-                "REPRO_CHECKPOINT_DIR",
-                os.path.join(cache_directory, DEFAULT_CHECKPOINT_SUBDIR),
-            )
-            self.checkpoints: Optional[CheckpointStore] = CheckpointStore(
-                directory
-            )
-        else:
-            self.checkpoints = None
+        self.cache: Optional[ResultCache] = (
+            ResultCache(cache_directory) if _cache_enabled(use_cache) else None
+        )
+        self.checkpoints: Optional[CheckpointStore] = (
+            CheckpointStore(checkpoint_directory)
+            if checkpoints_enabled(checkpoints) else None
+        )
         self.retries = _resolve_retries(retries)
         self.timeout = timeout
         self._poll_interval = poll_interval
@@ -422,9 +410,9 @@ class SimulationService:
         A cache hit completes the job immediately (it still appears in
         the completion stream, flagged ``cached``) and bypasses
         admission — serving a warm result costs nothing worth shedding.
-        ``data`` defaults to the deterministic generated table of the
-        plan's schema — pass it explicitly when submitting many points
-        over one table so generation and digesting happen once.
+        ``data`` defaults to the memoised generated table of the plan's
+        schema, and each call digests its table once (see
+        :func:`~repro.sim.engine.resolve_points`).
 
         ``client``/``job_class`` are the admission identities quotas
         bind to.  ``deadline`` (seconds from now) bounds the attempt's
@@ -437,28 +425,13 @@ class SimulationService:
         way.
         """
         arch = arch.lower()
-        if data is None:
-            from ..sim.runner import _memoised_table
-            from ..db.query6 import q6_select_plan
-
-            schema = (plan if plan is not None else q6_select_plan()).table
-            data = _memoised_table(schema, rows, seed)
-        digest = data_digest(data)
-        plan_digest: Optional[str] = None
-        if plan is not None and plan.digest() != _default_plan_digest():
-            plan_digest = plan.digest()
-        # The point key doubles as the checkpoint identity, so it is
-        # computed even when result caching is off.  An undigestable
-        # point (e.g. unknown architecture) gets no key and is left to
-        # fail in the worker with the full context attached.
-        try:
-            key = point_key(
-                arch, scan, rows, seed, scale,
-                dataset=digest, machine=machine_digest(arch, scale),
-                plan=plan_digest, code=code_digest(),
-            )
-        except ValueError:
-            key = None
+        # The point key doubles as the checkpoint identity, so it exists
+        # even when result caching is off; a point without one (an
+        # unknown architecture) is left to fail in the worker with the
+        # full context attached.
+        data, digest, (key,) = resolve_points(
+            [(arch, scan)], rows, seed, scale, data, plan
+        )
         with self._cv:
             self._check_open()
             ticket = Ticket(
@@ -661,8 +634,8 @@ class SimulationService:
         """Yield the jobs of ``tickets`` in *completion* order.
 
         Completed-first semantics: a fast point is yielded the moment
-        it finishes, while slower points are still running — the
-        ``pool.map``-shaped "wait for the slowest" barrier is gone.
+        it finishes, while slower points are still running — no
+        "wait for the slowest" barrier.
         Cancelled and failed jobs are yielded too (inspect
         ``record.state``); raising is the caller's policy.
         """
@@ -717,10 +690,10 @@ class SimulationService:
     ) -> List[RunResult]:
         """Run ``points`` and return results in submission order.
 
-        This is the :meth:`ExperimentEngine._execute` protocol — the
-        batch engine routes here under ``REPRO_SERVICE=1`` — so a
-        failed point raises :class:`PointExecutionError` with the
-        point context, exactly like the pool path.
+        This is how :class:`~repro.sim.engine.ExperimentEngine` runs its
+        parallel misses, so a failed point raises
+        :class:`PointExecutionError` with the point context, as an
+        in-process one does.
         """
         tickets = [
             # block=True: a sweep wider than the pending queue waits for
@@ -760,17 +733,10 @@ class SimulationService:
     ) -> ExperimentResult:
         """A drop-in :meth:`ExperimentEngine.sweep` through the service.
 
-        Same dataset defaulting, same cache keys, same
-        ``AssertionError`` on functional verification failure — the
-        returned runs are bit-identical to the batch engine's.
+        Same dataset defaulting and cache keys (``resolve_points``),
+        same ``AssertionError`` on functional verification failure —
+        the returned runs are bit-identical to the batch engine's.
         """
-        if data is None:
-            from ..db.datagen import generate_lineitem, generate_table
-
-            if plan is not None:
-                data = generate_table(plan.table, rows, seed)
-            else:
-                data = generate_lineitem(rows, seed)
         runs = self.execute_points(points, data, rows, seed, scale, plan)
         result = ExperimentResult(name=name)
         for (arch, scan), run in zip(points, runs):
@@ -1345,35 +1311,3 @@ class SimulationService:
             worker.task_queue.put((job_id, record.payload))
             # queue room opened: wake any submitter blocked on admission
             self._cv.notify_all()
-
-
-# -- the process-wide default service ---------------------------------------
-
-_DEFAULT_SERVICE: Optional[SimulationService] = None
-
-
-def default_service() -> SimulationService:
-    """The lazily created process-wide service (``REPRO_JOBS`` workers).
-
-    This is what ``REPRO_SERVICE=1`` sweeps route through; workers
-    persist across sweeps, which is the point — repeated figure
-    regenerations reuse warm workers and already-published datasets.
-    """
-    global _DEFAULT_SERVICE
-    if _DEFAULT_SERVICE is None:
-        _DEFAULT_SERVICE = SimulationService()
-        atexit.register(shutdown_default_service)
-    return _DEFAULT_SERVICE
-
-
-def shutdown_default_service() -> None:
-    """Tear the default service down (idempotent; registered atexit)."""
-    global _DEFAULT_SERVICE
-    if _DEFAULT_SERVICE is not None:
-        _DEFAULT_SERVICE.close(timeout=5.0, force=True)
-        _DEFAULT_SERVICE = None
-
-
-def service_routing_enabled() -> bool:
-    """Whether ``REPRO_SERVICE=1`` routes engine sweeps through the service."""
-    return os.environ.get("REPRO_SERVICE", "0").lower() in ("1", "true", "yes")

@@ -3,11 +3,13 @@
 One persistent process per worker slot runs :func:`worker_main`: a loop
 over a private task queue (the supervisor dispatches at most one job to
 a worker at a time, so crash attribution is exact), answering on the
-shared result queue.  The payload format is plain dicts/tuples — the
-same serialised shapes the :class:`~repro.sim.engine.ExperimentEngine`
-pool always shipped — except that datasets travel as
+shared result queue.  The payload format is plain dicts/tuples (a
+serialised :class:`~repro.sim.results.RunResult` comes back, each number
+keeping its JSON type); datasets travel as
 :class:`~repro.memory.shared_data.DatasetHandle` descriptors and are
-attached (mapped, not copied) once per dataset per worker.
+attached (mapped, not copied) once per dataset per worker.  These
+workers are also the :class:`~repro.sim.engine.ExperimentEngine`'s:
+its parallel cache misses run on a service it owns.
 
 Messages on the result queue::
 
@@ -62,6 +64,7 @@ watchdog then recovers via heartbeat silence.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import traceback
@@ -240,7 +243,12 @@ def worker_main(task_queue, result_queue) -> None:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     except (OSError, ValueError):  # pragma: no cover - exotic hosts
         pass
+    # What the fork inherited is never garbage; each point's machine is
+    # cyclic garbage, collected before the next point so a worker's peak
+    # RSS stays that of its largest point.
+    gc.freeze()
     while True:
+        gc.collect()
         task = task_queue.get()
         if task is None:  # shutdown sentinel
             break

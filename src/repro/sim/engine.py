@@ -1,4 +1,4 @@
-"""The experiment engine: parallel, cached execution of simulation sweeps.
+"""The experiment engine: cached execution of simulation sweeps.
 
 Every figure of the paper is a sweep over independent
 (architecture, :class:`~repro.codegen.base.ScanConfig`) points, and the
@@ -6,24 +6,27 @@ figures overlap heavily — fig3b, fig3c and fig3d all re-simulate the
 same best-case column scans.  The :class:`ExperimentEngine` makes those
 sweeps cheap twice over:
 
-* **Parallelism** — independent points fan out over a
-  ``multiprocessing`` pool.  Workers receive the shared
-  :class:`~repro.db.datagen.LineitemData` once at pool start (not per
-  point), simulate with the ordinary :func:`~repro.sim.runner.run_scan`,
-  and ship back serialised :class:`~repro.sim.results.RunResult`
-  payloads.  ``REPRO_JOBS=1`` (or ``jobs=1``) falls back to fully
-  serial in-process execution; results are identical either way because
-  every point is a pure function of its inputs.
-* **Memoisation** — completed points persist under ``.repro_cache/``
-  (override with ``REPRO_CACHE_DIR``; disable with ``REPRO_CACHE=0``;
-  LRU-cap the size with ``REPRO_CACHE_MAX_MB``), keyed by a stable
-  hash of (architecture, scan configuration, rows, seed, scale,
-  dataset digest, machine-config digest, timing-model code digest,
-  query-plan digest, package version).  Re-running a figure, or a
-  different figure sharing points, loads instead of simulating.
-  Corrupted or stale-schema entries are treated as misses and
-  overwritten, never raised.
+* **Memoisation** — the engine is the only cache front.  Completed
+  points persist under ``.repro_cache/`` (override with
+  ``REPRO_CACHE_DIR``; disable with ``REPRO_CACHE=0``; LRU-cap the size
+  with ``REPRO_CACHE_MAX_MB``), keyed by a stable hash of
+  (architecture, scan configuration, rows, seed, scale, dataset digest,
+  machine-config digest, timing-model code digest, query-plan digest,
+  package version).  Re-running a figure, or a different figure sharing
+  points, loads instead of simulating.  Corrupted or stale-schema
+  entries are treated as misses and overwritten, never raised.
+* **One executor** — the misses of a sweep run in-process when
+  ``jobs == 1`` (``REPRO_JOBS=1``) or only one point misses; otherwise
+  on a :class:`~repro.service.SimulationService` the engine owns,
+  created at its first parallel miss with no cache of its own.  Its
+  persistent workers map the dataset from shared memory, checkpoint at
+  pass boundaries under ``<cache dir>/checkpoints`` and retry a crashed
+  point.  :meth:`ExperimentEngine.close` (or leaving a ``with`` block,
+  or dropping the engine) stops them.  Results are identical either way
+  because every point is a pure function of its inputs.
 
+:func:`resolve_points` is the one derivation of a sweep's dataset,
+dataset digest and point keys; the engine and the service both use it.
 The public entry point is :meth:`ExperimentEngine.sweep`, which returns
 the same :class:`~repro.sim.results.ExperimentResult` the serial
 ``repro.experiments.common.sweep`` helper always produced.
@@ -35,8 +38,8 @@ import dataclasses
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
+import weakref
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -46,8 +49,12 @@ logger = logging.getLogger("repro.cache")
 
 from ..codegen.base import ScanConfig
 from ..common.config import DEFAULT_SCALE, machine_for
-from ..db.datagen import LineitemData, generate_lineitem, generate_table
+# generate_*: unused here, kept because perfbench/layertrace.py patches them
+from ..db.datagen import LineitemData, generate_lineitem, generate_table  # noqa: F401
 from ..db.plan import QueryPlan
+from ..db.query6 import q6_select_plan
+from . import runner
+from .checkpoint import DEFAULT_CHECKPOINT_SUBDIR
 from .results import ExperimentResult, RunResult
 from .runner import run_scan
 
@@ -57,6 +64,24 @@ CACHE_SCHEMA = 2
 
 #: default on-disk cache location, relative to the working directory
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+
+def cache_directories(
+    cache_dir: Optional[str | os.PathLike] = None,
+    checkpoint_dir: Optional[str | os.PathLike] = None,
+) -> Tuple[str | os.PathLike, str | os.PathLike]:
+    """The (result cache, checkpoint) directories: the one rule for both.
+
+    An explicit directory wins; otherwise ``REPRO_CACHE_DIR`` (default
+    :data:`DEFAULT_CACHE_DIR`) and ``REPRO_CHECKPOINT_DIR`` (default
+    ``<cache dir>/checkpoints``).
+    """
+    cache = cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+    checkpoints = checkpoint_dir or os.environ.get(
+        "REPRO_CHECKPOINT_DIR", os.path.join(cache, DEFAULT_CHECKPOINT_SUBDIR)
+    )
+    return cache, checkpoints
+
 
 #: package directories whose source shapes simulated results — the
 #: timing model (sim/memory/pim/cpu/cache), the uop lowerings (codegen),
@@ -147,8 +172,6 @@ def _default_plan_digest() -> str:
     """
     global _DEFAULT_PLAN_DIGEST
     if _DEFAULT_PLAN_DIGEST is None:
-        from ..db.query6 import q6_select_plan
-
         _DEFAULT_PLAN_DIGEST = q6_select_plan().digest()
     return _DEFAULT_PLAN_DIGEST
 
@@ -215,6 +238,45 @@ def point_key(
         payload["code"] = code
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:40]
+
+
+def resolve_points(
+    points: List[Tuple[str, ScanConfig]],
+    rows: int,
+    seed: int,
+    scale: int,
+    data: Optional[LineitemData] = None,
+    plan: Optional[QueryPlan] = None,
+) -> Tuple[LineitemData, str, List[Optional[str]]]:
+    """The dataset, its digest and each point's key, derived once.
+
+    ``data`` defaults to the generated table of the plan's schema (Q6's
+    when ``plan`` is None), memoised per (schema, rows, seed) as
+    :func:`~repro.sim.runner.run_scan` does.  The default Q6 select plan
+    is keyed without a plan field.  A point whose machine cannot be
+    resolved (an unknown architecture) gets the key None and is left to
+    fail when it runs, with its context attached.
+    """
+    if data is None:
+        schema = (plan if plan is not None else q6_select_plan()).table
+        data = runner._memoised_table(schema, rows, seed)
+    digest = data_digest(data)
+    plan_digest: Optional[str] = None
+    if plan is not None and plan.digest() != _default_plan_digest():
+        plan_digest = plan.digest()
+    machines: Dict[str, Optional[str]] = {}
+    keys: List[Optional[str]] = []
+    for arch, scan in points:
+        if arch not in machines:
+            try:
+                machines[arch] = machine_digest(arch, scale)
+            except ValueError:
+                machines[arch] = None
+        keys.append(None if machines[arch] is None else point_key(
+            arch, scan, rows, seed, scale, dataset=digest,
+            machine=machines[arch], plan=plan_digest, code=code_digest(),
+        ))
+    return data, digest, keys
 
 
 def _result_checksum(result_payload: Dict[str, Any]) -> str:
@@ -403,23 +465,12 @@ class ResultCache:
         return removed
 
 
-# -- worker-process plumbing -------------------------------------------------
-#
-# The pool initializer stows the shared dataset (and the sweep's plan)
-# in module globals so the (potentially large) column arrays cross the
-# process boundary once per worker instead of once per point.  The
-# persistent :mod:`repro.service` engine replaces even that per-worker
-# copy with shared-memory dataset images; its workers speak the same
-# payload shapes (see :mod:`repro.service.worker`) and raise the same
-# :class:`PointExecutionError` on failure.
-
-
 class PointExecutionError(RuntimeError):
-    """A sweep point failed inside a worker, annotated with which point.
+    """A sweep point failed, annotated with which point.
 
-    The original exception (or the worker's formatted traceback, for
-    cross-process failures) is chained as ``__cause__`` — the bare
-    pool traceback no longer swallows which (arch, scan, rows) died.
+    An in-process failure chains the original exception as
+    ``__cause__``; a service worker's failure carries its formatted
+    traceback in the message.
 
     ``attempts`` carries the service's per-attempt post-mortem when the
     retry budget is exhausted: one dict per attempt with the failure
@@ -444,11 +495,6 @@ class PointExecutionError(RuntimeError):
         self.rows = rows
         self.attempts = list(attempts or [])
 
-    def __reduce__(self):  # keep the context through pickling boundaries
-        return (type(self),
-                (str(self), self.arch, self.op_bytes, self.rows,
-                 self.attempts))
-
 
 def _run_point(
     arch: str,
@@ -470,33 +516,6 @@ def _run_point(
             f"failed: {exc!r}",
             arch, scan.op_bytes, rows,
         ) from exc
-
-
-_WORKER_DATA: Optional[LineitemData] = None
-_WORKER_PLAN: Optional[QueryPlan] = None
-
-
-def _init_worker(data: LineitemData, plan_payload: Optional[Dict[str, Any]] = None) -> None:
-    global _WORKER_DATA, _WORKER_PLAN
-    _WORKER_DATA = data
-    _WORKER_PLAN = (
-        QueryPlan.from_dict(plan_payload) if plan_payload is not None else None
-    )
-
-
-def _run_point_task(task: Tuple[str, Dict[str, Any], int, int, int]) -> Dict[str, Any]:
-    """Simulate one point in a worker; returns a serialised RunResult."""
-    arch, scan_payload, rows, seed, scale = task
-    result = _run_point(
-        arch,
-        ScanConfig.from_dict(scan_payload),
-        rows=rows,
-        seed=seed,
-        scale=scale,
-        data=_WORKER_DATA,
-        plan=_WORKER_PLAN,
-    )
-    return result.to_dict()
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
@@ -541,16 +560,18 @@ def _resolve_cache_max_bytes(max_mb: Optional[float]) -> Optional[int]:
 
 
 class ExperimentEngine:
-    """Runs sweeps of simulation points with a worker pool and a cache.
+    """Runs sweeps of simulation points behind the result cache.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` executes serially in-process.  Defaults
-        to ``REPRO_JOBS`` or the machine's CPU count.
+        Worker processes for parallel misses; ``1`` executes serially
+        in-process.  Defaults to ``REPRO_JOBS`` or the machine's CPU
+        count.
     cache_dir:
-        Result cache location; defaults to ``REPRO_CACHE_DIR`` or
-        ``.repro_cache/``.
+        Result cache location (see :func:`cache_directories`); the
+        engine's service checkpoints under its ``checkpoints``
+        subdirectory.
     use_cache:
         Force the cache on/off; defaults to ``REPRO_CACHE`` (on).
     cache_max_mb:
@@ -562,12 +583,10 @@ class ExperimentEngine:
         Optional callable ``(arch, scan) -> None`` invoked in the parent
         process for every point that is actually simulated (i.e. missed
         the cache) — a test/telemetry seam.
-    service:
-        An explicit :class:`~repro.service.SimulationService` to
-        execute cache misses through (persistent workers, shared-memory
-        datasets, streaming + retry).  Defaults to ``REPRO_SERVICE=1``
-        semantics: when that flag is set, sweeps route through the
-        process-wide default service instead of a per-sweep pool.
+
+    ``service`` runs parallel misses: None until the first, then a
+    cache-less :class:`~repro.service.SimulationService` with ``jobs``
+    workers, stopped by :meth:`close`, a ``with`` block or a dropped engine.
     """
 
     def __init__(
@@ -577,17 +596,16 @@ class ExperimentEngine:
         use_cache: Optional[bool] = None,
         cache_max_mb: Optional[float] = None,
         run_hook: Optional[Callable[[str, ScanConfig], None]] = None,
-        service: Optional[Any] = None,
     ) -> None:
         self.jobs = _resolve_jobs(jobs)
-        self.service = service
-        if _cache_enabled(use_cache):
-            directory = cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-            self.cache: Optional[ResultCache] = ResultCache(directory)
-        else:
-            self.cache = None
+        self.cache_dir, _ = cache_directories(cache_dir)
+        self.cache: Optional[ResultCache] = (
+            ResultCache(self.cache_dir) if _cache_enabled(use_cache) else None
+        )
         self.cache_max_bytes = _resolve_cache_max_bytes(cache_max_mb)
         self.run_hook = run_hook
+        self.service: Optional[Any] = None
+        self._close_service: Optional[weakref.finalize] = None
         self.cache_hits = 0
         self.cache_misses = 0
         self.simulated_points = 0
@@ -615,42 +633,25 @@ class ExperimentEngine:
         field, so plan-less and explicit-Q6 sweeps share cache entries,
         while every other plan gets distinct entries via its digest.
         """
-        if data is None:
-            if plan is not None:
-                data = generate_table(plan.table, rows, seed)
-            else:
-                data = generate_lineitem(rows, seed)
-        plan_digest: Optional[str] = None
-        if plan is not None and plan.digest() != _default_plan_digest():
-            plan_digest = plan.digest()
+        data, _, keys = resolve_points(points, rows, seed, scale, data, plan)
         runs: List[Optional[RunResult]] = [None] * len(points)
-        pending: List[Tuple[int, str]] = []  # (points index, cache key)
-        if self.cache is not None:
-            digest = data_digest(data)
-            machines = {arch: machine_digest(arch, scale) for arch, _ in points}
-        for index, (arch, scan) in enumerate(points):
-            if self.cache is None:
-                self.cache_misses += 1
-                pending.append((index, ""))
-                continue
-            key = point_key(arch, scan, rows, seed, scale,
-                            dataset=digest, machine=machines[arch],
-                            plan=plan_digest, code=code_digest())
-            cached = self.cache.load(key)
+        pending: List[int] = []
+        for index, key in enumerate(keys):
+            cached = self.cache.load(key) if self.cache and key else None
             if cached is not None:
                 self.cache_hits += 1
                 runs[index] = cached
             else:
                 self.cache_misses += 1
-                pending.append((index, key))
+                pending.append(index)
 
         if pending:
             fresh = self._execute(
-                [points[i] for i, _ in pending], data, rows, seed, scale, plan
+                [points[i] for i in pending], data, rows, seed, scale, plan
             )
-            for (index, key), run in zip(pending, fresh):
-                if self.cache is not None and run.verified is not False:
-                    self.cache.store(key, run)
+            for index, run in zip(pending, fresh):
+                if self.cache and keys[index] and run.verified is not False:
+                    self.cache.store(keys[index], run)
                 runs[index] = run
         if self.cache is not None and self.cache_max_bytes is not None:
             # Enforced even on fully-warm sweeps, so lowering the cap on
@@ -685,6 +686,18 @@ class ExperimentEngine:
         """Drop every cached result; returns the number removed."""
         return self.cache.clear() if self.cache is not None else 0
 
+    def close(self) -> None:
+        """Stop the engine's service, if any (a later miss starts anew)."""
+        if self.service is not None:
+            self._close_service()
+            self.service = None
+
+    def __enter__(self) -> "ExperimentEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- execution ---------------------------------------------------------
 
     def _execute(
@@ -696,36 +709,26 @@ class ExperimentEngine:
         scale: int,
         plan: Optional[QueryPlan] = None,
     ) -> List[RunResult]:
-        """Simulate ``points`` (cache misses only): service, pool or serial."""
+        """Simulate ``points`` (cache misses only): in-process or service."""
         if self.run_hook is not None:
             for arch, scan in points:
                 self.run_hook(arch, scan)
         self.simulated_points += len(points)
-        service = self.service
-        if service is None:
-            from ..service import default_service, service_routing_enabled
-
-            if service_routing_enabled():
-                service = default_service()
-        if service is not None:
-            return service.execute_points(
-                points, data, rows, seed, scale, plan=plan
-            )
         if self.jobs == 1 or len(points) == 1:
             return [
                 _run_point(arch, scan, rows, seed, scale, data, plan)
                 for arch, scan in points
             ]
-        tasks = [
-            (arch, scan.to_dict(), rows, seed, scale) for arch, scan in points
-        ]
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        workers = min(self.jobs, len(points))
-        plan_payload = plan.to_dict() if plan is not None else None
-        with context.Pool(
-            processes=workers, initializer=_init_worker,
-            initargs=(data, plan_payload),
-        ) as pool:
-            payloads = pool.map(_run_point_task, tasks)
-        return [RunResult.from_dict(payload) for payload in payloads]
+        if self.service is None:
+            from ..service import SimulationService
+
+            self.service = SimulationService(
+                jobs=self.jobs, cache_dir=self.cache_dir, use_cache=False
+            )
+            # No worker outlives its engine, closed or not.
+            self._close_service = weakref.finalize(
+                self, self.service.close, timeout=5.0, force=True
+            )
+        return self.service.execute_points(
+            points, data, rows, seed, scale, plan=plan
+        )

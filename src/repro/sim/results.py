@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..codegen.base import ScanConfig
+from ..common.stats import json_number
 from ..common.units import CORE_CLOCK, format_seconds
 from ..energy.model import EnergyReport
 
@@ -73,7 +74,12 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunResult":
-        """Rebuild a result exported by :meth:`to_dict`."""
+        """Rebuild a result exported by :meth:`to_dict`.
+
+        Every number keeps its JSON type (an int counter stays an int),
+        so a result that crossed a worker or the cache serialises as the
+        in-process one does.
+        """
         verified = payload.get("verified")
         aggregates: Optional[AggregateResults] = None
         if payload.get("aggregates") is not None:
@@ -91,7 +97,8 @@ class RunResult:
             uops=int(payload["uops"]),
             energy=EnergyReport.from_dict(payload["energy"]),
             verified=None if verified is None else bool(verified),
-            stats={str(k): float(v) for k, v in payload.get("stats", {}).items()},
+            stats={str(k): json_number(v)
+                   for k, v in payload.get("stats", {}).items()},
             aggregates=aggregates,
         )
 

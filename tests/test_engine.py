@@ -1,5 +1,7 @@
 """Tests for the parallel, cached experiment engine (repro.sim.engine)."""
 
+import dataclasses
+import gc
 import json
 import os
 import time
@@ -15,6 +17,7 @@ from repro.sim.engine import (
     machine_digest,
     point_key,
 )
+from repro.sim.runner import run_scan
 from repro.db.datagen import generate_lineitem
 from repro.db.query6 import q6_select_plan
 from repro.db.workloads import q1_style_plan, selectivity_scan_plan
@@ -36,9 +39,12 @@ def make_engine(tmp_path, **kwargs):
 class TestParallelEqualsSerial:
     def test_results_identical_across_job_counts(self, tmp_path):
         serial = make_engine(tmp_path, jobs=1, use_cache=False)
-        parallel = ExperimentEngine(jobs=3, use_cache=False)
         a = serial.sweep("serial", POINTS, ROWS)
-        b = parallel.sweep("parallel", POINTS, ROWS)
+        with make_engine(tmp_path, jobs=3, use_cache=False) as parallel:
+            b = parallel.sweep("parallel", POINTS, ROWS)
+            # the misses ran on the engine's own service
+            assert parallel.service.simulated_points == len(POINTS)
+        assert a.runs == b.runs  # full RunResult equality, field by field
         assert [r.cycles for r in a.runs] == [r.cycles for r in b.runs]
         assert [r.uops for r in a.runs] == [r.uops for r in b.runs]
         assert [r.energy.to_dict() for r in a.runs] == [
@@ -321,8 +327,6 @@ class TestStoreRobustness:
     """store() degrades to "uncached" instead of raising or leaking temps."""
 
     def test_unserialisable_result_leaves_no_trace(self, tmp_path):
-        import dataclasses
-
         engine = make_engine(tmp_path, jobs=1)
         result = engine.run_point(*POINTS[2], rows=ROWS)
         poisoned = dataclasses.replace(result, stats={"bad": object()})
@@ -367,12 +371,70 @@ class TestWorkerFailureContext:
         assert "arch=bogus" in str(error)
         assert isinstance(error.__cause__, ValueError)
 
-    def test_pool_failure_carries_point_context(self):
+    def test_pool_failure_carries_point_context(self, tmp_path):
         from repro.sim.engine import PointExecutionError
 
-        engine = ExperimentEngine(jobs=2, use_cache=False)
-        with pytest.raises(PointExecutionError) as excinfo:
-            engine.sweep("bad", [POINTS[2], ("bogus", POINTS[0][1])], ROWS)
+        # two misses on jobs=2: they run on the engine's service
+        with make_engine(tmp_path, jobs=2, use_cache=False) as engine:
+            with pytest.raises(PointExecutionError) as excinfo:
+                engine.sweep("bad", [POINTS[2], ("bogus", POINTS[0][1])], ROWS)
+            assert engine.service is not None
         assert excinfo.value.arch == "bogus"
         assert excinfo.value.rows == ROWS
         assert "op_bytes=64" in str(excinfo.value)
+        assert "unknown architecture" in str(excinfo.value)
+
+
+class TestCacheFront:
+    """The engine is the only cache front; its service has no cache."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_disabled_cache_is_never_consulted(self, tmp_path, monkeypatch,
+                                               jobs):
+        # Checksum-valid entries with wrong cycles at the real keys of
+        # two points, in the directory every cache defaults to.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "planted"))
+        data = generate_lineitem(ROWS, 1994)
+        planted = ResultCache(tmp_path / "planted")
+        truth = []
+        for arch, scan in POINTS[:2]:
+            run = run_scan(arch, scan, rows=ROWS, data=data)
+            truth.append(run.cycles)
+            key = point_key(arch, scan, ROWS, 1994, 80,
+                            dataset=data_digest(data),
+                            machine=machine_digest(arch, 80),
+                            code=code_digest())
+            planted.store(key, dataclasses.replace(run, cycles=run.cycles + 1))
+            assert planted.load(key).cycles == run.cycles + 1
+
+        engine = ExperimentEngine(jobs=jobs, use_cache=False)
+        outcome = engine.sweep("bypass", POINTS[:2], ROWS)
+        assert [r.cycles for r in outcome.runs] == truth
+        assert engine.simulated_points == 2
+        assert engine.cache_hits == 0
+
+
+class TestLifecycle:
+    def test_no_worker_outlives_its_engine(self, tmp_path):
+        from repro.experiments import common
+
+        def workers_of(engine):
+            engine.sweep("two", POINTS[:2], ROWS)
+            return [worker.process for worker in engine.service._workers]
+
+        with make_engine(tmp_path, jobs=2, use_cache=False) as engine:
+            workers = workers_of(engine)
+            segments = [entry.image._shm.name
+                        for entry in engine.service._images.values()]
+        assert workers and segments and engine.service is None
+        for name in segments:
+            assert not os.path.exists(os.path.join("/dev/shm", name))
+        dropped = make_engine(tmp_path, jobs=2, use_cache=False)
+        workers += workers_of(dropped)
+        del dropped  # never closed: its finalizer stops the service
+        gc.collect()
+        replaced = make_engine(tmp_path, jobs=2, use_cache=False)
+        workers += workers_of(replaced)
+        common.set_default_engine(replaced)
+        common.set_default_engine(None)
+        assert not any(process.is_alive() for process in workers)

@@ -253,42 +253,6 @@ class TestSharedDatasets:
             image.close()
 
 
-class TestEngineRouting:
-    def test_engine_uses_injected_service(self, tmp_path):
-        with SimulationService(jobs=2, use_cache=False) as service:
-            engine = ExperimentEngine(jobs=1, use_cache=False, service=service)
-            reference = ExperimentEngine(jobs=1, use_cache=False)
-            routed = engine.sweep("via-service", POINTS[:2], ROWS)
-            direct = reference.sweep("direct", POINTS[:2], ROWS)
-            assert service.simulated_points == 2
-            for ours, theirs in zip(routed.runs, direct.runs):
-                assert ours == theirs
-
-    def test_repro_service_env_routes_through_default_service(self, monkeypatch):
-        import repro.service as service_module
-
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        monkeypatch.setenv("REPRO_CACHE", "0")  # keep the repo cache out
-        service_module.shutdown_default_service()
-        try:
-            engine = ExperimentEngine(jobs=1, use_cache=False)
-            engine.sweep("routed", POINTS[2:3], ROWS)
-            service = service_module.default_service()
-            assert service.simulated_points >= 1
-        finally:
-            service_module.shutdown_default_service()
-
-    def test_env_off_means_no_service(self, monkeypatch):
-        from repro.service import service_routing_enabled
-
-        monkeypatch.delenv("REPRO_SERVICE", raising=False)
-        assert service_routing_enabled() is False
-        monkeypatch.setenv("REPRO_SERVICE", "0")
-        assert service_routing_enabled() is False
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        assert service_routing_enabled() is True
-
-
 QUICK_POINT = ("hive", ScanConfig("dsm", "column", 256))
 
 

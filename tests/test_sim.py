@@ -2,6 +2,8 @@
 runner across all four codegens, result serialisation, and functional
 mask verification against the numpy reference."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -106,10 +108,11 @@ class TestRunResultSerialisation:
         assert restored.stats == original.stats
         assert restored.energy.to_dict() == original.energy.to_dict()
         assert restored.label() == original.label()
+        # every number keeps its type: an int counter stays an int
+        assert json.dumps(restored.to_dict(), sort_keys=True) == \
+            json.dumps(original.to_dict(), sort_keys=True)
 
     def test_round_trip_survives_json(self, data):
-        import json
-
         original = run_scan("hmc", ScanConfig("dsm", "column", 64), rows=ROWS,
                             data=data)
         wire = json.dumps(original.to_dict())

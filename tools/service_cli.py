@@ -73,18 +73,10 @@ def build_points(args):
 
 def show_checkpoints(checkpoint_dir=None) -> int:
     """Print every resumable pass-boundary snapshot in the sidecar."""
-    import os
+    from repro.sim.checkpoint import CheckpointStore
+    from repro.sim.engine import cache_directories
 
-    from repro.sim.checkpoint import DEFAULT_CHECKPOINT_SUBDIR, CheckpointStore
-    from repro.sim.engine import DEFAULT_CACHE_DIR
-
-    if checkpoint_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        checkpoint_dir = os.environ.get(
-            "REPRO_CHECKPOINT_DIR",
-            os.path.join(cache_dir, DEFAULT_CHECKPOINT_SUBDIR),
-        )
-    store = CheckpointStore(checkpoint_dir)
+    store = CheckpointStore(cache_directories(checkpoint_dir=checkpoint_dir)[1])
     entries = store.entries()
     print(f"checkpoint sidecar: {store.directory}")
     if not entries:
