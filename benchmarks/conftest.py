@@ -18,10 +18,11 @@ import pathlib
 
 import pytest
 
+from repro.experiments.common import experiment_rows
+
 #: rows used by the figure benches unless REPRO_ROWS overrides; CI boxes
 #: get a smaller default so the figure tier stays a smoke test there.
-_DEFAULT_ROWS = "4096" if os.environ.get("CI") else "8192"
-BENCH_ROWS = int(os.environ.get("REPRO_ROWS", _DEFAULT_ROWS))
+BENCH_ROWS = experiment_rows(4096 if os.environ.get("CI") else 8192)
 
 _BENCH_DIR = pathlib.Path(__file__).parent
 

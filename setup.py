@@ -6,11 +6,21 @@ classic setup script keeps ``python setup.py develop`` and
 ``pip install -e . --no-build-isolation`` working there.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+#: the one version string, also folded into every result-cache key
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M,
+).group(1)
 
 setup(
     name="repro",
-    version="1.2.0",
+    version=VERSION,
     description=(
         "Reproduction of 'HIPE: HMC Instruction Predication Extension "
         "Applied on Database Processing' (DATE 2018)"

@@ -61,11 +61,14 @@ points, as 3b/3c/3d do — is near-instant after the first run::
         ], rows=16_384)
     print(result.report())
 
-Environment knobs: ``REPRO_JOBS`` (worker count; ``1`` = serial with
-identical results), ``REPRO_CACHE_DIR`` (cache location; checkpoints go
-to its ``checkpoints`` subdirectory or ``REPRO_CHECKPOINT_DIR``),
-``REPRO_CACHE=0`` (disable caching), ``REPRO_ROWS`` (sweep sizes).  The
-service's own knobs are documented on :class:`~repro.service.SimulationService`.
+Environment knobs, all declared in :mod:`repro.common.settings`:
+``REPRO_JOBS`` (worker count; ``1`` = serial with identical results),
+``REPRO_CACHE_DIR`` (cache location; checkpoints go to its
+``checkpoints`` subdirectory or ``REPRO_CHECKPOINT_DIR``),
+``REPRO_CACHE=0`` (disable caching), ``REPRO_CACHE_MAX_MB`` (LRU cap),
+``REPRO_ROWS`` (sweep sizes), ``REPRO_KERNEL=0`` and ``REPRO_EXACT=1``
+(slower, bit-identical paths).  The service's limits are arguments of
+:class:`~repro.service.SimulationService` only.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.

@@ -53,9 +53,9 @@ paths are bit-identical by construction, and CI cross-checks them.
 from __future__ import annotations
 
 import math
-import os
 from typing import List, Optional
 
+from ..common.settings import setting
 from .isa import Uop, UopClass
 
 #: dense kernel opcodes
@@ -136,11 +136,6 @@ def code_cache_stats() -> dict:
 def kernel_code_keys() -> dict:
     """``{pseudo-filename: [run keys]}`` for profile attribution."""
     return {filename: list(keys) for filename, keys in _CODE_KEYS.items()}
-
-
-def kernels_enabled() -> bool:
-    """Run compilation is on unless ``REPRO_KERNEL=0`` disables it."""
-    return os.environ.get("REPRO_KERNEL", "1").lower() not in ("0", "false", "no")
 
 
 def _encode_reg(ids, j0: int, rpi: int, reg_start: int, window: int,
@@ -902,7 +897,7 @@ class KernelRunner:
         self._shape: Optional[RunShape] = None
         self._capturing = False
         self._q = 1
-        if kernels_enabled() and run.key is not None:
+        if setting("REPRO_KERNEL") and run.key is not None:
             q = _stride_period(run)
             self._q = q
             shape = execution.kernel_shapes.get(run.key)

@@ -9,11 +9,11 @@ misses run in parallel (``REPRO_JOBS``) on a service that engine owns.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 from ..codegen.base import ScanConfig
 from ..common.config import DEFAULT_SCALE
+from ..common.settings import setting
 from ..db.datagen import LineitemData
 from ..db.plan import QueryPlan
 from ..sim.engine import ExperimentEngine
@@ -39,14 +39,9 @@ _DEFAULT_ENGINE: Optional[ExperimentEngine] = None
 
 
 def experiment_rows(default: int = DEFAULT_EXPERIMENT_ROWS) -> int:
-    """Row count for experiments, honouring the REPRO_ROWS env var."""
-    value = os.environ.get("REPRO_ROWS")
-    if value is None:
-        return default
-    rows = int(value)
-    if rows < 64:
-        raise ValueError("REPRO_ROWS must be at least 64")
-    return rows
+    """Row count for experiments: ``REPRO_ROWS`` (at least 64) or ``default``."""
+    rows = setting("REPRO_ROWS")
+    return default if rows is None else rows
 
 
 def default_engine() -> ExperimentEngine:

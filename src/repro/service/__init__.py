@@ -41,7 +41,6 @@ from .admission import (
     ServiceDrainingError,
     ServiceOverloadError,
     backoff_delay,
-    parse_class_quotas,
 )
 from .http_api import (
     HTTPServiceError,
@@ -75,6 +74,5 @@ __all__ = [
     "execute_point_payload",
     "install_drain_handler",
     "make_task_payload",
-    "parse_class_quotas",
     "start_http_server",
 ]

@@ -27,17 +27,17 @@ condition lock (the service calls :meth:`AdmissionController.admit` and
 :meth:`~AdmissionController.release` with it held), so the controller
 itself carries no locking.
 
-Knobs: ``REPRO_SERVICE_MAX_PENDING`` (queue capacity, default 256),
-``REPRO_SERVICE_CLIENT_QUOTA`` (outstanding
-jobs per client, default unlimited), ``REPRO_SERVICE_CLASS_QUOTAS``
-(``"bulk=8,interactive=64"`` style, default unlimited),
-``REPRO_SERVICE_BLOCK_TIMEOUT`` (blocking-admission patience, default
-60 s).
+Knobs (arguments of :class:`AdmissionController`, passed through by
+:class:`~repro.service.SimulationService`): ``max_pending`` (queue
+capacity, default 256), ``client_quota`` (outstanding jobs per client,
+default unlimited) and ``class_quotas`` (``{"bulk": 8}`` style, default
+unlimited); ``None`` means unlimited for each.  The service's
+``block_timeout`` (blocking-admission patience, default 60 s) bounds
+``submit(..., block=True)``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Optional
 
 #: default bound on the pending queue — deep enough that a full sweep
@@ -107,38 +107,6 @@ class ServiceDrainingError(RuntimeError):
         return {"error": "draining", "detail": str(self)}
 
 
-def _env_int(name: str, default: Optional[int]) -> Optional[int]:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    return value if value > 0 else None  # <=0 means "unlimited"
-
-
-def parse_class_quotas(spec: str) -> Dict[str, int]:
-    """Parse ``"bulk=8,interactive=64"`` into a quota mapping."""
-    quotas: Dict[str, int] = {}
-    for pair in spec.split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        name, eq, raw = pair.partition("=")
-        name = name.strip()
-        try:
-            limit = int(raw)
-        except ValueError:
-            limit = -1
-        if not eq or not name or limit <= 0:
-            raise ValueError(
-                f"bad class quota {pair!r}: want class=positive_int"
-            )
-        quotas[name] = limit
-    return quotas
-
-
 class AdmissionController:
     """The submit-side gate: counts outstanding load, sheds the excess.
 
@@ -150,22 +118,13 @@ class AdmissionController:
 
     def __init__(
         self,
-        max_pending: Optional[int] = None,
+        max_pending: Optional[int] = DEFAULT_MAX_PENDING,
         client_quota: Optional[int] = None,
         class_quotas: Optional[Dict[str, int]] = None,
     ) -> None:
-        if max_pending is None:
-            max_pending = _env_int(
-                "REPRO_SERVICE_MAX_PENDING", DEFAULT_MAX_PENDING
-            )
         self.max_pending = max_pending
-        if client_quota is None:
-            client_quota = _env_int("REPRO_SERVICE_CLIENT_QUOTA", None)
         self.client_quota = client_quota
-        if class_quotas is None:
-            raw = os.environ.get("REPRO_SERVICE_CLASS_QUOTAS", "")
-            class_quotas = parse_class_quotas(raw) if raw else {}
-        self.class_quotas = dict(class_quotas)
+        self.class_quotas = dict(class_quotas or {})
         self.outstanding_by_client: Dict[str, int] = {}
         self.outstanding_by_class: Dict[str, int] = {}
         self.rejected = 0
@@ -229,27 +188,11 @@ DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 5.0
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def resolve_block_timeout(explicit: Optional[float] = None) -> float:
-    if explicit is not None:
-        return explicit
-    return _env_float("REPRO_SERVICE_BLOCK_TIMEOUT", DEFAULT_BLOCK_TIMEOUT)
-
-
 def backoff_delay(
     attempt: int,
     key: Optional[str],
-    base: Optional[float] = None,
-    cap: Optional[float] = None,
+    base: float = DEFAULT_BACKOFF_BASE,
+    cap: float = DEFAULT_BACKOFF_CAP,
 ) -> float:
     """Exponential backoff with *deterministic* jitter for retry N.
 
@@ -263,10 +206,6 @@ def backoff_delay(
     """
     import hashlib
 
-    if base is None:
-        base = _env_float("REPRO_SERVICE_BACKOFF_BASE", DEFAULT_BACKOFF_BASE)
-    if cap is None:
-        cap = _env_float("REPRO_SERVICE_BACKOFF_CAP", DEFAULT_BACKOFF_CAP)
     delay = min(cap, base * (2 ** max(0, attempt - 1)))
     seed = f"{key or 'keyless'}:{attempt}".encode()
     word = int.from_bytes(hashlib.sha256(seed).digest()[:4], "big")

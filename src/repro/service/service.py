@@ -48,31 +48,32 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..codegen.base import ScanConfig
 from ..common.config import DEFAULT_SCALE
+from ..common.settings import setting
 from ..db.datagen import LineitemData
 from ..db.plan import QueryPlan
 from ..memory.shared_data import DatasetImage, sweep_stale_segments
-from ..sim.checkpoint import CheckpointStore, checkpoints_enabled
+from ..sim.checkpoint import CheckpointStore
 # data_digest is unused here: kept because perfbench/layertrace.py patches it
 from ..sim.engine import (  # noqa: F401
     PointExecutionError,
     ResultCache,
-    _cache_enabled,
     _resolve_jobs,
     cache_directories,
     data_digest,
     resolve_points,
 )
-from ..sim.results import ExperimentResult, RunResult
+from ..sim.results import RunResult
 from .admission import (
+    DEFAULT_BLOCK_TIMEOUT,
     DEFAULT_CLASS,
     DEFAULT_CLIENT,
+    DEFAULT_MAX_PENDING,
     AdmissionController,
     ServiceDrainingError,
     ServiceOverloadError,
     backoff_delay,
-    resolve_block_timeout,
 )
-from .worker import make_task_payload, resolve_rss_watermark_mb, worker_main
+from .worker import make_task_payload, worker_main
 
 
 class JobState(str, Enum):
@@ -180,6 +181,9 @@ class _Worker:
 #: "done" message flushed just before the crash can still drain
 _DEAD_WORKER_GRACE = 0.25
 
+#: how often the supervisor, a blocked submit and a stream re-check state
+_POLL_INTERVAL = 0.05
+
 
 class _ImageEntry:
     """One published dataset image plus its reference accounting.
@@ -197,53 +201,6 @@ class _ImageEntry:
         self.last_used = time.monotonic()
 
 
-def _resolve_drain_grace(explicit: Optional[float]) -> float:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get("REPRO_SERVICE_DRAIN_GRACE")
-    if not raw:
-        return 30.0
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_DRAIN_GRACE must be a number, got {raw!r}"
-        ) from None
-
-
-def _resolve_shm_max_bytes(explicit_mb: Optional[float]) -> Optional[int]:
-    if explicit_mb is None:
-        raw = os.environ.get("REPRO_SERVICE_SHM_MAX_MB")
-        if not raw:
-            return None
-        try:
-            explicit_mb = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SERVICE_SHM_MAX_MB must be a number, got {raw!r}"
-            ) from None
-    if explicit_mb <= 0:
-        return None
-    return int(explicit_mb * 1024 * 1024)
-
-
-def _resolve_retries(retries: Optional[int]) -> int:
-    if retries is None:
-        env = os.environ.get("REPRO_SERVICE_RETRIES")
-        if env:
-            try:
-                retries = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SERVICE_RETRIES must be an integer, got {env!r}"
-                ) from None
-        else:
-            retries = 1
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    return retries
-
-
 class SimulationService:
     """A persistent async job engine for simulation points.
 
@@ -259,8 +216,7 @@ class SimulationService:
         own service runs with ``use_cache=False``.
     retries:
         How many times a job is re-dispatched after its worker *dies*
-        (crash/kill, not Python exceptions).  Defaults to
-        ``REPRO_SERVICE_RETRIES`` or 1.
+        (crash/kill, not Python exceptions).
     timeout:
         Progress timeout in seconds: a worker is killed (and its job
         retried, within the retry budget) only when it has sent no
@@ -269,29 +225,26 @@ class SimulationService:
         legitimately slow SF10 point keeps its watchdog fed while a
         hung one is caught within one timeout.  ``None`` (default)
         disables the watchdog.
-    checkpoint_dir / checkpoints:
-        Pass-boundary crash checkpointing (on by default, or
-        ``REPRO_CHECKPOINTS=0``): workers snapshot the machine at
-        every pass boundary into the sidecar directory (default
-        ``<cache dir>/checkpoints/`` or ``REPRO_CHECKPOINT_DIR``),
-        and a retried job resumes from its predecessor's last
-        completed pass, bit-identical to an uninterrupted run.
+    checkpoint_dir:
+        Pass-boundary crash checkpointing of every keyed point: workers
+        snapshot the machine at every pass boundary into this sidecar
+        directory (default ``<cache dir>/checkpoints/`` or
+        ``REPRO_CHECKPOINT_DIR``), and a retried job resumes from its
+        predecessor's last completed pass, bit-identical to an
+        uninterrupted run.
     max_pending / client_quota / class_quotas:
         Admission control (see :mod:`repro.service.admission`): the
-        pending queue is bounded (``REPRO_SERVICE_MAX_PENDING``,
-        default 256) and per-client / per-job-class outstanding quotas
-        (``REPRO_SERVICE_CLIENT_QUOTA`` /
-        ``REPRO_SERVICE_CLASS_QUOTAS``) shed excess load with a
-        structured :class:`ServiceOverloadError` instead of queuing
-        unboundedly.  ``submit(..., block=True)`` waits for room
-        instead (bounded by ``block_timeout`` /
-        ``REPRO_SERVICE_BLOCK_TIMEOUT``).
+        pending queue is bounded (``max_pending``, default 256) and
+        per-client / per-job-class outstanding quotas (default
+        unlimited) shed excess load with a structured
+        :class:`ServiceOverloadError` instead of queuing unboundedly;
+        ``None`` means unlimited.  ``submit(..., block=True)`` waits
+        for room instead, for at most ``block_timeout`` seconds.
     drain_grace:
         How long :meth:`drain` waits for running points to
         checkpoint-stop at a pass boundary before hard-killing their
-        workers (``REPRO_SERVICE_DRAIN_GRACE``, default 30 s).  Either
-        way the last completed pass is on disk and a restarted service
-        resumes from it.
+        workers.  Either way the last completed pass is on disk and a
+        restarted service resumes from it.
     deadline_grace:
         Slack past a job's deadline before the supervisor stops
         waiting for the worker's voluntary checkpoint-abandon and
@@ -299,16 +252,21 @@ class SimulationService:
         boundary).  Default 5 s.
     shm_max_mb:
         Budget for concurrently published shared-memory dataset
-        images (``REPRO_SERVICE_SHM_MAX_MB``, default unbounded).
-        Publishing past it LRU-unpublishes *idle* images (no
-        outstanding job references); images still referenced are
-        never unpublished, so the budget can be transiently exceeded
-        rather than ever breaking a running job.
+        images (``None`` or <= 0: unbounded).  Publishing past it
+        LRU-unpublishes *idle* images (no outstanding job references);
+        images still referenced are never unpublished, so the budget
+        can be transiently exceeded rather than ever breaking a
+        running job.
     rss_watermark_mb:
-        Per-worker RSS watermark (``REPRO_SERVICE_WORKER_RSS_MB``,
-        default off): a worker crossing it checkpoints at the next
-        pass boundary and recycles itself onto a fresh process,
-        pre-empting the OOM killer instead of meeting it.
+        Per-worker RSS watermark (``None`` or <= 0: off): a worker
+        crossing it checkpoints at the next pass boundary and recycles
+        itself onto a fresh process, pre-empting the OOM killer instead
+        of meeting it.
+
+    Only ``jobs``, ``cache_dir``, ``use_cache`` and ``checkpoint_dir``
+    fall back to the environment (``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
+    ``REPRO_CACHE``, ``REPRO_CHECKPOINT_DIR``); every limit is
+    configured here alone.
     """
 
     def __init__(
@@ -316,43 +274,47 @@ class SimulationService:
         jobs: Optional[int] = None,
         cache_dir: Optional[str | os.PathLike] = None,
         use_cache: Optional[bool] = None,
-        retries: Optional[int] = None,
+        retries: int = 1,
         timeout: Optional[float] = None,
-        poll_interval: float = 0.05,
         checkpoint_dir: Optional[str | os.PathLike] = None,
-        checkpoints: Optional[bool] = None,
-        max_pending: Optional[int] = None,
+        max_pending: Optional[int] = DEFAULT_MAX_PENDING,
         client_quota: Optional[int] = None,
         class_quotas: Optional[Dict[str, int]] = None,
-        block_timeout: Optional[float] = None,
-        drain_grace: Optional[float] = None,
+        block_timeout: float = DEFAULT_BLOCK_TIMEOUT,
+        drain_grace: float = 30.0,
         deadline_grace: float = 5.0,
         shm_max_mb: Optional[float] = None,
         rss_watermark_mb: Optional[float] = None,
     ) -> None:
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.jobs = _resolve_jobs(jobs)
         cache_directory, checkpoint_directory = cache_directories(
             cache_dir, checkpoint_dir
         )
+        if use_cache is None:
+            use_cache = setting("REPRO_CACHE")
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_directory) if _cache_enabled(use_cache) else None
+            ResultCache(cache_directory) if use_cache else None
         )
-        self.checkpoints: Optional[CheckpointStore] = (
-            CheckpointStore(checkpoint_directory)
-            if checkpoints_enabled(checkpoints) else None
-        )
-        self.retries = _resolve_retries(retries)
+        self.checkpoints = CheckpointStore(checkpoint_directory)
+        self.retries = retries
         self.timeout = timeout
-        self._poll_interval = poll_interval
         self.admission = AdmissionController(
             max_pending=max_pending, client_quota=client_quota,
             class_quotas=class_quotas,
         )
-        self.block_timeout = resolve_block_timeout(block_timeout)
-        self.drain_grace = _resolve_drain_grace(drain_grace)
+        self.block_timeout = block_timeout
+        self.drain_grace = drain_grace
         self.deadline_grace = deadline_grace
-        self.shm_max_bytes = _resolve_shm_max_bytes(shm_max_mb)
-        self.rss_watermark_mb = resolve_rss_watermark_mb(rss_watermark_mb)
+        self.shm_max_bytes: Optional[int] = (
+            int(shm_max_mb * 1024 * 1024)
+            if shm_max_mb is not None and shm_max_mb > 0 else None
+        )
+        self.rss_watermark_mb: Optional[float] = (
+            rss_watermark_mb
+            if rss_watermark_mb is not None and rss_watermark_mb > 0 else None
+        )
         # Reclaim shared-memory segments a crashed predecessor left
         # behind before publishing any of our own.
         self.stale_segments_swept = sweep_stale_segments()
@@ -463,7 +425,7 @@ class SimulationService:
                 entry.refs += 1
                 record.digest = digest
                 checkpoint = None
-                if self.checkpoints is not None and key is not None:
+                if key is not None:
                     checkpoint = {
                         "dir": str(self.checkpoints.directory), "key": key,
                     }
@@ -522,7 +484,7 @@ class SimulationService:
                 if not block or time.monotonic() >= deadline:
                     self._records.pop(record.ticket.id, None)
                     raise
-            self._cv.wait(min(self._poll_interval, patience))
+            self._cv.wait(min(_POLL_INTERVAL, patience))
             try:
                 self._check_open()
             except (ServiceDrainingError, RuntimeError):
@@ -658,7 +620,7 @@ class SimulationService:
                         raise RuntimeError(
                             "service stopped with jobs still outstanding"
                         )
-                    wait = self._poll_interval
+                    wait = _POLL_INTERVAL
                     if deadline is not None:
                         wait = min(wait, deadline - time.monotonic())
                         if wait <= 0:
@@ -721,32 +683,6 @@ class SimulationService:
             )
         return [by_id[t.id] for t in tickets]
 
-    def sweep(
-        self,
-        name: str,
-        points: List[Tuple[str, ScanConfig]],
-        rows: int,
-        data: Optional[LineitemData] = None,
-        seed: int = 1994,
-        scale: int = DEFAULT_SCALE,
-        plan: Optional[QueryPlan] = None,
-    ) -> ExperimentResult:
-        """A drop-in :meth:`ExperimentEngine.sweep` through the service.
-
-        Same dataset defaulting and cache keys (``resolve_points``),
-        same ``AssertionError`` on functional verification failure —
-        the returned runs are bit-identical to the batch engine's.
-        """
-        runs = self.execute_points(points, data, rows, seed, scale, plan)
-        result = ExperimentResult(name=name)
-        for (arch, scan), run in zip(points, runs):
-            if run.verified is False:
-                raise AssertionError(
-                    f"{arch} {scan} failed functional verification"
-                )
-            result.runs.append(run)
-        return result
-
     def drain(self, grace: Optional[float] = None) -> Dict[str, int]:
         """Graceful drain: checkpoint-stop running jobs, reject new ones.
 
@@ -791,7 +727,7 @@ class SimulationService:
                 busy = any(w.job_id is not None for w in self._workers)
             if not busy:
                 break
-            time.sleep(self._poll_interval)
+            time.sleep(_POLL_INTERVAL)
         with self._cv:
             # Past the grace: hard-kill stragglers.  Their last completed
             # pass was snapshotted before this drain began (boundary
@@ -849,7 +785,7 @@ class SimulationService:
                 )
             if idle:
                 break
-            time.sleep(self._poll_interval)
+            time.sleep(_POLL_INTERVAL)
         with self._cv:
             self._stopped = True
             self._cv.notify_all()
@@ -912,11 +848,6 @@ class SimulationService:
             _, victim = min(idle)
             self._images.pop(victim).image.close()
             self.datasets_unpublished += 1
-
-    def shm_published_bytes(self) -> int:
-        """Total bytes of currently published dataset images."""
-        with self._cv:
-            return sum(e.image.nbytes for e in self._images.values())
 
     def _finish(self, record: JobRecord, state: JobState) -> None:
         """Move a record to a terminal state (lock held by caller).
@@ -983,7 +914,7 @@ class SimulationService:
     def _supervise(self) -> None:
         while True:
             try:
-                message = self._result_queue.get(timeout=self._poll_interval)
+                message = self._result_queue.get(timeout=_POLL_INTERVAL)
             except queue_module.Empty:
                 message = None
             except (OSError, ValueError):  # pragma: no cover - teardown race

@@ -30,8 +30,8 @@ at a pass boundary right after its snapshot went to disk:
 * a **SIGTERM** to the worker sets a drain flag (the handler does
   nothing else, so an in-flight checkpoint write completes untorn) and
   the running point checkpoint-stops at its next boundary;
-* a worker whose RSS crossed ``REPRO_SERVICE_WORKER_RSS_MB`` (or that
-  hit an armed ``oom@rss`` fault) checkpoints, reports ``recycle`` and
+* a worker whose RSS crossed the service's ``rss_watermark_mb`` (or
+  that hit an armed ``oom@rss`` fault) checkpoints, reports ``recycle`` and
   *exits* — the supervisor requeues the job on a fresh process, which
   resumes from the snapshot with a clean address space.
 
@@ -101,22 +101,6 @@ def worker_rss_mb() -> float:
         return 0.0
 
 
-def resolve_rss_watermark_mb(explicit: Optional[float] = None) -> Optional[float]:
-    """``REPRO_SERVICE_WORKER_RSS_MB`` gate (None = no watermark)."""
-    if explicit is not None:
-        return explicit if explicit > 0 else None
-    raw = os.environ.get("REPRO_SERVICE_WORKER_RSS_MB")
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_WORKER_RSS_MB must be a number, got {raw!r}"
-        ) from None
-    return value if value > 0 else None
-
-
 def make_task_payload(
     arch: str,
     scan_payload: Dict[str, Any],
@@ -137,7 +121,7 @@ def make_task_payload(
     absolute wall-clock epoch (``time.time()`` — comparable across
     processes, unlike monotonic clocks) past which the worker
     checkpoint-then-abandons; ``rss_watermark_mb`` is the
-    checkpoint-and-recycle memory watermark.
+    checkpoint-and-recycle memory watermark (None: off).
     """
     return {
         "arch": arch,
@@ -169,7 +153,7 @@ def _build_monitor(
         key = checkpoint.get("key")
     attempt = payload.get("attempt", 1)
     arch = payload.get("arch")
-    watermark = resolve_rss_watermark_mb(payload.get("rss_watermark_mb"))
+    watermark = payload.get("rss_watermark_mb")
 
     def pass_hook(pass_ordinal: int) -> None:
         faults.fire("pass", **{

@@ -68,15 +68,6 @@ DEFAULT_CHECKPOINT_TTL = 7 * 24 * 3600.0
 _HEADER_LIMIT = 1 << 16  # sanity bound when scanning for the header line
 
 
-def checkpoints_enabled(explicit: Optional[bool] = None) -> bool:
-    """``REPRO_CHECKPOINTS`` gate (on by default, like the result cache)."""
-    if explicit is not None:
-        return explicit
-    return os.environ.get("REPRO_CHECKPOINTS", "1").lower() not in (
-        "0", "false", "no"
-    )
-
-
 class CheckpointAbandon(Exception):
     """A worker stopped a point *on purpose* at a pass boundary.
 

@@ -49,6 +49,7 @@ logger = logging.getLogger("repro.cache")
 
 from ..codegen.base import ScanConfig
 from ..common.config import DEFAULT_SCALE, machine_for
+from ..common.settings import setting
 # generate_*: unused here, kept because perfbench/layertrace.py patches them
 from ..db.datagen import LineitemData, generate_lineitem, generate_table  # noqa: F401
 from ..db.plan import QueryPlan
@@ -62,9 +63,6 @@ from .runner import run_scan
 #: (2: content checksum — older entries miss honestly and re-simulate)
 CACHE_SCHEMA = 2
 
-#: default on-disk cache location, relative to the working directory
-DEFAULT_CACHE_DIR = ".repro_cache"
-
 
 def cache_directories(
     cache_dir: Optional[str | os.PathLike] = None,
@@ -73,12 +71,13 @@ def cache_directories(
     """The (result cache, checkpoint) directories: the one rule for both.
 
     An explicit directory wins; otherwise ``REPRO_CACHE_DIR`` (default
-    :data:`DEFAULT_CACHE_DIR`) and ``REPRO_CHECKPOINT_DIR`` (default
-    ``<cache dir>/checkpoints``).
+    ``.repro_cache`` in the working directory) and
+    ``REPRO_CHECKPOINT_DIR`` (default ``<cache dir>/checkpoints``).
     """
-    cache = cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-    checkpoints = checkpoint_dir or os.environ.get(
-        "REPRO_CHECKPOINT_DIR", os.path.join(cache, DEFAULT_CHECKPOINT_SUBDIR)
+    cache = cache_dir or setting("REPRO_CACHE_DIR")
+    checkpoints = (
+        checkpoint_dir or setting("REPRO_CHECKPOINT_DIR")
+        or os.path.join(cache, DEFAULT_CHECKPOINT_SUBDIR)
     )
     return cache, checkpoints
 
@@ -521,42 +520,10 @@ def _run_point(
 def _resolve_jobs(jobs: Optional[int]) -> int:
     """Worker count: explicit argument > ``REPRO_JOBS`` > CPU count."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOBS must be a positive integer, got {env!r}"
-                ) from None
-        else:
-            jobs = os.cpu_count() or 1
+        jobs = setting("REPRO_JOBS") or os.cpu_count() or 1
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     return jobs
-
-
-def _cache_enabled(use_cache: Optional[bool]) -> bool:
-    if use_cache is not None:
-        return use_cache
-    return os.environ.get("REPRO_CACHE", "1").lower() not in ("0", "false", "no")
-
-
-def _resolve_cache_max_bytes(max_mb: Optional[float]) -> Optional[int]:
-    """Size cap: explicit argument > ``REPRO_CACHE_MAX_MB`` > unbounded."""
-    if max_mb is None:
-        env = os.environ.get("REPRO_CACHE_MAX_MB")
-        if not env:
-            return None
-        try:
-            max_mb = float(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_CACHE_MAX_MB must be a number, got {env!r}"
-            ) from None
-    if max_mb <= 0:
-        raise ValueError("cache size cap must be positive")
-    return int(max_mb * 1024 * 1024)
 
 
 class ExperimentEngine:
@@ -599,10 +566,18 @@ class ExperimentEngine:
     ) -> None:
         self.jobs = _resolve_jobs(jobs)
         self.cache_dir, _ = cache_directories(cache_dir)
+        if use_cache is None:
+            use_cache = setting("REPRO_CACHE")
         self.cache: Optional[ResultCache] = (
-            ResultCache(self.cache_dir) if _cache_enabled(use_cache) else None
+            ResultCache(self.cache_dir) if use_cache else None
         )
-        self.cache_max_bytes = _resolve_cache_max_bytes(cache_max_mb)
+        if cache_max_mb is None:
+            cache_max_mb = setting("REPRO_CACHE_MAX_MB")
+        elif cache_max_mb <= 0:
+            raise ValueError("cache size cap must be positive")
+        self.cache_max_bytes: Optional[int] = (
+            None if cache_max_mb is None else int(cache_max_mb * 1024 * 1024)
+        )
         self.run_hook = run_hook
         self.service: Optional[Any] = None
         self._close_service: Optional[weakref.finalize] = None

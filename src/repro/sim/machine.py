@@ -18,6 +18,7 @@ from ..common.config import (
     hive_logic_config,
     machine_for,
 )
+from ..common.settings import setting
 from ..common.stats import StatGroup
 from ..cache.hierarchy import CacheHierarchy
 from ..cpu.core import OoOCore, PimBackend
@@ -75,10 +76,10 @@ class Machine:
         resumes from that snapshot instead of starting fresh.
         """
         from ..cpu.kernel import consume_runs
-        from .replay import ReplayExecutor, replay_enabled
+        from .replay import ReplayExecutor
 
         if exact is None:
-            exact = not replay_enabled()
+            exact = setting("REPRO_EXACT")
         execution = self._execution_for(monitor)
         if monitor is not None:
             runs = monitor.attach(self, execution, runs)

@@ -65,7 +65,6 @@ this file changes — replayed and exact runs share cache keys by design.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..codegen.base import RegAllocator, TraceRun
@@ -117,11 +116,6 @@ MIN_SKIP_PERIODS = 3
 #: how far below "now" timing entries still enter the state signature
 #: (bounds the skew the out-of-order front end can produce)
 GRACE = 1024
-
-
-def replay_enabled() -> bool:
-    """Replay is on unless ``REPRO_EXACT=1`` disables it."""
-    return os.environ.get("REPRO_EXACT", "0").lower() not in ("1", "true", "yes")
 
 
 class ReplayStats:

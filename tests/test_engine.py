@@ -12,6 +12,7 @@ from repro.codegen.base import ScanConfig
 from repro.sim.engine import (
     ExperimentEngine,
     ResultCache,
+    cache_directories,
     code_digest,
     data_digest,
     machine_digest,
@@ -412,6 +413,21 @@ class TestCacheFront:
         assert [r.cycles for r in outcome.runs] == truth
         assert engine.simulated_points == 2
         assert engine.cache_hits == 0
+
+    def test_empty_directory_knobs_mean_unset(self, tmp_path, monkeypatch):
+        # Empty means unset: a cache in the working directory would have
+        # clear_cache() unlink every *.json there.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.json").write_text("{}")
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", "")
+        engine = ExperimentEngine(jobs=1, use_cache=True)
+        engine.sweep("one", POINTS[:1], ROWS)
+        assert len(list((tmp_path / ".repro_cache").glob("*.json"))) == 1
+        assert cache_directories()[1] == os.path.join(".repro_cache",
+                                                      "checkpoints")
+        assert engine.clear_cache() == 1
+        assert (tmp_path / "keep.json").exists()
 
 
 class TestLifecycle:

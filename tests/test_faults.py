@@ -40,7 +40,6 @@ from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
     RunMonitor,
-    checkpoints_enabled,
 )
 from repro.sim.engine import ExperimentEngine, PointExecutionError, ResultCache
 from repro.sim.machine import build_machine
@@ -112,13 +111,6 @@ class TestFaultSpec:
         assert faults.active_plan().check("start") == "drop"
         monkeypatch.delenv(faults.ENV_VAR)
         assert faults.active_plan().clauses == []
-
-    def test_checkpoints_enabled_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
-        assert checkpoints_enabled() is True
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-        assert checkpoints_enabled() is False
-        assert checkpoints_enabled(True) is True  # explicit beats env
 
 
 # -- in-process checkpoint resume (no service, no processes) -----------------

@@ -12,12 +12,8 @@ escape hatch).
 import pytest
 
 from repro.codegen.base import ScanConfig
-from repro.cpu.kernel import (
-    MIN_COMPILE_BENEFIT,
-    KernelRunner,
-    consume_runs,
-    kernels_enabled,
-)
+from repro.common.settings import setting
+from repro.cpu.kernel import MIN_COMPILE_BENEFIT, KernelRunner, consume_runs
 from repro.db.datagen import generate_table
 from repro.db.query6 import q6_select_plan
 from repro.sim.machine import build_machine
@@ -39,10 +35,10 @@ POINTS = [("x86", 64), ("hmc", 256), ("hive", 256), ("hipe", 256)]
 def test_kernel_bit_identical_to_uncompiled(arch, op, exact, monkeypatch):
     scan = ScanConfig("dsm", "column", op, 1)
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert kernels_enabled()
+    assert setting("REPRO_KERNEL")
     compiled = run_scan(arch, scan, rows=ROWS, exact=exact)
     monkeypatch.setenv("REPRO_KERNEL", "0")
-    assert not kernels_enabled()
+    assert not setting("REPRO_KERNEL")
     uncompiled = run_scan(arch, scan, rows=ROWS, exact=exact)
     assert _fingerprint(compiled) == _fingerprint(uncompiled)
 

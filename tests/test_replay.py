@@ -22,12 +22,13 @@ from repro.codegen.base import (
     flatten_runs,
     opaque_run,
 )
+from repro.common.settings import setting
 from repro.cpu.isa import Uop, UopClass, alu, branch, load
 from repro.db.datagen import generate_table
 from repro.db.query6 import q6_select_plan
 from repro.db.workloads import q1_style_plan, selectivity_scan_plan
 from repro.sim.machine import build_machine
-from repro.sim.replay import ReplayExecutor, replay_enabled
+from repro.sim.replay import ReplayExecutor
 from repro.sim.runner import build_workload, run_scan
 
 _CODEGENS = {"x86": x86, "hmc": hmc, "hive": hive, "hipe": hipe}
@@ -464,9 +465,9 @@ def test_hipe_run_keys_carry_squash_flags():
 
 def test_replay_env_escape_hatch(monkeypatch):
     monkeypatch.setenv("REPRO_EXACT", "1")
-    assert not replay_enabled()
+    assert setting("REPRO_EXACT")
     monkeypatch.delenv("REPRO_EXACT")
-    assert replay_enabled()
+    assert not setting("REPRO_EXACT")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.codegen.base import ScanConfig
+from repro.common.config import DEFAULT_SCALE
 from repro.db.datagen import generate_lineitem
 from repro.memory.shared_data import (
     DatasetImage,
@@ -44,6 +45,7 @@ from repro.sim.engine import ExperimentEngine, PointExecutionError, data_digest
 from repro.sim.runner import run_scan
 
 ROWS = 256
+SEED = 1994
 POINTS = [
     ("x86", ScanConfig("dsm", "column", 64)),
     ("hmc", ScanConfig("dsm", "column", 256)),
@@ -74,29 +76,32 @@ class TestBitIdentity:
         engine = ExperimentEngine(jobs=1, use_cache=False)
         batch = engine.sweep("batch", POINTS, ROWS)
         with SimulationService(jobs=2, use_cache=False) as service:
-            served = service.sweep("served", POINTS, ROWS)
-        assert len(served.runs) == len(batch.runs)
-        for ours, theirs in zip(served.runs, batch.runs):
+            served = service.execute_points(POINTS, None, ROWS, SEED,
+                                            DEFAULT_SCALE)
+        assert len(served) == len(batch.runs)
+        for ours, theirs in zip(served, batch.runs):
             assert ours == theirs  # full RunResult equality, field by field
 
     def test_cache_parity_engine_warms_service_hits(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache")
         batch = engine.sweep("warm", POINTS[:2], ROWS)
         with SimulationService(jobs=2, cache_dir=tmp_path / "cache") as service:
-            served = service.sweep("reuse", POINTS[:2], ROWS)
+            served = service.execute_points(POINTS[:2], None, ROWS, SEED,
+                                            DEFAULT_SCALE)
             assert service.cache_hits == 2
             assert service.simulated_points == 0
-        for ours, theirs in zip(served.runs, batch.runs):
+        for ours, theirs in zip(served, batch.runs):
             assert ours == theirs
 
     def test_cache_parity_service_warms_engine_hits(self, tmp_path):
         with SimulationService(jobs=2, cache_dir=tmp_path / "cache") as service:
-            served = service.sweep("warm", POINTS[:2], ROWS)
+            served = service.execute_points(POINTS[:2], None, ROWS, SEED,
+                                            DEFAULT_SCALE)
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache")
         batch = engine.sweep("reuse", POINTS[:2], ROWS)
         assert engine.cache_hits == 2
         assert engine.simulated_points == 0
-        for ours, theirs in zip(batch.runs, served.runs):
+        for ours, theirs in zip(batch.runs, served):
             assert ours == theirs
 
 
@@ -175,7 +180,8 @@ class TestRetry:
             assert record.attempts == 1  # exceptions are not retried
             assert "unknown architecture" in record.error
             with pytest.raises(PointExecutionError) as excinfo:
-                service.sweep("bad", [("bogus", POINTS[0][1])], ROWS)
+                service.execute_points([("bogus", POINTS[0][1])], None, ROWS,
+                                       SEED, DEFAULT_SCALE)
             assert excinfo.value.arch == "bogus"
             assert excinfo.value.rows == ROWS
             assert "arch=bogus" in str(excinfo.value)
@@ -209,7 +215,7 @@ class TestCancel:
 class TestSharedDatasets:
     def test_one_image_per_distinct_dataset_and_no_column_pickling(self):
         with SimulationService(jobs=2, use_cache=False) as service:
-            service.sweep("all", POINTS, ROWS)
+            service.execute_points(POINTS, None, ROWS, SEED, DEFAULT_SCALE)
             assert service.datasets_published == 1
             # the per-job payload carries a descriptor, not the columns:
             # pickling it must cost bytes, not megabytes

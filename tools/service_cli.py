@@ -206,7 +206,7 @@ def main() -> int:
                         help="worker slots (default: REPRO_JOBS or CPU count)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-attempt timeout in seconds")
-    parser.add_argument("--retries", type=int, default=None,
+    parser.add_argument("--retries", type=int, default=1,
                         help="retry budget for crashed workers (default 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache")
