@@ -53,17 +53,6 @@ class MshrFile:
         self.merges += 1
         return done
 
-    def allocate_request(self, line_address: int, cycle: int, completion: int) -> int:
-        """Take a request entry for a demand/prefetch miss.
-
-        Returns the cycle the entry was actually granted (== ``cycle``
-        unless the pool was full).  The caller must re-plan its memory
-        request starting at the granted cycle and then call
-        :meth:`record_fill` with the final completion.
-        """
-        self.allocations += 1
-        return self.requests.acquire(cycle, completion)
-
     def record_fill(self, line_address: int, completion: int) -> None:
         """Publish the fill completion so later misses can merge.
 

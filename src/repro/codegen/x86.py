@@ -22,8 +22,6 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-import numpy as np
-
 from fractions import Fraction
 
 from ..common.units import ceil_div
@@ -296,8 +294,3 @@ def generate_plan(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
     """Lower the workload's full query plan as steady-state trace runs."""
     return lower_plan_runs(sys.modules[__name__], workload, config)
-
-
-def expected_mask_bytes(workload: ScanWorkload) -> np.ndarray:
-    """The byte-mask the column scan should leave in the mask buffer."""
-    return workload.final_mask.astype(np.uint8)

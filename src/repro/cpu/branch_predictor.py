@@ -58,10 +58,6 @@ class TwoLevelGAs:
     def _pht_index(self, pc: int) -> int:
         return ((pc << 2) ^ self._history) & self._pht_mask
 
-    def predict(self, pc: int) -> bool:
-        """Predicted direction for the branch at ``pc`` (no state change)."""
-        return self._pht[self._pht_index(pc)] >= 2
-
     def update(self, pc: int, taken: bool) -> bool:
         """Predict, then train with the actual outcome.
 

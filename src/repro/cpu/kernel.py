@@ -880,11 +880,11 @@ def _emit(shape: RunShape, execution) -> None:
 class KernelRunner:
     """Per-run executor: captures, compiles/anchors, then replays the body.
 
-    ``iteration(j)`` is the single entry point both exact-path and
+    ``iterations(jlo, jhi)`` is the single entry point both exact-path and
     replay-path drivers use; it returns the number of uops processed.
-    Iterations must be requested in increasing order (the TraceRun
-    contract) but may jump forward — the affine model is positional in
-    ``j``, so a fast-forwarded run resumes correctly.
+    Spans must be requested in increasing order (the TraceRun contract)
+    but may jump forward — the affine model is positional in ``j``, so a
+    fast-forwarded run resumes correctly.
     """
 
     __slots__ = ("execution", "run", "instance", "_shape", "_capturing",
@@ -941,7 +941,7 @@ class KernelRunner:
         j = jlo
         total = 0
         while instance is None and j < jhi:
-            total += self.iteration(j)
+            total += self._iteration(j)
             j += 1
             instance = self.instance
         if j >= jhi:
@@ -978,26 +978,12 @@ class KernelRunner:
             j += 1
         return total
 
-    def iteration(self, j: int) -> int:
-        """Simulate iteration ``j`` of the run; returns its uop count."""
-        instance = self.instance
-        if instance is not None:
-            shape = instance.shape
-            if shape.q == 1:
-                dj = j - instance.j0
-                shape.fn(self.execution, dj, dj + 1, instance.sh0,
-                         instance.abases, instance.pbases)
-                return shape.n_steps
-            # Fractional-stride shapes step q iterations per generated
-            # call; single-iteration requests take the uncompiled body
-            # (bulk spans go through :meth:`iterations`).
-            execution = self.execution
-            process = execution.process
-            uops = 0
-            for uop in self.run.make(j):
-                process(uop)
-                uops += 1
-            return uops
+    def _iteration(self, j: int) -> int:
+        """Simulate iteration ``j`` of a not yet compiled run.
+
+        Returns its uop count; while capturing, the iteration also
+        feeds compilation (or re-anchoring) of the run's shape.
+        """
         execution = self.execution
         process = execution.process
         if not self._capturing:

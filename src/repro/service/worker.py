@@ -65,7 +65,6 @@ watchdog then recovers via heartbeat silence.
 from __future__ import annotations
 
 import gc
-import os
 import signal
 import traceback
 from typing import Any, Callable, Dict, Optional
@@ -79,11 +78,6 @@ _DRAIN_REQUESTED = False
 def _request_drain(signum, frame):  # pragma: no cover - signal path
     global _DRAIN_REQUESTED
     _DRAIN_REQUESTED = True
-
-
-def drain_requested() -> bool:
-    """Whether this worker process was asked (SIGTERM) to drain."""
-    return _DRAIN_REQUESTED
 
 
 def worker_rss_mb() -> float:
@@ -272,8 +266,3 @@ def worker_main(task_queue, result_queue) -> None:
                 "result": result,
                 "resumed_from_pass": monitor.resumed_from_pass,
             }))
-
-
-def worker_pid() -> int:
-    """This worker's pid (symmetry helper for tests)."""
-    return os.getpid()

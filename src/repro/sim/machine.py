@@ -83,7 +83,7 @@ class Machine:
         execution = self._execution_for(monitor)
         if monitor is not None:
             runs = monitor.attach(self, execution, runs)
-        if exact or self.hierarchy.directory is not None:
+        if exact:
             consume_runs(execution, runs)
             return self._finish(execution.result())
         executor = ReplayExecutor(self, execution)

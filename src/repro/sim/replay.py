@@ -11,9 +11,11 @@ protocol: codegen hands the simulator runs of structurally identical
 iterations (same static uops, addresses advancing uniformly).  Within a
 run the executor
 
-1. **detects convergence** — simulates iterations normally while
-   watching the per-iteration commit-cycle deltas; when the delta
-   sequence repeats with some period ``p`` it takes a *probe*: two more
+1. **probes at the structural period** — the smallest iteration count
+   ``p`` that advances every declared region by whole vault x bank
+   interleave sweeps, the only period at which a scan streaming through
+   the cube can recur.  A keyed run whose ``p`` is at least
+   :data:`STRUCT_PROBE_MIN` and fits three times takes a *probe*: two
    periods simulated with a full machine-state *signature* captured at
    each period boundary,
 2. **verifies shift-periodicity** — the signature normalises every
@@ -37,17 +39,20 @@ run the executor
    HIPE's squashed/partial predicated loads under non-uniform
    selectivity, cache-resident warmup (residue accumulating in the
    tags), ambiguous relabels (two live resources landing on one
-   server).  ``REPRO_EXACT=1`` bypasses the replay layer entirely so
-   any point can be re-verified against the slow path; replayed and
-   exact runs produce bit-identical
+   server).  A refused probe returns its reason, which
+   ``tools/diag_replay.py`` prints.  ``REPRO_EXACT=1`` bypasses the
+   replay layer entirely so any point can be re-verified against the
+   slow path; replayed and exact runs produce bit-identical
    :class:`~repro.sim.results.RunResult`\\ s.
 
-Each run is fully simulated or extrapolated before the next one is
-pulled, so a checkpoint may snapshot the machine at any pass boundary.
-Runs shorter than a structural period (the data-fragmented passes,
-whose skip or squash flags split them into short keyed runs) get only
-the commit-delta probe; runs too short even for that simulate as one
-kernel span, as on the exact path.
+Every simulated iteration, probe periods included, runs through the
+run's compiled kernel in ``KernelRunner.iterations`` spans.  Runs
+without a structural period that fits three times (unkeyed runs,
+region-less loops, and the short keyed runs that skip or squash flags
+split a data-fragmented pass into) simulate as one span, as on the
+exact path.  Each run is fully simulated or
+extrapolated before the next one is pulled, so a checkpoint may
+snapshot the machine at any pass boundary.
 
 The schedulers themselves are periodic *by construction* (PR 4): link
 lanes and functional units rotate round-robin instead of greedy
@@ -80,39 +85,21 @@ from ..cpu.kernel import KernelRunner
 REG_START = RegAllocator.DEFAULT_START
 REG_WINDOW = RegAllocator.DEFAULT_WINDOW
 
-#: smallest run worth attempting convergence on
-MIN_RUN_ITERATIONS = 12
-#: longest period considered (iterations); the paper workloads' full
-#: DRAM-phase period is 8192 iterations (HMC/HIVE/HIPE 256 B ops) and
-#: 32768 (x86 64 B ops)
-MAX_PERIOD = 32768
-#: ceiling for runs with no/short structural period (synthetic or
-#: cache-resident loops converge quickly or not at all; scanning every
-#: candidate up to MAX_PERIOD for them is wasted work)
-SHORT_MAX_PERIOD = 256
-#: structural periods at least this long probe directly (no commit-delta
-#: prescan): the slowest stream needs a full DRAM phase per period, so
-#: waiting for (MIN_REPEATS+1) periods of identical deltas before the
-#: first probe would eat most of a paper-scale run
+#: shortest structural period that gets a probe.  A column scan's
+#: slowest stream, its bit-packed mask, needs a full DRAM phase per
+#: period: 8192 iterations for 256 B PIM ops on the Table I cube, 512 on
+#: the reduced cube.  Shorter periods belong to region-less loops and to
+#: runs whose every stream advances far per iteration (tuple scans,
+#: heavily unrolled column scans); no paper workload converges there
 STRUCT_PROBE_MIN = 512
 #: DRAM block granularity: region advances that are whole 256 B blocks
 #: keep a stream's (vault, bank) decomposition advancing uniformly
 BLOCK_BYTES = 256
-#: minimum repetitions of the delta period before probing
-MIN_REPEATS = 2
-#: iterations of back-off after a failed probe before trying again
-RETRY_BACKOFF_PERIODS = 4
-#: failed probes per run before giving up (bounds the state-signature
-#: overhead on runs that never converge to ~a few percent)
-MAX_PROBES_PER_RUN = 3
-#: structural (direct) probes get a larger budget: their periods are
-#: huge, every iteration in a failed probe would have been simulated
-#: anyway, and long cache transients (an L3-sized fill or residue
-#: drain) legitimately eat several probes before the steady state
-#: begins
-MAX_STRUCT_PROBES_PER_RUN = 10
-#: minimum remaining iterations, in periods, to make a probe worthwhile
-MIN_SKIP_PERIODS = 3
+#: probes per run before giving up: every iteration of a failed probe
+#: would have been simulated anyway, and long cache transients (an
+#: L3-sized fill or residue drain) legitimately eat several probes
+#: before the steady state begins
+MAX_PROBES_PER_RUN = 10
 #: how far below "now" timing entries still enter the state signature
 #: (bounds the skew the out-of-order front end can produce)
 GRACE = 1024
@@ -125,6 +112,8 @@ class ReplayStats:
     fragment_sigs = fragments_seen = fragments_stitched = 0
 
     def __init__(self) -> None:
+        #: runs that held a probe: keyed runs whose structural period is
+        #: at least STRUCT_PROBE_MIN and fits three times
         self.runs_seen = 0
         self.runs_converged = 0
         self.probes_failed = 0
@@ -479,13 +468,19 @@ class _MachineState:
             out.append({} if table is None else dict(table))
         return out
 
-    def signature(self, amap: _AddressMap, prev_raw: List[Dict]):
+    def signature(self, amap: _AddressMap, prev_raw: List[Dict]) -> Dict:
+        """The normalised machine state, one named part per structure.
+
+        Two boundaries converge when their signatures are equal; the
+        part names say which structure differed when they are not.
+        """
         core = self.execution
         now = core.last_commit
-        parts: List = []
+        parts: Dict[str, object] = {}
 
-        parts.append(tuple(_sig_slotted(r, now) for r in self.slotted))
-        parts.append(tuple(_sig_occupancy(r, now) for r in self.occupancy))
+        parts["slotted"] = tuple(_sig_slotted(r, now) for r in self.slotted)
+        parts["occupancy"] = tuple(
+            _sig_occupancy(r, now) for r in self.occupancy)
 
         # Round-robin pools compare cursor-relative: member (cursor + i)
         # at one boundary corresponds to member (cursor' + i) at the
@@ -499,7 +494,7 @@ class _MachineState:
                 _sig_clock(members[(phase + i) % n]._next_free, now)
                 for i in range(n)
             ))
-        parts.append(tuple(rr_parts))
+        parts["round-robin pools"] = tuple(rr_parts)
 
         # Address-routed pools compare as multisets of live servers
         # keyed by the (normalised) address that last touched them: the
@@ -520,73 +515,70 @@ class _MachineState:
                 if address is None:
                     live.append(((-2, i), slack))
                 else:
-                    live.append((self.normalize_addr(amap, address), slack))
+                    live.append((amap.normalize(address), slack))
             live.sort()
             addr_parts.append(tuple(live))
-        parts.append(tuple(addr_parts))
+        parts["address-routed pools"] = tuple(addr_parts)
 
         # Core scalar clocks + the ROB in age order (rotation-invariant).
-        parts.append((
+        parts["core clocks"] = (
             _sig_clock(core._fetch_floor, now),
             _sig_clock(core._branch_resolve_watermark, now),
             _sig_clock(core._last_pim_issue, now),
-        ))
+        )
         rob = core._rob
         size = len(rob)
         head = core.index % size
-        parts.append(tuple(
+        parts["rob"] = tuple(
             _sig_clock(rob[(head - 1 - o) % size], now) for o in range(size)
-        ))
+        )
 
         # Register ready times: rotating ids relabelled to allocation
         # age; loop-invariant ids (induction/state registers the run
         # declares) compare — and later shift — by identity.
         reg_shift = self._reg_phase() % REG_WINDOW
         fixed = self.fixed_regs
-        regs = tuple(sorted(
+        parts["registers"] = tuple(sorted(
             (("f", rid) if rid in fixed
              else ("r", (rid - REG_START - reg_shift) % REG_WINDOW),
              t - now)
             for rid, t in core._reg_ready.items() if t > now - GRACE
         ))
-        parts.append(regs)
 
         # Store-forward entries in insertion order, addresses normalised.
-        parts.append(tuple(
+        parts["store forward"] = tuple(
             (amap.normalize(addr), size_, _sig_clock(t, now))
             for addr, (size_, t) in core._store_forward.items()
-        ))
+        )
 
         # Branch predictor (must be fully trained and periodic).
         predictor = self.machine.core.predictor
-        parts.append((predictor._history, bytes(predictor._pht),
-                      tuple(predictor._btb.keys())))
+        parts["predictor"] = (predictor._history, bytes(predictor._pht),
+                              tuple(predictor._btb.keys()))
 
         # Cache tags + dirty bits + LRU ranks as relabel-invariant
         # multisets; MSHR merge tables; prefetcher state.
-        for level, prev_pf in zip(self.levels, prev_raw):
-            parts.append(_sig_tags(level, amap))
-            parts.append(tuple(sorted(
+        for name, level, prev_pf in zip(("l1", "l2", "l3"), self.levels,
+                                        prev_raw):
+            parts[f"{name} tags"] = _sig_tags(level, amap)
+            parts[f"{name} mshr"] = tuple(sorted(
                 (amap.normalize(line), t - now)
                 for line, t in level.mshr._in_flight.items() if t > now - GRACE
-            )))
-            parts.append(_sig_prefetcher(level.prefetcher, amap, prev_pf))
+            ))
+            parts[f"{name} prefetcher"] = _sig_prefetcher(
+                level.prefetcher, amap, prev_pf)
 
         # Logic-layer engine clocks + register interlock times.
         engine = self.engine
         if engine is not None:
-            parts.append((
+            parts["engine"] = (
                 _sig_clock(engine._seq_time, now),
                 _sig_clock(engine._lock_free, now),
                 _sig_clock(engine._block_watermark, now),
                 _sig_clock(engine.last_completion, now),
                 tuple(_sig_clock(r.ready, now) for r in engine.registers.registers),
-            ))
-        return tuple(parts)
-
-    @staticmethod
-    def normalize_addr(amap: _AddressMap, address: int) -> Tuple[int, int]:
-        return amap.normalize(address)
+            )
+        return parts
 
     def _reg_phase(self) -> int:
         """Core-register allocation phase (set by the executor per run)."""
@@ -867,57 +859,24 @@ class ReplayExecutor:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _simulate_iteration(self, run: TraceRun, j: int) -> Tuple[int, int]:
-        """Run iteration ``j``; returns (commit delta, uop count).
+    def _simulate(self, jlo: int, jhi: int) -> int:
+        """Simulate iterations ``[jlo, jhi)`` as one kernel span.
 
-        Simulation goes through the current run's compiled kernel (see
-        :mod:`repro.cpu.kernel`): the replay layer decides *which*
-        iterations must be simulated, the kernel makes each one cheap.
+        Returns the span's uop count.  The replay layer decides *which*
+        iterations must be simulated; the run's compiled kernel (see
+        :mod:`repro.cpu.kernel`) makes each span cheap.
         """
-        execution = self.execution
-        before = execution.last_commit
-        uops = self._runner.iteration(j)
-        self.stats.simulated_iterations += 1
-        return execution.last_commit - before, uops
-
-    # -- convergence detection ---------------------------------------------
+        self.stats.simulated_iterations += jhi - jlo
+        return self._runner.iterations(jlo, jhi)
 
     @staticmethod
-    def _find_period(deltas: List[int], floor: int = 1,
-                     limit: int = MAX_PERIOD) -> Optional[int]:
-        """Smallest multiple of ``floor`` whose recent deltas repeat.
+    def _region_deltas(run: TraceRun, iterations: int) -> List[int]:
+        """Per-region address advance over ``iterations`` iterations.
 
-        ``floor`` is the structural period (vault-aligned region
-        advances) and escalates after failed probes: the commit-delta
-        sequence often repeats at a short period while deeper machine
-        state (mask-line crossings, stream crossings in vault space)
-        cycles with a longer one that only the signature can see.  Only
-        multiples of the structural period are viable, and slice
-        comparison keeps the scan cheap enough to run while simulating.
+        Only multiples of a structural period are asked for, and those
+        advance every region by whole DRAM spans, so whole bytes.
         """
-        n = len(deltas)
-        p = max(1, floor)
-        while p <= limit:
-            need = (MIN_REPEATS + 1) * p
-            if need > n:
-                return None
-            tail = deltas[-need:]
-            base = tail[:p]
-            if all(tail[r * p:(r + 1) * p] == base
-                   for r in range(1, MIN_REPEATS + 1)):
-                return p
-            p += max(1, floor)
-        return None
-
-    def _region_deltas(self, run: TraceRun, periods: int, p: int) -> Optional[List[int]]:
-        """Per-region address advance over ``periods`` periods (ints only)."""
-        deltas = []
-        for region in run.regions:
-            advance = region.stride * p * periods
-            if advance.denominator != 1:
-                return None
-            deltas.append(int(advance))
-        return deltas
+        return [int(region.stride * iterations) for region in run.regions]
 
     def _structural_period(self, run: TraceRun) -> int:
         """Smallest period advancing every region by whole DRAM phases.
@@ -926,9 +885,7 @@ class ReplayExecutor:
         vault x bank interleave span per period, each stream returns to
         the same (vault, bank) phase at every boundary and the relative
         phases of the streams — where and how severely they collide in
-        the memory — recur exactly: the natural candidate the
-        commit-delta sequence alone cannot see (its period is usually
-        1).
+        the memory — recur exactly.  A run without regions gets 1.
         """
         period = 1
         span = self._dram_span
@@ -944,37 +901,23 @@ class ReplayExecutor:
 
     # -- the probe ----------------------------------------------------------
 
-    def _probe_and_skip(self, run: TraceRun, j: int, p: int) -> Tuple[int, bool]:
+    def _probe_and_skip(self, run: TraceRun, j: int,
+                        p: int) -> Tuple[int, Optional[str]]:
         """Verify shift-periodicity at ``j`` and extrapolate if it holds.
 
         Simulates 2 periods for the probe (always exact); on success
-        skips every remaining whole period.  Returns (iterations
-        consumed, converged).
+        skips every remaining whole period.  Returns the iterations
+        consumed and, when the probe refused, why (None on success).
         """
         state = self.state
         execution = self.execution
-
-        one = self._region_deltas(run, 1, p)
-        if one is None:
-            # Sub-byte per-period advance (bit-packed mask streams):
-            # scale the period up to the smallest integral multiple.
-            scale = 1
-            for region in run.regions:
-                denominator = (region.stride * p).denominator
-                if denominator > 1:
-                    scale = scale * denominator // math.gcd(scale, denominator)
-            p = p * scale
-            if run.count - j < 3 * p:
-                return 0, False
-            one = self._region_deltas(run, 1, p)
-            if one is None:
-                return 0, False
 
         # Three consecutive period boundaries: a raw snapshot at the
         # first anchors the moving/frozen classification, then the two
         # following boundaries' signatures — each normalised by its
         # accumulated region advance and classified against the boundary
-        # before it — must agree byte for byte.
+        # before it — must agree part for part.
+        one = self._region_deltas(run, p)
         state.fixed_regs = run.fixed_regs
         base_phase = (j * run.regs_per_iter) % REG_WINDOW
         state.refresh_stats()
@@ -984,66 +927,62 @@ class ReplayExecutor:
         rot0 = state.rotation_vector()
         now0 = execution.last_commit
 
-        uops_a = 0
-        for k in range(p):
-            __, uops = self._simulate_iteration(run, j + k)
-            uops_a += uops
+        uops_a = self._simulate(j, j + p)
         state.reg_phase = (base_phase + p * run.regs_per_iter) % REG_WINDOW
-        amap1 = _AddressMap(run.regions, list(one))
         state.refresh_stats()
         if state.stat_keys() != keys0:
-            return p, False  # new counters appeared: not steady yet
+            return p, "new counters appeared"
         raw1 = state.raw_snapshot()
-        sig1 = state.signature(amap1, raw0)
+        sig1 = state.signature(_AddressMap(run.regions, one), raw0)
         cnt1 = state.counter_vector()
         rot1 = state.rotation_vector()
         now1 = execution.last_commit
 
-        uops_b = 0
-        for k in range(p):
-            __, uops = self._simulate_iteration(run, j + p + k)
-            uops_b += uops
+        uops_b = self._simulate(j + p, j + 2 * p)
         state.reg_phase = (base_phase + 2 * p * run.regs_per_iter) % REG_WINDOW
-        amap2 = _AddressMap(run.regions, [2 * d for d in one])
         state.refresh_stats()
+        consumed = 2 * p
         if state.stat_keys() != keys0:
-            return 2 * p, False
-        sig2 = state.signature(amap2, raw1)
+            return consumed, "new counters appeared"
+        sig2 = state.signature(
+            _AddressMap(run.regions, [2 * d for d in one]), raw1)
         cnt2 = state.counter_vector()
         rot2 = state.rotation_vector()
         now2 = execution.last_commit
 
+        differ = [name for name, part in sig1.items() if sig2[name] != part]
+        if differ:
+            return consumed, "signature parts differ: " + ", ".join(differ)
         dt1 = now1 - now0
         dt2 = now2 - now1
-        if sig2 != sig1 or dt1 != dt2 or uops_a != uops_b:
-            return 2 * p, False
+        if dt1 != dt2:
+            return consumed, f"period cycles differ: {dt1} then {dt2}"
+        if uops_a != uops_b:
+            return consumed, f"period uops differ: {uops_a} then {uops_b}"
         delta_a = [b - a for a, b in zip(cnt0, cnt1)]
         delta_b = [b - a for a, b in zip(cnt1, cnt2)]
-        if delta_a != delta_b:
-            return 2 * p, False
+        changed = sum(a != b for a, b in zip(delta_a, delta_b))
+        if changed:
+            return consumed, f"counter deltas differ in {changed} cells"
         rot_a = [b - a for a, b in zip(rot0, rot1)]
         rot_b = [b - a for a, b in zip(rot1, rot2)]
         if rot_a != rot_b:
-            return 2 * p, False
+            return consumed, f"rotation deltas differ: {rot_a} then {rot_b}"
 
-        # Converged.  Skip every remaining whole period.
-        consumed = 2 * p
-        remaining = run.count - (j + consumed)
-        periods = remaining // p
-        if periods <= 0:
-            return consumed, False
-
-        total = self._region_deltas(run, periods, p)
-        amap_skip = _AddressMap(run.regions, total)
+        # Converged.  Skip every remaining whole period (a probe is only
+        # taken where three periods fit, so at least one remains).
+        periods = (run.count - (j + consumed)) // p
+        amap_skip = _AddressMap(run.regions,
+                                self._region_deltas(run, periods * p))
         plans = state.plan_tag_relabel(amap_skip)
-        if plans is None:  # ambiguous LRU merge: the driver logs the failure
-            return consumed, False
+        if plans is None:
+            return consumed, "cache-tag relabel is ambiguous"
         pool_plans = state.plan_pool_relabel(amap_skip)
         if pool_plans is None:  # streams cross in vault space
-            return consumed, False
+            return consumed, "address-routed pool relabel collides"
         prefetch_plans = state.plan_prefetcher_relabel(amap_skip, raw1)
         if prefetch_plans is None:
-            return consumed, False
+            return consumed, "prefetcher relabel collides"
 
         state.apply_tag_relabel(plans)
         state.shift(dt1 * periods, amap_skip,
@@ -1058,7 +997,7 @@ class ReplayExecutor:
         self.stats.runs_converged += 1
         self.stats.skipped_iterations += periods * p
         self.stats.skipped_uops += uops_a * periods
-        return consumed + periods * p, True
+        return consumed + periods * p, None
 
     # -- the driver ---------------------------------------------------------
 
@@ -1068,98 +1007,48 @@ class ReplayExecutor:
             self._consume_run(run)
 
     def _consume_run(self, run: TraceRun) -> None:
-        execution = self.execution
         count = run.count
-        self._runner = KernelRunner(execution, run)
-        if run.key is None or count < MIN_RUN_ITERATIONS:
-            # Too short to probe: one kernel span, as on the exact path.
+        self._runner = KernelRunner(self.execution, run)
+        if run.key is None:
             self._runner.iterations(0, count)
-            if run.key is not None:
-                self.stats.simulated_iterations += count
+            return
+        p = self._structural_period(run)
+        if p < STRUCT_PROBE_MIN or count < 3 * p:
+            # No probe fits: one kernel span, as on the exact path.
+            self._simulate(0, count)
             return
 
         self.stats.runs_seen += 1
-        deltas: List[int] = []
+        execution = self.execution
+        # Probing before the GRACE window, the ROB, the caches and the
+        # branch history have filled with this run's steady behaviour
+        # can only fail (boundary states still carry start-up residue).
+        warm = execution.last_commit + 2 * GRACE
         j = 0
-        next_probe = 0
-        p_floor = self._structural_period(run)
-        # Long structural periods (DRAM-striding paper workloads) probe
-        # directly: the probe itself is the verification, and waiting
-        # for (MIN_REPEATS+1) periods of repeating commit deltas first
-        # would consume most of even an SF1-scale run.  One skipped
-        # period is already tens of thousands of iterations.
-        # Non-structural runs keep the short scan ceiling: their commit
-        # deltas are examined every iteration, and a deep candidate scan
-        # over a 100 K-entry delta window would throttle exactly the
-        # runs that gain nothing from replay.
-        structural = p_floor >= STRUCT_PROBE_MIN
-        min_skip = 1 if structural else MIN_SKIP_PERIODS
-        if structural:
-            # Structural probes may escalate past MAX_PERIOD (see the
-            # failure handling below) up to whatever still fits the run.
-            p_limit = max(MAX_PERIOD, count // (2 + min_skip))
-        else:
-            p_limit = SHORT_MAX_PERIOD
-        if structural and count < (2 + min_skip) * p_floor:
-            # The run ends before even one probe-plus-skip could fit:
-            # no per-iteration bookkeeping is needed, so hand the whole
-            # run to the kernel in one span (paper workloads below the
-            # structural scale — e.g. the 32 K benchmark points — spend
-            # their entire runtime here).
-            self._runner.iterations(0, count)
-            self.stats.simulated_iterations += count
-            return
-        failures_at_floor = 0
-        probes_left = (MAX_STRUCT_PROBES_PER_RUN if structural
-                       else MAX_PROBES_PER_RUN)
-        start_commit = execution.last_commit
-        while j < count:
-            # Probing before the GRACE window, the ROB, the caches and
-            # the branch history have filled with this run's steady
-            # behaviour can only fail (boundary states still carry
-            # start-up residue).
-            warmed = execution.last_commit - start_commit >= 2 * GRACE
-            if warmed and j >= next_probe and p_floor <= p_limit \
-                    and probes_left > 0:
-                if structural:
-                    p = p_floor if j >= p_floor // 2 else None
-                else:
-                    p = self._find_period(deltas, p_floor, p_limit)
-                if p is not None and count - j >= (2 + min_skip) * p:
-                    consumed, converged = self._probe_and_skip(run, j, p)
-                    if consumed:
-                        j += consumed
-                        deltas.clear()
-                        if not converged:
-                            self.stats.probes_failed += 1
-                            probes_left -= 1
-                            failures_at_floor += 1
-                            if structural:
-                                # The probe simulated two whole periods
-                                # and proved the state is not p-periodic
-                                # — either a draining transient (which
-                                # fails at any p) or a slow oscillation
-                                # whose true period is a multiple of the
-                                # structural one (x86's L2/L3 conveyor
-                                # phase flips sign every 32 K-iteration
-                                # sweep at SF1).  Doubling catches the
-                                # oscillation and still matches once a
-                                # transient drains, since any multiple
-                                # of the structural period keeps every
-                                # stream vault/bank-aligned.
-                                p_floor = p * 2
-                            elif failures_at_floor >= 2:
-                                # Not just warmup: deeper state cycles
-                                # with a longer period than the commit
-                                # deltas show — escalate the floor.
-                                p_floor = p * 2
-                                failures_at_floor = 0
-                            next_probe = j + p
-                        continue
-                    next_probe = j + RETRY_BACKOFF_PERIODS * p
-            delta, __ = self._simulate_iteration(run, j)
-            if not structural:
-                deltas.append(delta)
-                if len(deltas) > (MIN_REPEATS + 1) * p_limit:
-                    del deltas[: len(deltas) - (MIN_REPEATS + 1) * p_limit]
-            j += 1
+        next_probe = p // 2
+        for __ in range(MAX_PROBES_PER_RUN):
+            if count - next_probe < 3 * p:
+                break
+            self._simulate(j, next_probe)
+            j = next_probe
+            while execution.last_commit < warm and count - j >= 3 * p:
+                self._simulate(j, j + 1)
+                j += 1
+            if count - j < 3 * p:
+                break
+            consumed, refusal = self._probe_and_skip(run, j, p)
+            j += consumed
+            if refusal is None:
+                break
+            self.stats.probes_failed += 1
+            # The probe simulated whole periods and proved the state is
+            # not p-periodic: either a draining transient (which fails
+            # at any p) or a slow oscillation whose true period is a
+            # multiple of the structural one (x86's L2/L3 conveyor phase
+            # flips sign every 32 K-iteration sweep at SF1).  Doubling
+            # catches the oscillation and still matches once a transient
+            # drains, since any multiple of the structural period keeps
+            # every stream vault/bank-aligned.
+            next_probe = j + p
+            p *= 2
+        self._simulate(j, count)

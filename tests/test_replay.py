@@ -243,7 +243,15 @@ def test_reg_allocator_seek():
 # ---------------------------------------------------------------------------
 
 
-def _fetch_bound_runs(count=3000):
+#: the synthetic loops' declared address stream: 8 B per iteration, so a
+#: structural period of 512 iterations on the reduced cube (8 vaults x 2
+#: banks x 256 B).  The loops touch no memory; the region only gives
+#: them the structural period a scan streaming through the cube has.
+_LOOP_COUNT = 3000
+_STREAM = (Region(0x100000, 0x100000 + 8 * _LOOP_COUNT, 8),)
+
+
+def _fetch_bound_runs(regions=_STREAM):
     """A fetch-bound loop: uop flow rates match, state is shift-periodic."""
 
     def make(j):
@@ -251,10 +259,11 @@ def _fetch_bound_runs(count=3000):
             yield Uop(UopClass.NOP, 0x2000 + k)
         yield branch(0x2010, taken=True, srcs=())
 
-    return [TraceRun(key=("synthetic", "fetchbound"), count=count, make=make)]
+    return [TraceRun(key=("synthetic", "fetchbound"), count=_LOOP_COUNT,
+                     make=make, regions=regions)]
 
 
-def _fixed_reg_runs(count=3000):
+def _fixed_reg_runs():
     """A steady loop keeping a loop-invariant register live: the run
     declares it via ``fixed_regs`` so the phase relabelling leaves it
     alone (regression: fixed ids used to block convergence outright)."""
@@ -265,11 +274,12 @@ def _fixed_reg_runs(count=3000):
             yield Uop(UopClass.NOP, 0x2000 + k)
         yield branch(0x2010, taken=True, srcs=(100,))
 
-    return [TraceRun(key=("synthetic", "fixedreg"), count=count, make=make,
-                     regs_per_iter=1, fixed_regs=(100,))]
+    return [TraceRun(key=("synthetic", "fixedreg"), count=_LOOP_COUNT,
+                     make=make, regs_per_iter=1, fixed_regs=(100,),
+                     regions=_STREAM)]
 
 
-def _latency_bound_runs(count=1500):
+def _latency_bound_runs():
     """A dependent ALU chain.  Before PR 4 the fetch clock ran ahead of
     commit without bound here, so the state never recurred; with the
     fetch floor coupled to ROB commit state the skew is bounded by
@@ -281,11 +291,11 @@ def _latency_bound_runs(count=1500):
             yield alu(0x2000 + k, srcs=(reg,), dst=reg)
         yield branch(0x2010, taken=True, srcs=(reg,))
 
-    return [TraceRun(key=("synthetic", "chain"), count=count, make=make,
-                     regs_per_iter=1)]
+    return [TraceRun(key=("synthetic", "chain"), count=_LOOP_COUNT,
+                     make=make, regs_per_iter=1, regions=_STREAM)]
 
 
-def _aperiodic_branch_runs(count=1500):
+def _aperiodic_branch_runs():
     """A data-dependent branch following the Thue-Morse sequence: the
     taken pattern never repeats, the predictor state never recurs, and
     the guard must refuse — there is no period to extrapolate."""
@@ -296,18 +306,23 @@ def _aperiodic_branch_runs(count=1500):
             yield Uop(UopClass.NOP, 0x2000 + k)
         yield branch(0x2010, taken=taken, srcs=())
 
-    return [TraceRun(key=("synthetic", "thue-morse"), count=count, make=make)]
+    return [TraceRun(key=("synthetic", "thue-morse"), count=_LOOP_COUNT,
+                     make=make, regions=_STREAM)]
 
 
 def _run_both(make_runs):
-    m1 = build_machine("x86")
+    """Exact (uop by uop) and replayed runs on the reduced-cube x86."""
+    from repro.common.config import reduced_cube_config
+
+    config = reduced_cube_config("x86")
+    m1 = build_machine("x86", config=config)
     ex1 = m1.core.execution()
     for run in make_runs():
         for j in range(run.count):
             for u in run.make(j):
                 ex1.process(u)
     r1 = ex1.result()
-    m2 = build_machine("x86")
+    m2 = build_machine("x86", config=config)
     ex2 = m2.core.execution()
     executor = ReplayExecutor(m2, ex2)
     executor.consume(make_runs())
@@ -317,16 +332,14 @@ def _run_both(make_runs):
 
 def test_replay_extrapolates_periodic_loop():
     r1, s1, r2, s2, stats = _run_both(_fetch_bound_runs)
-    assert stats.runs_converged == 1
-    assert stats.skipped_iterations > 1000  # the bulk was extrapolated
+    assert (stats.runs_converged, stats.skipped_iterations) == (1, 1024)
     assert (r1.cycles, r1.uops) == (r2.cycles, r2.uops)
     assert s1 == s2  # every counter identical, not just the cycle count
 
 
 def test_replay_extrapolates_with_fixed_register():
     r1, s1, r2, s2, stats = _run_both(_fixed_reg_runs)
-    assert stats.runs_converged == 1
-    assert stats.skipped_iterations > 1000
+    assert (stats.runs_converged, stats.skipped_iterations) == (1, 1024)
     assert (r1.cycles, r1.uops) == (r2.cycles, r2.uops)
     assert s1 == s2
 
@@ -335,15 +348,43 @@ def test_replay_extrapolates_latency_chain():
     """ROB-coupled fetch floor: the dependent chain's fetch/commit skew
     is bounded, so the loop is shift-periodic and replay engages."""
     r1, s1, r2, s2, stats = _run_both(_latency_bound_runs)
-    assert stats.runs_converged == 1
-    assert stats.skipped_iterations > 1000
+    assert (stats.runs_converged, stats.skipped_iterations) == (1, 1536)
     assert (r1.cycles, r1.uops) == (r2.cycles, r2.uops)
     assert s1 == s2
 
 
 def test_replay_guard_refuses_aperiodic_branches():
     r1, s1, r2, s2, stats = _run_both(_aperiodic_branch_runs)
+    assert stats.probes_failed >= 1  # a probe ran and refused
     assert stats.runs_converged == 0  # no period exists to verify
+    assert (r1.cycles, r1.uops) == (r2.cycles, r2.uops)
+    assert s1 == s2
+
+
+def _count_signatures(monkeypatch):
+    """Count ``_MachineState.signature`` calls for the rest of a test."""
+    from repro.sim import replay
+
+    signature = replay._MachineState.signature
+    calls = [0]
+
+    def counted(self, *args):
+        calls[0] += 1
+        return signature(self, *args)
+
+    monkeypatch.setattr(replay._MachineState, "signature", counted)
+    return calls
+
+
+def test_replay_never_probes_a_regionless_loop(monkeypatch):
+    """A loop that declares no address stream has no structural period:
+    however periodic it is, replay takes no signature, skips nothing and
+    matches the exact path."""
+    calls = _count_signatures(monkeypatch)
+    r1, s1, r2, s2, stats = _run_both(lambda: _fetch_bound_runs(regions=()))
+    assert calls[0] == 0
+    assert stats.runs_converged == 0
+    assert stats.simulated_iterations == _LOOP_COUNT
     assert (r1.cycles, r1.uops) == (r2.cycles, r2.uops)
     assert s1 == s2
 
@@ -422,12 +463,28 @@ def _engagement_point(arch, op, rows, plan=None, data=None, config=None):
     return replayed.replay
 
 
-def test_replay_engages_hive_q6_reduced_cube():
+def _engagement(stats):
+    return (stats.runs_converged, stats.skipped_iterations,
+            stats.simulated_iterations, stats.probes_failed)
+
+
+def test_replay_engages_hive_q6_reduced_cube(monkeypatch):
     """The full pipeline — round-robin lanes, vault relabelling, tag
-    conveyor — engages on the paper's Q6 for HIVE, bit-identically."""
-    stats = _engagement_point("hive", 256, 262_144)
-    assert stats.runs_converged >= 1
-    assert stats.skipped_iterations > 1_000
+    conveyor — engages on the paper's Q6 for HIVE, bit-identically:
+    pass 0 converges at its first probe, pass 1 refuses one.  The
+    uncompiled path (``REPRO_KERNEL=0``) replays the same spans to the
+    same result."""
+    from repro.common.config import reduced_cube_config
+
+    scan = ScanConfig("dsm", "column", 256, 1)
+    config = reduced_cube_config("hive")
+    exact = run_scan("hive", scan, rows=262_144, config=config, exact=True)
+    for kernel in ("1", "0"):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        replayed = run_scan("hive", scan, rows=262_144, config=config,
+                            exact=False)
+        assert result_fingerprint(replayed) == result_fingerprint(exact)
+        assert _engagement(replayed.replay) == (1, 2_560, 9_728, 1)
 
 
 def test_replay_engages_hipe_selectivity_reduced_cube():
@@ -437,8 +494,7 @@ def test_replay_engages_hipe_selectivity_reduced_cube():
 
     stats = _engagement_point("hipe", 256, 262_144,
                               plan=selectivity_scan_plan(0.4))
-    assert stats.runs_converged >= 1
-    assert stats.skipped_iterations > 1_000
+    assert _engagement(stats) == (1, 2_560, 1_536, 0)
 
 
 def test_replay_guards_hipe_q6_squashes():
@@ -543,16 +599,7 @@ def test_replay_signs_nothing_on_32k_q6(arch, op, monkeypatch):
     """No run of a 32 K-row Q6 column point on the standard machines
     holds a structural probe, so replay takes no machine-state
     signature at all and matches the exact path."""
-    from repro.sim import replay
-
-    signature = replay._MachineState.signature
-    calls = [0]
-
-    def counted(self, *args):
-        calls[0] += 1
-        return signature(self, *args)
-
-    monkeypatch.setattr(replay._MachineState, "signature", counted)
+    calls = _count_signatures(monkeypatch)
     scan = ScanConfig("dsm", "column", op, 1)
     replayed = run_scan(arch, scan, rows=32_768, exact=False)
     assert calls[0] == 0

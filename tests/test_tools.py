@@ -26,8 +26,10 @@ def run_tool(*argv, timeout=240):
 
 
 def test_diag_replay_smoke():
-    proc = run_tool(TOOLS / "diag_replay.py", "hive", "256", "65536", "mini")
+    # Pass 1 of this point refuses one probe; the tool must say why.
+    proc = run_tool(TOOLS / "diag_replay.py", "hive", "256", "262144", "mini")
     assert proc.returncode == 0, proc.stderr
+    assert "refused: signature parts differ: " in proc.stdout
     assert "ReplayStats" in proc.stdout
 
 

@@ -58,7 +58,6 @@ def run_point(arch: str, layout: str, strategy: str, op: int, rows: int,
 
 def main() -> int:
     rows = int(sys.argv[1]) if len(sys.argv) > 1 else 32_768
-    os.environ["REPRO_CACHE"] = "0"
     failures = 0
     for point in POINTS:
         arch, layout, strategy, op = point
