@@ -14,10 +14,11 @@ run the executor
 1. **probes at the structural period** — the smallest iteration count
    ``p`` that advances every declared region by whole vault x bank
    interleave sweeps, the only period at which a scan streaming through
-   the cube can recur.  A keyed run whose ``p`` is at least
-   :data:`STRUCT_PROBE_MIN` and fits three times takes a *probe*: two
-   periods simulated with a full machine-state *signature* captured at
-   each period boundary,
+   the cube can recur (8192 iterations for unroll-1 256 B PIM ops on
+   the Table I cube, 8 for HIVE at unroll 32).  A keyed run that
+   declares regions and whose ``p`` fits three times takes a *probe*:
+   two periods simulated with a full machine-state *signature* captured
+   at each period boundary,
 2. **verifies shift-periodicity** — the signature normalises every
    timing quantity to the current commit cycle, every address to the
    run's declared region advances, and every rotating resource pool
@@ -85,13 +86,6 @@ from ..cpu.kernel import KernelRunner
 REG_START = RegAllocator.DEFAULT_START
 REG_WINDOW = RegAllocator.DEFAULT_WINDOW
 
-#: shortest structural period that gets a probe.  A column scan's
-#: slowest stream, its bit-packed mask, needs a full DRAM phase per
-#: period: 8192 iterations for 256 B PIM ops on the Table I cube, 512 on
-#: the reduced cube.  Shorter periods belong to region-less loops and to
-#: runs whose every stream advances far per iteration (tuple scans,
-#: heavily unrolled column scans); no paper workload converges there
-STRUCT_PROBE_MIN = 512
 #: DRAM block granularity: region advances that are whole 256 B blocks
 #: keep a stream's (vault, bank) decomposition advancing uniformly
 BLOCK_BYTES = 256
@@ -112,8 +106,9 @@ class ReplayStats:
     fragment_sigs = fragments_seen = fragments_stitched = 0
 
     def __init__(self) -> None:
-        #: runs that held a probe: keyed runs whose structural period is
-        #: at least STRUCT_PROBE_MIN and fits three times
+        #: runs a probe fits: keyed runs that declare regions and whose
+        #: structural period fits three times (one whose warm-up leaves
+        #: no room for three periods is counted but takes no probe)
         self.runs_seen = 0
         self.runs_converged = 0
         self.probes_failed = 0
@@ -1013,7 +1008,7 @@ class ReplayExecutor:
             self._runner.iterations(0, count)
             return
         p = self._structural_period(run)
-        if p < STRUCT_PROBE_MIN or count < 3 * p:
+        if not run.regions or count < 3 * p:
             # No probe fits: one kernel span, as on the exact path.
             self._simulate(0, count)
             return
@@ -1027,8 +1022,6 @@ class ReplayExecutor:
         j = 0
         next_probe = p // 2
         for __ in range(MAX_PROBES_PER_RUN):
-            if count - next_probe < 3 * p:
-                break
             self._simulate(j, next_probe)
             j = next_probe
             while execution.last_commit < warm and count - j >= 3 * p:

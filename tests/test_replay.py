@@ -448,11 +448,12 @@ def test_vault_servers_track_last_address():
 # ---------------------------------------------------------------------------
 
 
-def _engagement_point(arch, op, rows, plan=None, data=None, config=None):
+def _engagement_point(arch, op, rows, plan=None, data=None, config=None,
+                      unroll=1):
     """Replay vs exact on one column point (reduced cube by default)."""
     from repro.common.config import reduced_cube_config
 
-    scan = ScanConfig("dsm", "column", op, 1)
+    scan = ScanConfig("dsm", "column", op, unroll)
     if config is None:
         config = reduced_cube_config(arch)
     replayed = run_scan(arch, scan, rows=rows, data=data, plan=plan,
@@ -495,6 +496,14 @@ def test_replay_engages_hipe_selectivity_reduced_cube():
     stats = _engagement_point("hipe", 256, 262_144,
                               plan=selectivity_scan_plan(0.4))
     assert _engagement(stats) == (1, 2_560, 1_536, 0)
+
+
+def test_replay_engages_unrolled_hive_at_a_short_period():
+    """Unrolling shortens the structural period (HIVE at unroll 8 on the
+    reduced cube: 8 iterations), and the probe still sits there: each of
+    the three passes converges at its first probe, bit-identically."""
+    stats = _engagement_point("hive", 256, 262_144, unroll=8)
+    assert _engagement(stats) == (3, 120, 72, 0)
 
 
 def test_replay_guards_hipe_q6_squashes():
