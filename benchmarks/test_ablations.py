@@ -43,8 +43,8 @@ def test_ablation_timing_domain(benchmark, data):
             workload = build_workload(machine, data, "dsm")
             from repro.codegen import hmc as hmc_codegen
 
-            result = machine.run(
-                hmc_codegen.generate(workload, ScanConfig("dsm", "column", 256))
+            result = machine.run_runs(
+                hmc_codegen.column_runs(workload, ScanConfig("dsm", "column", 256))
             )
             out[domain] = result.cycles
         return out
@@ -70,8 +70,8 @@ def test_ablation_prefetchers(benchmark, data):
                 )
             machine = build_machine("x86", config=config)
             workload = build_workload(machine, data, "dsm")
-            result = machine.run(
-                x86_codegen.generate(workload, ScanConfig("dsm", "column", 64))
+            result = machine.run_runs(
+                x86_codegen.column_runs(workload, ScanConfig("dsm", "column", 64))
             )
             out[enabled] = result.cycles
         return out
@@ -99,8 +99,8 @@ def test_ablation_partial_predicated_loads(benchmark, data):
             workload = build_workload(machine, data, "dsm")
             from repro.codegen import hipe as hipe_codegen
 
-            result = machine.run(
-                hipe_codegen.generate(workload, ScanConfig("dsm", "column", 256, unroll=32))
+            result = machine.run_runs(
+                hipe_codegen.column_runs(workload, ScanConfig("dsm", "column", 256, unroll=32))
             )
             machine.hmc.collect_stats()
             stats = machine.stats.flatten()
@@ -151,7 +151,7 @@ def test_ablation_selectivity_sweep(benchmark):
             workload = build_workload(machine, dat, "dsm", predicates=predicates)
             from repro.codegen import hipe as hipe_codegen
 
-            machine.run(hipe_codegen.generate(
+            machine.run_runs(hipe_codegen.column_runs(
                 workload, ScanConfig("dsm", "column", 256, unroll=32)))
             machine.hmc.collect_stats()
             stats = machine.stats.flatten()

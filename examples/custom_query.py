@@ -24,8 +24,8 @@ def run_with_predicates(arch: str, predicates, unroll: int = 32):
     machine = build_machine(arch)
     data = generate_lineitem(ROWS, seed=42)
     workload = build_workload(machine, data, "dsm", predicates=predicates)
-    result = machine.run(
-        codegen.generate(workload, ScanConfig("dsm", "column", 256, unroll=unroll))
+    result = machine.run_runs(
+        codegen.column_runs(workload, ScanConfig("dsm", "column", 256, unroll=unroll))
     )
     machine.hmc.collect_stats()
     stats = machine.stats.flatten()

@@ -10,21 +10,24 @@ decisions from the actual data while doing so.
 
 Every codegen consumes a :class:`ScanWorkload` (the materialised tables,
 output buffers and the plan's predicates) and a :class:`ScanConfig`, and
-yields :class:`~repro.cpu.isa.Uop` streams.
+yields :class:`TraceRun` sequences: runs of loop-body iterations that
+lower to the same static uops (:func:`flatten_runs` gives the dynamic
+uop stream).
 
 Per-operator lowering protocol
 ------------------------------
 
 Each backend module (``x86``/``hmc``/``hive``/``hipe``) implements
 
-* ``lower_filter(workload, config)``    — the select scan (the classic
-  ``generate`` entry point, one strategy per layout), and
+* ``tuple_runs(workload, config)``      — the NSM select scan,
+* ``column_runs(workload, config)``     — the DSM select scan, and
 * ``lower_aggregate(workload, config)`` — the plan's Aggregate node
-  (grouped SUM/COUNT/MIN/MAX over the filter's bitmask).
+  (grouped SUM/COUNT/MIN/MAX over the filter's bitmask, a uop stream).
 
-:func:`lower_plan` walks a workload's :class:`~repro.db.plan.QueryPlan`
-and dispatches each operator to the backend, concatenating the uop
-streams; ``generate_plan`` in every backend module binds it.
+:func:`lower_filter_runs` picks the scan by strategy, and
+:func:`lower_plan_runs` walks a workload's
+:class:`~repro.db.plan.QueryPlan`, dispatching each operator to the
+backend; ``generate_plan_runs`` in every backend module binds it.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cpu.isa import AluFunc, Uop, alu, branch
+from ..common.units import ceil_div
+from ..cpu.isa import AluFunc, Uop, alu, branch, load, store
 from ..db.datagen import LineitemData
 from ..db.plan import Predicate, QueryPlan
 from ..db.table import DsmTable, NsmTable, ScanBuffers
@@ -245,81 +249,41 @@ def opaque_run(uops: Iterator[Uop]) -> TraceRun:
 
 def group_runs(
     regs: "RegAllocator",
-    n_iters: int,
+    key_ids: np.ndarray,
     iteration_key: Callable[[int], Tuple],
     make_iteration: Callable[[int], Iterator[Uop]],
     run_key: Callable[[Tuple], Tuple],
     regions_of: Callable[[int, int], Tuple[Region, ...]],
     bulk_of: Optional[Callable[[int, Tuple], Optional[Callable]]] = None,
     fixed_regs: Tuple[int, ...] = (),
-    key_ids: Optional[np.ndarray] = None,
     family: Optional[Tuple] = None,
 ) -> Iterator[TraceRun]:
     """Group consecutive same-shaped iterations into :class:`TraceRun`\\ s.
 
-    The scaffold every column codegen shares: scan ``iteration_key``
-    (returning ``(shape, regs_per_iter)``) forward to find maximal runs
-    of identical shape, bind a ``make`` that reseats the register
-    allocator at the run-relative iteration so ``make(j)`` can be called
-    for any subset in increasing order, and assemble the full run from
-    the per-codegen hooks — ``run_key`` prefixes the shape into the
-    run's identity, ``regions_of(i0, count)`` declares the address
-    streams, ``bulk_of(i0, shape)`` supplies the functional-side-effect
-    hook.  The flattened stream is byte-identical to lowering every
-    iteration in sequence.
-
-    ``key_ids``, when given, is an integer per iteration such that two
-    iterations share an id exactly when they share a key: the run
-    boundaries then come from one vectorised comparison and
-    ``iteration_key`` is evaluated once per *run* instead of once per
-    iteration (the dominant codegen cost of a fragmented pass).
+    The scaffold every codegen shares.  ``key_ids`` holds one integer
+    per iteration such that two iterations share an id exactly when
+    they share a shape (:func:`skip_pattern_key_ids`): a run is a
+    maximal stretch of equal ids, found with one vectorised comparison.
+    ``iteration_key(i)`` returns ``(shape, regs_per_iter)`` and is
+    evaluated once per run, at its first iteration.  Each run binds a
+    ``make`` that reseats the register allocator at the run-relative
+    iteration, so ``make(j)`` can be called for any subset in increasing
+    order, and is assembled from the per-codegen hooks — ``run_key``
+    prefixes the shape into the run's identity, ``regions_of(i0,
+    count)`` declares the address streams, ``bulk_of(i0, shape)``
+    supplies the functional-side-effect hook.  The flattened stream is
+    byte-identical to lowering every iteration in sequence.
 
     ``family`` is the pass's flag-free identity (arch tag, pass index,
     op bytes, unroll — everything the run key holds *except* the data-
     dependent flag word); checkpoints snapshot where it changes.
     """
-    if key_ids is not None and n_iters > 1:
-        ids = np.asarray(key_ids)
-        boundaries = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-        segments = np.empty(boundaries.size + 2, dtype=np.int64)
-        segments[0] = 0
-        segments[1:-1] = boundaries
-        segments[-1] = n_iters
-        for s in range(segments.size - 1):
-            i0 = int(segments[s])
-            count = int(segments[s + 1]) - i0
-            key, nregs = iteration_key(i0)
-            base_counter = regs.counter
-
-            def make(j, _i0=i0, _base=base_counter, _nregs=nregs,
-                     _mk=make_iteration):
-                regs.seek(_base + j * _nregs)
-                return _mk(_i0 + j)
-
-            yield TraceRun(
-                key=run_key(key),
-                count=count,
-                make=make,
-                regs_per_iter=nregs,
-                regions=regions_of(i0, count),
-                bulk=None if bulk_of is None else bulk_of(i0, key),
-                fixed_regs=fixed_regs,
-                reg_base=base_counter,
-                family=family,
-            )
-            regs.seek(base_counter + count * nregs)
-        return
-    i = 0
-    while i < n_iters:
-        key, nregs = iteration_key(i)
-        count = 1
-        while i + count < n_iters:
-            next_key, __ = iteration_key(i + count)
-            if next_key != key:
-                break
-            count += 1
+    ids = np.asarray(key_ids)
+    cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+    for i0, i1 in zip([0] + cuts, cuts + [ids.size]):
+        count = i1 - i0
+        key, nregs = iteration_key(i0)
         base_counter = regs.counter
-        i0 = i
 
         def make(j, _i0=i0, _base=base_counter, _nregs=nregs,
                  _mk=make_iteration):
@@ -338,31 +302,38 @@ def group_runs(
             family=family,
         )
         regs.seek(base_counter + count * nregs)
-        i += count
 
 
-def skip_pattern_key_ids(dead, n_iters: int, unroll: int) -> np.ndarray:
+def skip_pattern_key_ids(
+    planes: Sequence[np.ndarray], n_iters: int, width: int
+) -> np.ndarray:
     """Vectorised run-boundary ids for a flag-keyed pass.
 
-    Two iterations share a :func:`group_runs` key exactly when their
-    per-item flag patterns match — except the final iteration, whose
-    loop branch (and possibly item sizes) always differ, so it gets an
-    id no flag pattern can produce.  ``dead`` holds ``unroll`` flags per
-    iteration: the per-chunk dead flags of a column pass (None for an
-    unconditioned first pass) or the per-tuple match flags of a tuple
-    pass.
+    Each plane holds one value per item, ``width`` items per iteration:
+    the per-chunk dead flags of a column pass (no plane for an
+    unconditioned first pass), the per-tuple match flags of a tuple
+    pass, or HIPE's per-level squash flags and matched-lane counts.  Two
+    iterations share a :func:`group_runs` key exactly when their items
+    match in every plane — except the final iteration, whose loop branch
+    (and possibly item sizes) always differ, so it gets an id no pattern
+    can produce.
     """
-    if dead is None:
+    if not planes:
         key_ids = np.zeros(n_iters, dtype=np.int64)
     else:
-        padded = np.zeros(n_iters * unroll, dtype=bool)
-        padded[:len(dead)] = dead
-        patterns = padded.reshape(n_iters, unroll)
-        if unroll < 63:
-            key_ids = patterns.dot(1 << np.arange(unroll, dtype=np.int64))
+        rows = []
+        for plane in planes:
+            padded = np.zeros(n_iters * width, dtype=plane.dtype)
+            padded[:len(plane)] = plane
+            rows.append(padded.reshape(n_iters, width))
+        patterns = np.concatenate(rows, axis=1)
+        if patterns.dtype == bool and patterns.shape[1] < 63:
+            key_ids = patterns.dot(
+                1 << np.arange(patterns.shape[1], dtype=np.int64))
         else:  # too wide for one integer: number the distinct patterns
-            packed = np.packbits(patterns, axis=1)
-            key_ids = np.unique(packed, axis=0, return_inverse=True)[1]
+            if patterns.dtype == bool:
+                patterns = np.packbits(patterns, axis=1)
+            key_ids = np.unique(patterns, axis=0, return_inverse=True)[1]
             key_ids = key_ids.reshape(-1).astype(np.int64)
     key_ids[-1] = -1
     return key_ids
@@ -460,15 +431,154 @@ def tuple_runs(
         )
 
     return group_runs(
-        regs, n_iters,
+        regs, skip_pattern_key_ids([matches], n_iters, width),
         iteration_key=iteration_key,
         make_iteration=make_iteration,
         run_key=lambda key: (tag, config.op_bytes, unroll) + key,
         regions_of=regions_of,
         bulk_of=bulk_of,
         fixed_regs=fixed_regs,
-        key_ids=skip_pattern_key_ids(matches, n_iters, width),
     )
+
+
+def column_regions(columns, buffers: ScanBuffers, rows: int,
+                   rows_per_iter: int) -> Callable[[int, int], Tuple[Region, ...]]:
+    """``regions_of(i0, count)`` of a column pass (every column codegen's).
+
+    Each column in ``columns`` is a stream of ``rows_per_iter`` 4-byte
+    values per iteration; the bit-packed bitmask stream follows, and
+    advances by the exact fraction ``rows_per_iter / 8`` bytes.
+    """
+
+    def regions_of(i0: int, count: int) -> Tuple[Region, ...]:
+        start_row = i0 * rows_per_iter
+        end_row = min((i0 + count) * rows_per_iter, rows)
+        return tuple(
+            Region(col.address_of(start_row), col.address_of(end_row),
+                   rows_per_iter * 4)
+            for col in columns
+        ) + (
+            Region(buffers.mask_address(start_row),
+                   buffers.bitmask_base + (end_row + 7) // 8,
+                   Fraction(rows_per_iter, 8)),
+        )
+
+    return regions_of
+
+
+def column_pass_runs(
+    workload: ScanWorkload,
+    config: ScanConfig,
+    tag: str,
+    chunk_body: Callable[..., Iterator[Uop]],
+    body_regs: Callable[[Predicate], int],
+    bulk_of: Optional[Callable[..., Callable]] = None,
+) -> Iterator[TraceRun]:
+    """A core-driven column-at-a-time (DSM) scan as chunk-skip-keyed runs.
+
+    The scaffold of the x86 and HMC column lowerings: one pass per
+    predicate, whose iteration is one unrolled loop body of up to
+    ``unroll`` op-size chunks followed by the induction/loop-branch
+    overhead.  Passes after the first load the cached running mask of
+    each chunk and branch over dead chunks.  A live chunk runs
+    ``chunk_body(site, regs, predicate, address, size)``: it allocates
+    ``body_regs(predicate)`` registers and returns the one holding the
+    chunk's match mask, which the scaffold ANDs with the previous mask
+    and stores back; ``site(name)`` is the body's pc site in this pass
+    and body slot.
+
+    An iteration's key is its chunk-skip flags, chunk sizes and loop
+    direction (:func:`skip_pattern_key_ids` over the dead flags).
+    ``bulk_of(i0, predicate, column, dead)``, when given, supplies the
+    functional-side-effect hook of the run starting at iteration ``i0``.
+    """
+    if workload.dsm is None:
+        raise ValueError("column-at-a-time needs the DSM table")
+    table = workload.dsm
+    buffers = workload.buffers
+    pcs = PcAllocator()
+    regs = RegAllocator()
+    induction = regs.new()  # first allocation: id is fixed across the scan
+    rows = workload.rows
+    rpc = config.rows_per_op  # rows per chunk
+    unroll = config.unroll
+    n_chunks = ceil_div(rows, rpc)
+    n_iters = ceil_div(n_chunks, unroll)
+
+    def pass_runs(p: int, predicate: Predicate) -> Iterator[TraceRun]:
+        column = table.column(predicate.column)
+        dead = (chunk_dead_flags(workload.running_mask(p - 1), rpc, n_chunks)
+                if p > 0 else None)
+        consult_regs = 1 if p > 0 else 0  # the mask-consult load
+        full_regs = body_regs(predicate) + consult_regs  # + the AND
+
+        def iteration_key(i: int):
+            """(flags, sizes, loop-taken) of iteration ``i`` of pass p."""
+            first = i * unroll
+            limit = min(first + unroll, n_chunks)
+            flags = []
+            sizes = []
+            nregs = 0
+            for c in range(first, limit):
+                skip = bool(dead[c]) if p > 0 else False
+                flags.append(skip)
+                sizes.append(min((c + 1) * rpc, rows) - c * rpc)
+                nregs += consult_regs + (0 if skip else full_regs)
+            taken = min(limit * rpc, rows) != rows
+            return (tuple(flags), tuple(sizes), taken), nregs
+
+        def make_iteration(i: int) -> Iterator[Uop]:
+            """The uops of iteration ``i`` (registers already seated)."""
+            first = i * unroll
+            limit = min(first + unroll, n_chunks)
+            for pos, c in enumerate(range(first, limit)):
+                start = c * rpc
+                stop = min(start + rpc, rows)
+                mask_addr = buffers.mask_address(start)
+                mask_bytes = buffers.mask_bytes_for(stop - start)
+                prev_mask = None
+                skip = False
+                if p > 0:
+                    # Consult the (cached) running mask; skip dead chunks.
+                    prev_mask = regs.new()
+                    yield load(pcs.site(f"p{p}_ldmask{pos}"), mask_addr,
+                               mask_bytes, dst=prev_mask)
+                    skip = bool(dead[c])
+                    yield branch(pcs.site(f"p{p}_skip{pos}"), taken=skip,
+                                 srcs=(prev_mask,))
+                if not skip:
+                    mask = yield from chunk_body(
+                        lambda name, _pos=pos: pcs.site(f"p{p}_{name}{_pos}"),
+                        regs, predicate, column.address_of(start),
+                        (stop - start) * 4)
+                    if prev_mask is not None:
+                        conj = regs.new()
+                        yield alu(pcs.site(f"p{p}_and{pos}"),
+                                  srcs=(mask, prev_mask), dst=conj)
+                        mask = conj
+                    yield store(pcs.site(f"p{p}_stmask{pos}"), mask_addr,
+                                mask_bytes, srcs=(mask,))
+                if stop == rows or pos == limit - first - 1:
+                    yield alu(pcs.site(f"p{p}_ind"), srcs=(induction,),
+                              dst=induction)
+                    yield branch(pcs.site(f"p{p}_loop"), taken=stop != rows,
+                                 srcs=(induction,))
+
+        return group_runs(
+            regs, skip_pattern_key_ids([] if dead is None else [dead],
+                                       n_iters, unroll),
+            iteration_key=iteration_key,
+            make_iteration=make_iteration,
+            run_key=lambda key: (tag, p, config.op_bytes, unroll) + key,
+            regions_of=column_regions((column,), buffers, rows, unroll * rpc),
+            bulk_of=(None if bulk_of is None else
+                     lambda i0, key: bulk_of(i0, predicate, column, dead)),
+            fixed_regs=(induction,),
+            family=(tag, p, config.op_bytes, unroll),
+        )
+
+    for p, predicate in enumerate(workload.predicates):
+        yield from pass_runs(p, predicate)
 
 
 def flatten_runs(runs: Iterator[TraceRun]) -> Iterator[Uop]:
@@ -619,50 +729,43 @@ def chunk_bounds(rows: int, rows_per_chunk: int):
         index += 1
 
 
-def lower_plan(backend, workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Lower ``workload.plan`` operator by operator on ``backend``.
-
-    ``backend`` is a codegen module implementing the per-operator
-    protocol (``lower_filter`` / ``lower_aggregate``).  The Scan and
-    Project nodes need no instructions of their own — the tables are
-    materialised in the memory image, and projection only narrows what
-    an Aggregate or materialisation touches — so a plan lowers to its
-    Filter's scan followed, when present, by its Aggregate's reduction.
-    """
-    plan = workload.plan
-    if plan is None:
-        raise ValueError("workload carries no plan; use lower_filter directly")
-    if plan.filter is None:
-        raise ValueError(
-            "plan lowering needs a Filter: every backend's scan produces the "
-            "bitmask the Aggregate consumes (use a keep-everything predicate "
-            "for full-table aggregation)"
-        )
-    yield from backend.lower_filter(workload, config)
-    if plan.aggregate is not None:
-        yield from backend.lower_aggregate(workload, config)
+def lower_filter_runs(
+    backend, workload: ScanWorkload, config: ScanConfig
+) -> Iterator[TraceRun]:
+    """The plan's Filter on ``backend``: its ``tuple_runs`` or
+    ``column_runs`` select scan, by the configured strategy."""
+    if config.strategy == "tuple":
+        return backend.tuple_runs(workload, config)
+    return backend.column_runs(workload, config)
 
 
 def lower_plan_runs(
     backend, workload: ScanWorkload, config: ScanConfig
 ) -> Iterator[TraceRun]:
-    """Lower ``workload.plan`` as a steady-state run sequence.
+    """Lower ``workload.plan`` operator by operator on ``backend``.
 
-    The Filter comes from the backend's ``lower_filter_runs``: structured
-    loop-body runs the kernels compile and the replay layer can
-    fast-forward — keyed by chunk-skip flags in column mode and by
-    per-tuple match flags in tuple mode.  Aggregate lowerings stay
-    opaque: their uop streams are data-dependent per chunk.
+    ``backend`` is a codegen module implementing the per-operator
+    protocol (``tuple_runs`` / ``column_runs`` / ``lower_aggregate``).
+    The Scan and Project nodes need no instructions of their own — the
+    tables are materialised in the memory image, and projection only
+    narrows what an Aggregate or materialisation touches — so a plan
+    lowers to its Filter's scan (:func:`lower_filter_runs`: loop-body
+    runs the kernels compile and the replay layer can fast-forward,
+    keyed by chunk-skip flags in column mode and by per-tuple match
+    flags in tuple mode) followed, when present, by its Aggregate's
+    reduction as one opaque run: its uop stream is data-dependent per
+    chunk.
     """
     plan = workload.plan
     if plan is None:
-        raise ValueError("workload carries no plan; use lower_filter directly")
+        raise ValueError(
+            "workload carries no plan; use lower_filter_runs directly")
     if plan.filter is None:
         raise ValueError(
             "plan lowering needs a Filter: every backend's scan produces the "
             "bitmask the Aggregate consumes (use a keep-everything predicate "
             "for full-table aggregation)"
         )
-    yield from backend.lower_filter_runs(workload, config)
+    yield from lower_filter_runs(backend, workload, config)
     if plan.aggregate is not None:
         yield opaque_run(backend.lower_aggregate(workload, config))

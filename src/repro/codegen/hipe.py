@@ -33,28 +33,26 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from fractions import Fraction
-
 import numpy as _np
 
+from ..common.units import ceil_div
 from ..cpu.isa import PimInstruction, PimOp, Uop, alu, branch, pim
 from .aggregate import engine_aggregate
 from .base import (
     PcAllocator,
-    Region,
     RegAllocator,
     ScanConfig,
     ScanWorkload,
     TraceRun,
-    chunk_bounds,
     chunk_dead_flags,
     chunk_matched_counts,
-    flatten_runs,
+    column_regions,
     group_runs,
-    lower_plan,
     lower_plan_runs,
+    skip_pattern_key_ids,
 )
-from .hive import ENGINE_REGS, tuple_runs as hive_tuple_runs
+# Tuple-at-a-time is HIVE's lowering (re-exported for lower_filter_runs).
+from .hive import ENGINE_REGS, column_block_width, tuple_runs
 
 #: engine registers per chunk body: two, alternated across the three
 #: column levels (level 2 reuses level 0's register once its flags have
@@ -94,18 +92,13 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
     # accumulator bound how many chunks one block keeps in flight — the
     # register-pressure-plus-dependence cost of predication the paper
     # prices at ~15 % versus HIVE's free-streaming passes (§IV.A.3).
-    block_width = max(1, min(unroll, (ENGINE_REGS - 1) // _REGS_PER_CHUNK))
-    block_width = min(block_width, (256 * 8) // rpc)
-    # Whole mask bytes per block (see the HIVE codegen for rationale).
-    min_width = -(-8 // rpc)
-    if block_width % min_width:
-        block_width = max(min_width, block_width - block_width % min_width)
-    block_width = max(block_width, min_width)
+    block_width = column_block_width(
+        config, (ENGINE_REGS - 1) // _REGS_PER_CHUNK)
     columns = [table.column(p.column) for p in workload.predicates]
-    n_chunks = -(-rows // rpc)
-    n_blocks = -(-n_chunks // block_width)
+    n_chunks = ceil_div(rows, rpc)
+    n_blocks = ceil_div(n_chunks, block_width)
     blocks_per_iter = unroll
-    n_iters = -(-n_blocks // blocks_per_iter)
+    n_iters = ceil_div(n_blocks, blocks_per_iter)
     final_mask = workload.final_mask
     # Predicated-load *timing* is data-dependent exactly where a chunk's
     # running conjunction dies: an all-false predicate register squashes
@@ -236,19 +229,6 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
 
     rows_per_iter = blocks_per_iter * block_width * rpc
 
-    def regions_of(i0, count):
-        start_row = i0 * rows_per_iter
-        end_row = min((i0 + count) * rows_per_iter, rows)
-        return tuple(
-            Region(col.address_of(start_row), col.address_of(end_row),
-                   rows_per_iter * 4)
-            for col in columns
-        ) + (
-            Region(buffers.mask_address(start_row),
-                   buffers.bitmask_base + (end_row + 7) // 8,
-                   Fraction(rows_per_iter, 8)),
-        )
-
     def bulk_of(i0, key):
         def run_bulk(machine, j0, j1, _i0=i0):
             """The predicated pass writes the final mask bits directly."""
@@ -261,40 +241,17 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
         return run_bulk
 
     yield from group_runs(
-        regs, n_iters,
+        regs,
+        skip_pattern_key_ids(squashes + (lane_counts or []), n_iters,
+                             blocks_per_iter * block_width),
         iteration_key=lambda i: (iteration_key(i), 0),
         make_iteration=make_iteration,
         run_key=lambda key: ("hipecol", config.op_bytes, unroll) + key,
-        regions_of=regions_of,
+        regions_of=column_regions(columns, buffers, rows, rows_per_iter),
         bulk_of=bulk_of,
         fixed_regs=(induction,),
         family=("hipecol", config.op_bytes, unroll),
     )
-
-
-def column_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Single-pass predicated scan (Figure 3d's HIPE bar)."""
-    return flatten_runs(column_runs(workload, config))
-
-
-def generate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Dispatch on the configured strategy (tuple mode = HIVE lowering)."""
-    if config.strategy == "tuple":
-        return flatten_runs(hive_tuple_runs(workload, config))
-    return column_at_a_time(workload, config)
-
-
-# -- per-operator lowering protocol (codegen.base.lower_plan) ----------------
-
-#: Filter lowering: the single-pass predicated scan
-lower_filter = generate
-
-
-def lower_filter_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """Filter lowering as steady-state runs (tuple mode = HIVE's runs)."""
-    if config.strategy == "tuple":
-        return hive_tuple_runs(workload, config)
-    return column_runs(workload, config)
 
 
 def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
@@ -302,11 +259,6 @@ def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
     predicated on the filter mask — chunks with no candidate tuples are
     squashed before they touch DRAM, as in the predicated scan."""
     return engine_aggregate(workload, config, ENGINE_REGS, predicated=True)
-
-
-def generate_plan(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Lower the workload's full query plan."""
-    return lower_plan(sys.modules[__name__], workload, config)
 
 
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:

@@ -11,11 +11,11 @@ register bank, and throughput approaches the vaults' parallelism
 
 Scan flavours:
 
-* :func:`tuple_at_a_time` (NSM): lock; load the tuple group into
+* :func:`tuple_runs` (NSM): lock; load the tuple group into
   registers; one compound compare; unlock *returning the match status*
   so the core can branch and materialise — the per-tuple round trip of
   Figure 3a.
-* :func:`column_at_a_time` (DSM): one pass per predicate.  The running
+* :func:`column_runs` (DSM): one pass per predicate.  The running
   byte-mask is stored by the engine directly to DRAM (HIVE stores bypass
   the caches), so at unroll 1 the core's chunk-skip checks must *fetch
   the bitmask from DRAM* — "more DRAM accesses ... in contrast to cache
@@ -33,8 +33,6 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from fractions import Fraction
-
 import numpy as _np
 
 from ..common.units import ceil_div
@@ -42,26 +40,21 @@ from ..cpu.isa import AluFunc, PimInstruction, PimOp, Uop, alu, branch, load, pi
 from .aggregate import engine_aggregate
 from .base import (
     PcAllocator,
-    Region,
     RegAllocator,
     ScanConfig,
     ScanWorkload,
     TraceRun,
-    chunk_bounds,
     chunk_dead_flags,
-    flatten_runs,
+    column_regions,
     group_runs,
-    lower_plan,
     lower_plan_runs,
+    skip_pattern_key_ids,
     tuple_grouping,
     tuple_runs as base_tuple_runs,
 )
 
 #: engine registers reserved for codegen use (the bank has 36)
 ENGINE_REGS = 36
-#: registers per chunk body in a column pass (data+mask vs data-in-place)
-_COL_REGS_FIRST = 1  # compare overwrites the loaded register
-_COL_REGS_LATER = 2  # loaded column + previous mask
 
 
 def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
@@ -142,16 +135,14 @@ def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]
     )
 
 
-def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """NSM scan: one locked block per tuple group (Figure 3a HIVE bars)."""
-    return flatten_runs(tuple_runs(workload, config))
+def column_block_width(config: ScanConfig, max_width: int) -> int:
+    """Locked-block width of a column pass (chunks per lock/unlock block).
 
-
-def _column_block_width(config: ScanConfig, p: int) -> int:
-    """Locked-block width of pass ``p`` (chunks per lock/unlock block)."""
+    ``max_width`` is how many chunk bodies the engine registers left
+    over by the block's accumulators can hold.
+    """
     rpc = config.rows_per_op
-    accumulators = 1 if p == 0 else 2
-    block_width = max(1, min(config.unroll, ENGINE_REGS - accumulators))
+    block_width = max(1, min(config.unroll, max_width))
     # The block's packed mask bits must fit the 256 B accumulator.
     block_width = min(block_width, (256 * 8) // rpc)
     # Blocks must cover whole mask bytes: small ops (< 8 tuples per
@@ -198,7 +189,9 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
         prev_running = workload.running_mask(p - 1) if p > 0 else None
         running = workload.running_mask(p)
         dead = chunk_dead_flags(prev_running, rpc, n_chunks) if p > 0 else None
-        block_width = _column_block_width(config, p)
+        # one data register per chunk beside the pass's accumulators
+        block_width = column_block_width(
+            config, ENGINE_REGS - (1 if p == 0 else 2))
         n_blocks = ceil_div(n_chunks, block_width)
         blocks_per_iter = unroll  # one full cycle of the body counter
         n_iters = ceil_div(n_blocks, blocks_per_iter)
@@ -378,20 +371,13 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
             return bulk
 
         rows_per_iter = blocks_per_iter * block_width * rpc
-
-        def regions_of(i0, count, _col=column):
-            start_row = i0 * rows_per_iter
-            end_row = min((i0 + count) * rows_per_iter, rows)
-            return (
-                Region(_col.address_of(start_row), _col.address_of(end_row),
-                       rows_per_iter * 4),
-                Region(buffers.mask_address(start_row),
-                       buffers.bitmask_base + (end_row + 7) // 8,
-                       Fraction(rows_per_iter, 8)),
-            )
+        # Only the un-unrolled code's later passes resolve skips: their
+        # chunk dead flags key the runs; every other iteration is alike.
+        planes = [dead] if core_skip and p > 0 else []
 
         yield from group_runs(
-            regs, n_iters,
+            regs,
+            skip_pattern_key_ids(planes, n_iters, blocks_per_iter * block_width),
             iteration_key=iteration_key,
             make_iteration=(
                 lambda i, _p=p, _pred=predicate, _col=column, _dead=dead,
@@ -399,47 +385,17 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
             ),
             run_key=(lambda key, _p=p:
                      ("hivecol", _p, config.op_bytes, unroll) + key),
-            regions_of=regions_of,
+            regions_of=column_regions((column,), buffers, rows, rows_per_iter),
             bulk_of=(lambda i0, key, _bits=running: make_bulk(i0, key[0], _bits)),
             fixed_regs=(induction,),
             family=("hivecol", p, config.op_bytes, unroll),
         )
 
 
-def column_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """DSM scan: per-column passes of locked blocks (Figures 3b/3c)."""
-    return flatten_runs(column_runs(workload, config))
-
-
-def generate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Dispatch on the configured strategy."""
-    if config.strategy == "tuple":
-        return tuple_at_a_time(workload, config)
-    return column_at_a_time(workload, config)
-
-
-# -- per-operator lowering protocol (codegen.base.lower_plan) ----------------
-
-#: Filter lowering: the locked-block select scan
-lower_filter = generate
-
-
-def lower_filter_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """Filter lowering as steady-state runs."""
-    if config.strategy == "tuple":
-        return tuple_runs(workload, config)
-    return column_runs(workload, config)
-
-
 def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
     """Aggregate lowering: unpredicated locked-block reduction in the
     logic layer (every chunk streams; dead chunks contribute zeros)."""
     return engine_aggregate(workload, config, ENGINE_REGS, predicated=False)
-
-
-def generate_plan(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Lower the workload's full query plan."""
-    return lower_plan(sys.modules[__name__], workload, config)
 
 
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:

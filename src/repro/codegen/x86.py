@@ -8,10 +8,10 @@ general purpose registers".
 
 Two scan flavours:
 
-* :func:`tuple_at_a_time` (NSM): load the whole 64 B tuple in op-size
+* :func:`tuple_runs` (NSM): load the whole 64 B tuple in op-size
   pieces, evaluate the conjunction, branch, and materialise matches into
   the intermediate buffer — stores ride the cache hierarchy.
-* :func:`column_at_a_time` (DSM): one pass per predicate; each pass
+* :func:`column_runs` (DSM): one pass per predicate; each pass
   loads op-size column chunks, compares, conjoins with the running
   byte-mask and stores it back; later passes consult the cached mask to
   skip dead chunks ("cache access for x86", §IV).
@@ -22,27 +22,19 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-from fractions import Fraction
-
 from ..common.units import ceil_div
 from ..cpu.isa import AluFunc, Uop, alu, branch, load, store
 from .aggregate import core_aggregate
 from .base import (
     PcAllocator,
-    Region,
     RegAllocator,
     ScanConfig,
     ScanWorkload,
     TraceRun,
-    chunk_bounds,
-    chunk_dead_flags,
+    column_pass_runs,
     compare_uop_count,
-    flatten_runs,
-    group_runs,
     iterator_overhead,
-    lower_plan,
     lower_plan_runs,
-    skip_pattern_key_ids,
     tuple_runs as base_tuple_runs,
 )
 
@@ -123,172 +115,41 @@ def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]
     )
 
 
-def tuple_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """NSM materialising scan (Figure 3a's x86 bars)."""
-    return flatten_runs(tuple_runs(workload, config))
-
-
 def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """DSM bitmask scan as steady-state trace runs (Figures 3b/3c).
+    """DSM bitmask scan as chunk-skip-keyed trace runs (Figures 3b/3c).
 
-    One iteration is one unrolled loop body: up to ``unroll`` chunk
-    bodies followed by the induction/loop-branch overhead.  Consecutive
-    iterations with the same shape (same chunk-skip pattern, same chunk
-    sizes, same loop-branch direction) are grouped into one
-    :class:`~repro.codegen.base.TraceRun` whose addresses advance
-    uniformly — exactly what the replay layer needs to fast-forward.
+    Each live chunk loads its op-size column piece into the core and
+    compares it there (range predicates cost two compares and an AND);
+    :func:`~repro.codegen.base.column_pass_runs` supplies the passes,
+    the mask consult and skip branch, the conjunction and the store.
     """
     _check(config)
-    if workload.dsm is None:
-        raise ValueError("column-at-a-time needs the DSM table")
-    table = workload.dsm
-    buffers = workload.buffers
-    pcs = PcAllocator()
-    regs = RegAllocator()
-    induction = regs.new()  # first allocation: id is fixed across the scan
-    rows = workload.rows
-    rpc = config.rows_per_op  # rows per chunk
-    unroll = config.unroll
-    n_chunks = ceil_div(rows, rpc)
-    n_iters = ceil_div(n_chunks, unroll)
 
-    for p, predicate in enumerate(workload.predicates):
-        column = table.column(predicate.column)
-        prev_running = workload.running_mask(p - 1) if p > 0 else None
-        if p > 0:
-            dead = chunk_dead_flags(prev_running, rpc, n_chunks)
-        is_range = predicate.func == AluFunc.CMP_RANGE
-        full_regs = (1 + (3 if is_range else 1)) + (1 if p > 0 else 0)
-        per_chunk_regs = (1 if p > 0 else 0)  # the mask-consult load
+    def chunk_body(site, regs, predicate, address, size) -> Iterator[Uop]:
+        vec = regs.new()
+        yield load(site("ld"), address, size, dst=vec)
+        if predicate.func == AluFunc.CMP_RANGE:
+            lo = regs.new()
+            hi = regs.new()
+            yield alu(site("cmplo"), srcs=(vec,), dst=lo)
+            yield alu(site("cmphi"), srcs=(vec,), dst=hi)
+            mask = regs.new()
+            yield alu(site("range"), srcs=(lo, hi), dst=mask)
+        else:
+            mask = regs.new()
+            yield alu(site("cmp"), srcs=(vec,), dst=mask)
+        return mask
 
-        def iteration_key(i: int):
-            """(flags, sizes, loop-taken) of iteration ``i`` of pass p."""
-            first = i * unroll
-            limit = min(first + unroll, n_chunks)
-            flags = []
-            sizes = []
-            nregs = 0
-            for c in range(first, limit):
-                skip = bool(dead[c]) if p > 0 else False
-                flags.append(skip)
-                sizes.append(min((c + 1) * rpc, rows) - c * rpc)
-                nregs += per_chunk_regs + (0 if skip else full_regs)
-            taken = min(limit * rpc, rows) != rows
-            return (tuple(flags), tuple(sizes), taken), nregs
-
-        def make_iteration(i: int, pass_index: int, pred, col, dead_flags):
-            """The uops of iteration ``i`` (registers already seated)."""
-            first = i * unroll
-            limit = min(first + unroll, n_chunks)
-            for pos, c in enumerate(range(first, limit)):
-                start = c * rpc
-                stop = min(start + rpc, rows)
-                mask_addr = buffers.mask_address(start)
-                mask_bytes = buffers.mask_bytes_for(stop - start)
-                if pass_index > 0:
-                    # Consult the (cached) running mask; skip dead chunks.
-                    prev_mask = regs.new()
-                    yield load(pcs.site(f"p{pass_index}_ldmask{pos}"), mask_addr,
-                               mask_bytes, dst=prev_mask)
-                    skip = bool(dead_flags[c])
-                    yield branch(pcs.site(f"p{pass_index}_skip{pos}"),
-                                 taken=skip, srcs=(prev_mask,))
-                else:
-                    prev_mask = None
-                    skip = False
-                if not skip:
-                    vec = regs.new()
-                    yield load(pcs.site(f"p{pass_index}_ld{pos}"),
-                               col.address_of(start), (stop - start) * 4, dst=vec)
-                    if pred.func == AluFunc.CMP_RANGE:
-                        lo = regs.new()
-                        hi = regs.new()
-                        yield alu(pcs.site(f"p{pass_index}_cmplo{pos}"), srcs=(vec,), dst=lo)
-                        yield alu(pcs.site(f"p{pass_index}_cmphi{pos}"), srcs=(vec,), dst=hi)
-                        mask = regs.new()
-                        yield alu(pcs.site(f"p{pass_index}_range{pos}"), srcs=(lo, hi), dst=mask)
-                    else:
-                        mask = regs.new()
-                        yield alu(pcs.site(f"p{pass_index}_cmp{pos}"), srcs=(vec,), dst=mask)
-                    if prev_mask is not None:
-                        conj = regs.new()
-                        yield alu(pcs.site(f"p{pass_index}_and{pos}"),
-                                  srcs=(mask, prev_mask), dst=conj)
-                        mask = conj
-                    yield store(pcs.site(f"p{pass_index}_stmask{pos}"), mask_addr,
-                                mask_bytes, srcs=(mask,))
-                if stop == rows or pos == limit - first - 1:
-                    yield alu(pcs.site(f"p{pass_index}_ind"), srcs=(induction,), dst=induction)
-                    yield branch(pcs.site(f"p{pass_index}_loop"), taken=stop != rows,
-                                 srcs=(induction,))
-
-        rows_per_iter = unroll * rpc
-
-        def regions_of(i0, count, _col=column):
-            start_row = i0 * rows_per_iter
-            end_row = min((i0 + count) * rows_per_iter, rows)
-            return (
-                Region(_col.address_of(start_row), _col.address_of(end_row),
-                       rows_per_iter * 4),
-                Region(buffers.mask_address(start_row),
-                       buffers.bitmask_base + (end_row + 7) // 8,
-                       Fraction(rows_per_iter, 8)),
-            )
-
-        key_ids = skip_pattern_key_ids(dead if p > 0 else None,
-                                       n_iters, unroll)
-
-        yield from group_runs(
-            regs, n_iters,
-            iteration_key=iteration_key,
-            make_iteration=(
-                lambda i, _p=p, _pred=predicate, _col=column,
-                _dead=(dead if p > 0 else None), _mk=make_iteration:
-                _mk(i, _p, _pred, _col, _dead)
-            ),
-            run_key=(lambda key, _p=p:
-                     ("x86col", _p, config.op_bytes, unroll) + key),
-            regions_of=regions_of,
-            fixed_regs=(induction,),
-            key_ids=key_ids,
-            family=("x86col", p, config.op_bytes, unroll),
-        )
-
-
-def column_at_a_time(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """DSM bitmask scan (Figures 3b/3c's x86 bars)."""
-    return flatten_runs(column_runs(workload, config))
-
-
-def generate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Dispatch on the configured strategy."""
-    if config.strategy == "tuple":
-        return tuple_at_a_time(workload, config)
-    return column_at_a_time(workload, config)
-
-
-# -- per-operator lowering protocol (codegen.base.lower_plan) ----------------
-
-#: Filter lowering: the select scan itself
-lower_filter = generate
-
-
-def lower_filter_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
-    """Filter lowering as steady-state runs."""
-    if config.strategy == "tuple":
-        return tuple_runs(workload, config)
-    return column_runs(workload, config)
+    return column_pass_runs(
+        workload, config, "x86col", chunk_body,
+        body_regs=lambda predicate: 1 + compare_uop_count(predicate),
+    )
 
 
 def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
     """Aggregate lowering: core-side reduction over the cached bitmask."""
     _check(config)
     return core_aggregate(workload, config)
-
-
-def generate_plan(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
-    """Lower the workload's full query plan."""
-    return lower_plan(sys.modules[__name__], workload, config)
 
 
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:

@@ -14,7 +14,7 @@ linear pipeline of operator nodes,
   optionally grouped by low-cardinality key columns.
 
 ``db/scan.py`` interprets plans with reference numpy semantics; the
-codegens lower them per backend (``codegen/base.lower_plan``); the
+codegens lower them per backend (``codegen/base.lower_plan_runs``); the
 experiment engine hashes :meth:`QueryPlan.digest` into its cache keys.
 
 Plans serialise (``to_dict``/``from_dict``) for worker boundaries and

@@ -16,7 +16,7 @@ copying them.  A DSM column region is a view of the column array itself
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

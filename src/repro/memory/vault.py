@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..common.config import HmcConfig
 from ..common.resources import BandwidthResource, BusyResource
-from .dram import BankAccessResult, DramBank, DramTimings
+from .dram import DramBank, DramTimings
 
 
 @dataclass(slots=True)

@@ -46,18 +46,13 @@ class Machine:
     #: replay bookkeeping of the last `run_runs` (never part of results)
     replay_stats: Optional[object] = None
 
-    def run(self, trace):
-        """Execute a uop trace; returns the core result (stats updated).
+    def run_runs(self, runs, exact: Optional[bool] = None, monitor=None):
+        """Execute a codegen's run stream; returns the core result (stats
+        updated).
 
         The run ends when both the core has committed everything *and*
         the memory-side engine has drained (posted PIM instructions may
         still be executing in the cube when the core retires them).
-        """
-        result = self.core.run(trace)
-        return self._finish(result)
-
-    def run_runs(self, runs, exact: Optional[bool] = None, monitor=None):
-        """Execute a steady-state run stream (see :mod:`repro.sim.replay`).
 
         ``exact`` is tri-state: ``None`` (default) follows the
         environment (``REPRO_EXACT=1`` forces the slow path), ``True``

@@ -12,6 +12,8 @@ from repro.codegen.base import (
     RegAllocator,
     ScanConfig,
     chunk_bounds,
+    flatten_runs,
+    lower_filter_runs,
 )
 from repro.cpu.isa import PimOp, UopClass
 from repro.db.datagen import generate_lineitem, generate_table
@@ -34,6 +36,11 @@ def workload():
     # Also attach an NSM copy for tuple-mode codegens.
     machine_workload.nsm = NsmTable(machine.image, data, name="nsm_copy")
     return machine_workload
+
+
+def lower(codegen, workload, config):
+    """The flat uop stream of ``codegen``'s select scan."""
+    return list(flatten_runs(lower_filter_runs(codegen, workload, config)))
 
 
 def plan_workload(plan, arch="x86", rows=ROWS, seed=31):
@@ -80,7 +87,7 @@ class TestBaseHelpers:
 
 class TestX86Codegen:
     def test_tuple_trace_structure(self, workload):
-        trace = list(x86_cg.generate(workload, ScanConfig("nsm", "tuple", 64)))
+        trace = lower(x86_cg, workload, ScanConfig("nsm", "tuple", 64))
         loads = [u for u in trace if u.cls == UopClass.LOAD]
         branches = [u for u in trace if u.cls == UopClass.BRANCH]
         # One tuple load per row (64 B ops) plus iterator-state loads.
@@ -90,19 +97,19 @@ class TestX86Codegen:
         assert len(branches) >= ROWS
 
     def test_tuple_materialisation_matches_data(self, workload):
-        trace = list(x86_cg.generate(workload, ScanConfig("nsm", "tuple", 64)))
+        trace = lower(x86_cg, workload, ScanConfig("nsm", "tuple", 64))
         matches = int(workload.final_mask.sum())
         # Exactly the matching tuples are materialised (64 B each).
         stores = [u for u in trace if u.cls == UopClass.STORE]
         assert sum(u.size for u in stores) == matches * 64
 
     def test_small_ops_load_whole_tuple(self, workload):
-        trace = list(x86_cg.generate(workload, ScanConfig("nsm", "tuple", 16)))
+        trace = lower(x86_cg, workload, ScanConfig("nsm", "tuple", 16))
         tuple_loads = [u for u in trace if u.cls == UopClass.LOAD and u.size == 16]
         assert len(tuple_loads) >= ROWS * 4  # 4 pieces per 64 B tuple
 
     def test_column_trace_structure(self, workload):
-        trace = list(x86_cg.generate(workload, ScanConfig("dsm", "column", 64)))
+        trace = lower(x86_cg, workload, ScanConfig("dsm", "column", 64))
         stores = [u for u in trace if u.cls == UopClass.STORE]
         # Pass 1 stores a mask chunk per 16 rows; later passes store only
         # non-skipped chunks.
@@ -111,28 +118,28 @@ class TestX86Codegen:
 
     def test_rejects_oversized_ops(self, workload):
         with pytest.raises(ValueError):
-            list(x86_cg.generate(workload, ScanConfig("dsm", "column", 128)))
+            lower(x86_cg, workload, ScanConfig("dsm", "column", 128))
 
     def test_rejects_deep_unroll(self, workload):
         with pytest.raises(ValueError):
-            list(x86_cg.generate(workload, ScanConfig("dsm", "column", 64, unroll=16)))
+            lower(x86_cg, workload, ScanConfig("dsm", "column", 64, unroll=16))
 
 
 class TestHmcCodegen:
     def test_tuple_offload_count(self, workload):
-        trace = list(hmc_cg.generate(workload, ScanConfig("nsm", "tuple", 64)))
+        trace = lower(hmc_cg, workload, ScanConfig("nsm", "tuple", 64))
         pim_ops = [u for u in trace if u.cls == UopClass.PIM]
         assert len(pim_ops) == ROWS  # one compare per tuple at 64 B
         assert all(u.pim.op == PimOp.HMC_LOADCMP for u in pim_ops)
         assert all(u.pim.compound is not None for u in pim_ops)
 
     def test_tuple_grouping_at_256(self, workload):
-        trace = list(hmc_cg.generate(workload, ScanConfig("nsm", "tuple", 256)))
+        trace = lower(hmc_cg, workload, ScanConfig("nsm", "tuple", 256))
         pim_ops = [u for u in trace if u.cls == UopClass.PIM]
         assert len(pim_ops) == ROWS // 4  # 4 tuples per op
 
     def test_column_offload(self, workload):
-        trace = list(hmc_cg.generate(workload, ScanConfig("dsm", "column", 256)))
+        trace = lower(hmc_cg, workload, ScanConfig("dsm", "column", 256))
         pim_ops = [u for u in trace if u.cls == UopClass.PIM]
         chunks = ROWS // 64
         # Full first pass; later passes may skip chunks.
@@ -140,7 +147,7 @@ class TestHmcCodegen:
         assert all(u.pim.returns_value for u in pim_ops)
 
     def test_materialisation_via_cache(self, workload):
-        trace = list(hmc_cg.generate(workload, ScanConfig("nsm", "tuple", 64)))
+        trace = lower(hmc_cg, workload, ScanConfig("nsm", "tuple", 64))
         loads = [u for u in trace if u.cls == UopClass.LOAD and u.size == 64]
         matches = int(workload.final_mask.sum())
         assert len(loads) == matches  # tuple fetched per match
@@ -148,14 +155,14 @@ class TestHmcCodegen:
 
 class TestHiveCodegen:
     def test_tuple_block_structure(self, workload):
-        trace = list(hive_cg.generate(workload, ScanConfig("nsm", "tuple", 64)))
+        trace = lower(hive_cg, workload, ScanConfig("nsm", "tuple", 64))
         locks = [u for u in trace if u.cls == UopClass.PIM and u.pim.op == PimOp.LOCK]
         unlocks = [u for u in trace if u.cls == UopClass.PIM and u.pim.op == PimOp.UNLOCK]
         assert len(locks) == len(unlocks) == ROWS
         assert all(u.pim.returns_value for u in unlocks)  # status readback
 
     def test_column_blocks_balanced(self, workload):
-        trace = list(hive_cg.generate(workload, ScanConfig("dsm", "column", 256, unroll=32)))
+        trace = lower(hive_cg, workload, ScanConfig("dsm", "column", 256, unroll=32))
         locks = sum(1 for u in trace if u.cls == UopClass.PIM and u.pim.op == PimOp.LOCK)
         unlocks = sum(1 for u in trace if u.cls == UopClass.PIM and u.pim.op == PimOp.UNLOCK)
         assert locks == unlocks
@@ -163,24 +170,24 @@ class TestHiveCodegen:
         assert locks == 3
 
     def test_column_unroll1_reads_mask_from_core(self, workload):
-        trace = list(hive_cg.generate(workload, ScanConfig("dsm", "column", 256, unroll=1)))
+        trace = lower(hive_cg, workload, ScanConfig("dsm", "column", 256, unroll=1))
         core_loads = [u for u in trace if u.cls == UopClass.LOAD]
         assert core_loads  # the fig3b skip-check DRAM reads
-        trace32 = list(hive_cg.generate(workload, ScanConfig("dsm", "column", 256, unroll=32)))
+        trace32 = lower(hive_cg, workload, ScanConfig("dsm", "column", 256, unroll=32))
         assert not [u for u in trace32 if u.cls == UopClass.LOAD]
 
     def test_engine_registers_in_bounds(self, workload):
         for config in (ScanConfig("dsm", "column", 256, unroll=32),
                        ScanConfig("dsm", "column", 16, unroll=32),
                        ScanConfig("nsm", "tuple", 16)):
-            for uop in hive_cg.generate(workload, config):
+            for uop in lower(hive_cg, workload, config):
                 if uop.cls == UopClass.PIM and uop.pim.dst_reg is not None:
                     assert 0 <= uop.pim.dst_reg < 36
 
 
 class TestHipeCodegen:
     def test_single_pass_with_predication(self, workload):
-        trace = list(hipe_cg.generate(workload, ScanConfig("dsm", "column", 256, unroll=32)))
+        trace = lower(hipe_cg, workload, ScanConfig("dsm", "column", 256, unroll=32))
         pim_loads = [u for u in trace if u.cls == UopClass.PIM
                      and u.pim.op == PimOp.PIM_LOAD]
         predicated = [u for u in pim_loads if u.pim.predicated]
@@ -190,7 +197,7 @@ class TestHipeCodegen:
         assert len(predicated) == 2 * chunks  # columns 1 and 2
 
     def test_mask_store_per_block(self, workload):
-        trace = list(hipe_cg.generate(workload, ScanConfig("dsm", "column", 256, unroll=32)))
+        trace = lower(hipe_cg, workload, ScanConfig("dsm", "column", 256, unroll=32))
         stores = [u for u in trace if u.cls == UopClass.PIM
                   and u.pim.op == PimOp.PIM_STORE]
         packs = [u for u in trace if u.cls == UopClass.PIM
@@ -199,15 +206,15 @@ class TestHipeCodegen:
         assert len(packs) == ROWS // 64
 
     def test_registers_in_bounds(self, workload):
-        for uop in hipe_cg.generate(workload, ScanConfig("dsm", "column", 256, unroll=32)):
+        for uop in lower(hipe_cg, workload, ScanConfig("dsm", "column", 256, unroll=32)):
             if uop.cls == UopClass.PIM and uop.pim.dst_reg is not None:
                 assert 0 <= uop.pim.dst_reg < 36
 
     def test_tuple_mode_falls_back_to_hive(self, workload):
-        hive_trace = [u.cls for u in hive_cg.generate(
-            workload, ScanConfig("nsm", "tuple", 64))]
-        hipe_trace = [u.cls for u in hipe_cg.generate(
-            workload, ScanConfig("nsm", "tuple", 64))]
+        hive_trace = [u.cls for u in lower(
+            hive_cg, workload, ScanConfig("nsm", "tuple", 64))]
+        hipe_trace = [u.cls for u in lower(
+            hipe_cg, workload, ScanConfig("nsm", "tuple", 64))]
         assert hive_trace == hipe_trace
 
     def test_arbitrary_predicate_counts(self, workload):
@@ -217,7 +224,7 @@ class TestHipeCodegen:
         for count in (1, 2, 3):
             workload.predicates = full[:count]
             workload._mask_cache.clear()
-            trace = list(hipe_cg.generate(workload, ScanConfig("dsm", "column", 256)))
+            trace = lower(hipe_cg, workload, ScanConfig("dsm", "column", 256))
             pim_loads = [u for u in trace if u.cls == UopClass.PIM
                          and u.pim.op == PimOp.PIM_LOAD]
             predicated = [u for u in pim_loads if u.pim.predicated]
@@ -228,7 +235,7 @@ class TestHipeCodegen:
     def test_rejects_empty_predicates(self, workload):
         workload.predicates = ()
         with pytest.raises(ValueError):
-            list(hipe_cg.generate(workload, ScanConfig("dsm", "column", 256)))
+            lower(hipe_cg, workload, ScanConfig("dsm", "column", 256))
 
 
 class TestPlanLowering:
@@ -238,9 +245,9 @@ class TestPlanLowering:
         from repro.db.query6 import q6_select_plan
 
         config = ScanConfig("dsm", "column", 64, unroll=8)
-        filter_trace = list(x86_cg.lower_filter(workload, config))
+        filter_trace = lower(x86_cg, workload, config)
         workload.plan = q6_select_plan()
-        plan_trace = list(x86_cg.generate_plan(workload, config))
+        plan_trace = list(flatten_runs(x86_cg.generate_plan_runs(workload, config)))
         assert len(plan_trace) == len(filter_trace)
         assert [u.cls for u in plan_trace] == [u.cls for u in filter_trace]
 

@@ -283,7 +283,7 @@ class TestCheckpointIntegrity:
         machine = build_machine("hmc")
         workload = build_workload(
             machine, generate_table(plan.table, 32_768, 1994), "dsm", plan=plan)
-        machine.run(_CODEGENS["hmc"].generate_plan(
+        machine.run_runs(_CODEGENS["hmc"].generate_plan_runs(
             workload, ScanConfig("dsm", "column", 256)))
         backend = machine.backend
         ops = backend.mask_table()[1].size

@@ -87,7 +87,7 @@ class TestCrossArchitectureEquivalence:
 
             machine = build_machine(arch)
             workload = build_workload(machine, data, "dsm")
-            machine.run(_CODEGENS[arch].generate(
+            machine.run_runs(_CODEGENS[arch].column_runs(
                 workload, ScanConfig("dsm", "column", 256, unroll=16)))
             produced = machine.image.read(workload.buffers.bitmask_base,
                                           expected.size)
@@ -105,7 +105,7 @@ class TestCrossArchitectureEquivalence:
 
             machine = build_machine("hive")
             workload = build_workload(machine, data, "dsm")
-            machine.run(_CODEGENS["hive"].generate(
+            machine.run_runs(_CODEGENS["hive"].column_runs(
                 workload, ScanConfig("dsm", "column", op, unroll=8)))
             masks.append(machine.image.read(workload.buffers.bitmask_base,
                                             ROWS // 8))

@@ -11,7 +11,7 @@ from repro.codegen import hive as hive_cg
 from repro.codegen import hmc as hmc_cg
 from repro.codegen import x86 as x86_cg
 from repro.codegen.aggregate import aggregate_slots, group_keys
-from repro.codegen.base import ScanConfig
+from repro.codegen.base import ScanConfig, flatten_runs
 from repro.cpu.isa import AluFunc
 from repro.db.datagen import (
     LINEITEM_Q1_SCHEMA,
@@ -273,7 +273,8 @@ class TestCrossBackendEquivalence:
         data = generate_table(plan.table, ROWS, seed=7)
         machine = build_machine(arch)
         workload = build_workload(machine, data, "dsm", plan=plan)
-        machine.run(_CODEGENS[arch].generate_plan(workload, _BEST[arch]))
+        machine.run_runs(
+            _CODEGENS[arch].generate_plan_runs(workload, _BEST[arch]))
         reference = execute_plan(plan, data)
         slots = aggregate_slots(workload)
         aggs = plan.aggregate.aggs
@@ -409,7 +410,7 @@ class TestLoweringStructure:
         machine = build_machine("x86")
         workload = build_workload(machine, data, "dsm", plan=plan)
         with pytest.raises(ValueError):
-            list(x86_cg.generate_plan(workload, _BEST["x86"]))
+            list(flatten_runs(x86_cg.generate_plan_runs(workload, _BEST["x86"])))
 
     def test_plan_without_filter_rejected_by_lowering(self):
         plan = QueryPlan("nofilter", (
@@ -420,7 +421,7 @@ class TestLoweringStructure:
         machine = build_machine("x86")
         workload = build_workload(machine, data, "dsm", plan=plan)
         with pytest.raises(ValueError):
-            list(x86_cg.generate_plan(workload, _BEST["x86"]))
+            list(flatten_runs(x86_cg.generate_plan_runs(workload, _BEST["x86"])))
 
     def test_engine_register_budget_enforced(self):
         # 11 groups x 4 aggregates = 44 slots > 36 registers.
@@ -438,4 +439,4 @@ class TestLoweringStructure:
         machine = build_machine("hive")
         workload = build_workload(machine, data, "dsm", plan=plan)
         with pytest.raises(ValueError):
-            list(hive_cg.generate_plan(workload, _BEST["hive"]))
+            list(flatten_runs(hive_cg.generate_plan_runs(workload, _BEST["hive"])))

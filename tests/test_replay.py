@@ -20,6 +20,7 @@ from repro.codegen.base import (
     ScanConfig,
     TraceRun,
     flatten_runs,
+    lower_filter_runs,
     opaque_run,
 )
 from repro.common.settings import setting
@@ -89,39 +90,6 @@ def test_replay_matches_exact_small_ops(arch, op):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("arch", ["x86", "hmc", "hive", "hipe"])
-@pytest.mark.parametrize("op,unroll", [(64, 1), (256, 4)])
-def test_flattened_runs_equal_generate_plan(arch, op, unroll):
-    """flatten(generate_plan_runs) is the exact generate_plan stream."""
-    if arch == "x86" and op > 64:
-        pytest.skip("x86 ops cap at 64 B")
-    plan = q6_select_plan()
-    data = generate_table(plan.table, 1024, 7)
-    mod = _CODEGENS[arch]
-
-    def serialize(trace):
-        out = []
-        for u in trace:
-            p = u.pim
-            pim_key = None if p is None else (
-                p.op, p.address, p.size, p.dst_reg, tuple(p.src_regs), p.func,
-                p.imm_lo, p.imm_hi, p.lane_bytes, p.pred_reg, p.returns_value,
-            )
-            out.append((u.cls, u.pc, tuple(u.srcs), u.dst, u.address, u.size,
-                        u.taken, pim_key))
-        return out
-
-    m1 = build_machine(arch)
-    w1 = build_workload(m1, data, "dsm", plan=plan)
-    flat = serialize(mod.generate_plan(w1, ScanConfig("dsm", "column", op, unroll)))
-    m2 = build_machine(arch)
-    w2 = build_workload(m2, data, "dsm", plan=plan)
-    runs = serialize(flatten_runs(
-        mod.generate_plan_runs(w2, ScanConfig("dsm", "column", op, unroll))
-    ))
-    assert flat == runs
-
-
 #: golden digests of the Q6 uop streams (1024 rows, seed 7) — pinned at
 #: PR 3, byte-identical to the PR 2 lowering.  A change here means the
 #: emitted trace changed, which invalidates every calibrated figure.
@@ -136,6 +104,12 @@ _GOLDEN_STREAMS = {
     ("hmc", "nsm", "tuple", 16, 1): "91df16368af60fa5",
     ("hmc", "nsm", "tuple", 256, 2): "3af567b69aecb5df",
     ("hive", "nsm", "tuple", 256, 2): "1fce6bccecaa2803",
+    # pinned when the flat lowering entry points were deleted
+    ("hmc", "dsm", "column", 64, 1): "4f3938baf14b1d6a",
+    ("hive", "dsm", "column", 64, 1): "ec945288d096033d",
+    ("hipe", "dsm", "column", 64, 1): "f65550667252f90a",
+    ("hmc", "dsm", "column", 256, 4): "3e004af0fc58596c",
+    ("hipe", "dsm", "column", 256, 4): "2b1744836008fb43",
 }
 
 
@@ -150,10 +124,10 @@ def test_uop_streams_match_golden_digests(point):
     machine = build_machine(arch)
     workload = build_workload(machine, data, layout, plan=plan)
     digest = hashlib.sha256()
-    trace = _CODEGENS[arch].generate_plan(
+    trace = _CODEGENS[arch].generate_plan_runs(
         workload, ScanConfig(layout, strategy, op, unroll)
     )
-    for u in trace:
+    for u in flatten_runs(trace):
         p = u.pim
         pim_t = None if p is None else (
             p.op.value, p.address, p.size, p.dst_reg, tuple(p.src_regs),
@@ -164,6 +138,50 @@ def test_uop_streams_match_golden_digests(point):
         digest.update(repr((u.cls.value, u.pc, tuple(u.srcs), u.dst,
                             u.address, u.size, u.taken, pim_t)).encode())
     assert digest.hexdigest()[:16] == _GOLDEN_STREAMS[point]
+
+
+_GROUPING_SCANS = [
+    ("dsm", "column", 16, 1), ("dsm", "column", 64, 1),
+    ("dsm", "column", 64, 4), ("nsm", "tuple", 16, 2),
+    ("nsm", "tuple", 64, 1),
+]
+
+
+@pytest.mark.parametrize("scan", _GROUPING_SCANS, ids=lambda s: "-".join(map(str, s)))
+@pytest.mark.parametrize("plan_name", ["q6", "sel_0.4"])
+@pytest.mark.parametrize("arch,partial", [
+    ("x86", False), ("hmc", False), ("hive", False), ("hipe", False),
+    ("hipe", True),
+])
+def test_run_grouping_is_maximal_and_uniform(arch, partial, plan_name, scan):
+    """Runs are maximal (neighbours differ) and uniform (alike at both ends).
+
+    4 099 rows leave a partial last chunk and tuple group.  The runs
+    are consumed in stream order: a codegen's closures may bind its
+    pass state late.
+    """
+    plan = (q6_select_plan() if plan_name == "q6"
+            else selectivity_scan_plan(0.4))
+    layout = scan[0]
+    machine = build_machine(arch)
+    workload = build_workload(
+        machine, generate_table(plan.table, 4099, 7), layout, plan=plan)
+    workload.partial_lanes = partial
+
+    def shape(run, j):
+        return [(u.cls, u.pc, u.taken, u.size if u.pim is None else u.pim.size)
+                for u in run.make(j)]
+
+    previous = None
+    runs = 0
+    for run in lower_filter_runs(_CODEGENS[arch], workload, ScanConfig(*scan)):
+        runs += 1
+        if previous is not None and previous.family == run.family:
+            assert previous.key != run.key
+        if run.count > 1:
+            assert shape(run, 0) == shape(run, run.count - 1), run.key[:4]
+        previous = run
+    assert runs > 1
 
 
 @pytest.mark.parametrize("layout,strategy,op", [
@@ -180,8 +198,8 @@ def test_hmc_bulk_logs_what_simulation_logs(layout, strategy, op):
     data = generate_table(plan.table, 4099, 7)  # a partial last chunk/group
     scan = ScanConfig(layout, strategy, op, 2)
     skipped, simulated = build_machine("hmc"), build_machine("hmc")
-    runs = hmc.lower_filter_runs(
-        build_workload(skipped, data, layout, plan=plan), scan)
+    runs = lower_filter_runs(
+        hmc, build_workload(skipped, data, layout, plan=plan), scan)
     execution = simulated.core.execution()
     build_workload(simulated, data, layout, plan=plan)
     for run in runs:

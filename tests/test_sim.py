@@ -145,7 +145,7 @@ class TestMaskVerification:
         workload = build_workload(machine, data, "dsm")
         from repro.sim.runner import _CODEGENS
 
-        machine.run(_CODEGENS[arch].generate(
+        machine.run_runs(_CODEGENS[arch].column_runs(
             workload, ScanConfig("dsm", "column", 256, unroll=8)))
         expected = np.packbits(reference_mask(data), bitorder="little")
         produced = machine.image.read(workload.buffers.bitmask_base,
@@ -170,13 +170,14 @@ class TestMaskVerification:
 
     @pytest.mark.parametrize("strategy", ["tuple", "column"])
     def test_hmc_verification_catches_a_flipped_bit(self, data, strategy):
+        from repro.codegen.base import lower_filter_runs
         from repro.sim.runner import _CODEGENS, _verify_hmc_masks
 
         layout = "nsm" if strategy == "tuple" else "dsm"
         scan = ScanConfig(layout, strategy, 16)
         machine = build_machine("hmc")
         workload = build_workload(machine, data, layout)
-        machine.run(_CODEGENS["hmc"].generate(workload, scan))
+        machine.run_runs(lower_filter_runs(_CODEGENS["hmc"], workload, scan))
         assert _verify_hmc_masks(machine, workload, scan)
         # Clear the first matching row's bit: in tuple mode in its first
         # piece's mask (4 pieces per tuple), in column mode in pass 0's
