@@ -164,7 +164,7 @@ class CacheLevel:
         return (line_address // self.line_bytes) % self.num_sets
 
     def contains(self, address: int) -> bool:
-        """Functional presence check (used by tests and the directory)."""
+        """Functional presence check (used by tests)."""
         line = self._line_of(address)
         return line in self._sets[self._set_index(line)].policy
 
@@ -176,7 +176,7 @@ class CacheLevel:
     # -- invalidation ----------------------------------------------------------
 
     def invalidate(self, line_address: int) -> None:
-        """Drop a line (no timing; used for coherence/back-invalidation
+        """Drop a line (no timing; used for inclusive back-invalidation
         and for the HIVE/HIPE engines' uncached stores)."""
         line = self._line_of(line_address)
         cache_set = self._sets[self._set_index(line)]

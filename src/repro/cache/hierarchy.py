@@ -1,7 +1,7 @@
 """The full cache hierarchy of one core, backed by the HMC.
 
 L1 (private, stride prefetch) -> L2 (private, stream prefetch) ->
-L3 (shared, inclusive, MOESI directory) -> HMC serial links -> vaults.
+L3 (inclusive) -> HMC serial links -> vaults.
 
 The hierarchy is the x86 baseline's whole memory system; the PIM
 architectures use it only for the core-side accesses that remain
@@ -16,7 +16,6 @@ from ..common.config import MachineConfig
 from ..common.stats import StatGroup
 from ..memory.hmc import Hmc
 from .cache import AccessType, CacheLevel
-from .coherence import MoesiDirectory
 
 
 class HmcPort:
@@ -36,32 +35,24 @@ class HmcPort:
 
 
 class CacheHierarchy:
-    """Per-core L1/L2 on a (possibly shared) L3 over the HMC."""
+    """One core's L1/L2 on an inclusive L3 over the HMC."""
 
     def __init__(
         self,
         config: MachineConfig,
         hmc: Hmc,
         stats: Optional[StatGroup] = None,
-        core_id: int = 0,
-        shared_l3: Optional[CacheLevel] = None,
-        directory: Optional[MoesiDirectory] = None,
     ) -> None:
         self.config = config
-        self.core_id = core_id
-        self.stats = stats if stats is not None else StatGroup(f"core{core_id}.caches")
-        self.directory = directory
+        self.stats = stats if stats is not None else StatGroup("caches")
         self.line_bytes = config.l1.line_bytes
         self._n_loads = 0
         self._n_stores = 0
         self.stats.register_flush(self._flush_counts)
 
-        if shared_l3 is not None:
-            self.l3 = shared_l3
-        else:
-            port = HmcPort(hmc, config.l3.line_bytes)
-            self.l3 = CacheLevel(config.l3, port, self.stats.child("l3"))
-        self.l2 = CacheLevel(config.l2, self._l3_adapter(), self.stats.child("l2"))
+        port = HmcPort(hmc, config.l3.line_bytes)
+        self.l3 = CacheLevel(config.l3, port, self.stats.child("l3"))
+        self.l2 = CacheLevel(config.l2, self.l3, self.stats.child("l2"))
         self.l1 = CacheLevel(config.l1, self.l2, self.stats.child("l1"))
         # Inclusive L3: evictions there must purge the private levels.
         self.l3.register_upstream(self.l1.invalidate)
@@ -74,26 +65,6 @@ class CacheHierarchy:
         if self._n_stores:
             self.stats.bump("stores", self._n_stores)
             self._n_stores = 0
-
-    def _l3_adapter(self):
-        """Wrap L3 access with the coherence directory when present."""
-        if self.directory is None:
-            return self.l3
-        hierarchy = self
-
-        class _DirectoryPort:
-            def access(self, cycle: int, line: int, acc_type: AccessType, pc: int = 0) -> int:
-                directory = hierarchy.directory
-                if acc_type in (AccessType.LOAD, AccessType.PREFETCH):
-                    extra = directory.read(hierarchy.core_id, line)
-                elif acc_type == AccessType.STORE:
-                    extra = directory.write(hierarchy.core_id, line)
-                else:  # writeback
-                    directory.evict(hierarchy.core_id, line)
-                    extra = 0
-                return hierarchy.l3.access(cycle + extra, line, acc_type, pc)
-
-        return _DirectoryPort()
 
     # -- the core-facing interface ------------------------------------------
 
@@ -164,8 +135,6 @@ class CacheHierarchy:
             self.l1.invalidate(line)
             self.l2.invalidate(line)
             self.l3.invalidate(line)
-            if self.directory is not None:
-                self.directory.invalidate_line(line)
 
     def contains(self, address: int) -> bool:
         """True if any level holds the line (tests/debugging)."""

@@ -6,7 +6,7 @@ counters as it models events ("l1.load_hits", "hmc.vault3.row_activations",
 
 * cheap integer counters and accumulators,
 * derived metrics computed at report time (e.g. hit ratios),
-* merging (for multicore runs) and flat dictionary export,
+* merging and flat dictionary export,
 * formatted tables for the experiment harness.
 
 Components never format their own output; experiments read the registry.

@@ -22,8 +22,8 @@ compare's result, so the next tuple's PIM op waits a full cube round
 trip), while branchless column-at-a-time streams at the window limit —
 the central contrast of Figures 3a vs 3b.
 
-:class:`CoreExecution` exposes per-uop stepping so the multicore wrapper
-can interleave traces; :meth:`OoOCore.run` is the single-threaded driver.
+:class:`CoreExecution` exposes per-uop stepping, which the machine uses
+to consume a run stream; :meth:`OoOCore.run` executes one flat trace.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ class OoOCore:
         self.units = FunctionalUnits(config.core)
 
     def execution(self) -> CoreExecution:
-        """A fresh stepping execution context (multicore interleaving)."""
+        """A fresh stepping execution context."""
         return CoreExecution(
             self.config,
             self.hierarchy,

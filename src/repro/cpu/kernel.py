@@ -518,10 +518,7 @@ def _emit(shape: RunShape, execution) -> None:
         "_hpo": _heapq.heappop,
     }
     predictor = execution.predictor
-    # The single-line L1 fast path is only inlined for plain
-    # single-level-entry hierarchies (no coherence directory redirect).
-    inline_l1 = (binds["_l1a"] is not None
-                 and getattr(hierarchy, "directory", None) is None)
+    inline_l1 = binds["_l1a"] is not None
     slotted = {
         "fs": execution._fetch_slots,
         "bs": execution._branch_slots,

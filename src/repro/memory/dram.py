@@ -59,16 +59,6 @@ class DramTimings:
         return self.t_ras + self.t_rp
 
 
-@dataclass(slots=True)
-class BankAccessResult:
-    """Timing of one bank access."""
-
-    start: int  # cycle the activate command was accepted
-    data_start: int  # first data beat on the bus
-    data_end: int  # last data beat (access completion for reads)
-    bank_free: int  # bank available for the next activation
-
-
 class DramBank:
     """One DRAM bank under the closed-page policy.
 
@@ -99,11 +89,15 @@ class DramBank:
     def access_times(
         self, cycle: int, nbytes: int, is_write: bool, address: int = 0
     ) -> tuple:
-        """Lean :meth:`access`: ``(start, data_start, data_end, bank_free)``.
+        """Activate, access ``nbytes`` of one row, precharge.
 
-        The hot path (every DRAM access of every fill and PIM operand)
-        returns a plain tuple; :meth:`access` wraps it for callers that
-        want the named view.
+        ``cycle`` is when the command could first be issued; the result
+        accounts for the bank still being busy from a prior access.
+        ``address`` tags the bank for replay relabelling.  Returns
+        ``(start, data_start, data_end, bank_free)``: when the activate
+        was accepted, the first and last data beats on the bus (the last
+        is the completion of a read), and when the bank can activate
+        again.
         """
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
@@ -133,24 +127,3 @@ class DramBank:
             self.reads += 1
             self.bytes_read += nbytes
         return start, data_start, data_end, bank_free
-
-    def access(
-        self, cycle: int, nbytes: int, is_write: bool, address: int = 0
-    ) -> BankAccessResult:
-        """Activate, access ``nbytes`` of one row, precharge.
-
-        ``cycle`` is when the command could first be issued; the result
-        accounts for the bank still being busy from a prior access.
-        ``address`` tags the bank for replay relabelling.
-        """
-        start, data_start, data_end, bank_free = self.access_times(
-            cycle, nbytes, is_write, address
-        )
-        return BankAccessResult(
-            start=start, data_start=data_start, data_end=data_end, bank_free=bank_free
-        )
-
-    @property
-    def next_free(self) -> int:
-        """First cycle the bank could accept a new activation."""
-        return self._resource.next_free

@@ -5,11 +5,11 @@ of traffic reach it:
 
 * **Cache-line fills/writebacks** from the processor's cache hierarchy —
   cross the serial links, get routed to a vault, pay the closed-page DRAM
-  timing (:meth:`Hmc.read_line` / :meth:`Hmc.write_line`).
+  timing (:meth:`Hmc.read_line_times` / :meth:`Hmc.write_line_times`).
 * **HMC ISA instructions** (the extended-update baseline) — a 16 B request
   packet carries the operation; a vault-local functional unit performs the
   read(-modify-write) and a response packet carries back the (small)
-  result, e.g. a comparison bitmask (:meth:`Hmc.pim_update`).
+  result, e.g. a comparison bitmask (:meth:`Hmc.pim_update_times`).
 * **Logic-layer accesses** from the HIVE/HIPE engine, which sits *inside*
   the cube and therefore reaches the vaults without link traversal
   (:meth:`Hmc.vault_access`).
@@ -19,21 +19,11 @@ Timing only — the data itself lives in a :class:`~repro.memory.image.MemoryIma
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.config import HmcConfig
 from ..common.stats import StatGroup
 from .address_mapping import AddressMapping
 from .links import HmcLinks
 from .vault import Vault
-
-
-@dataclass(slots=True)
-class HmcAccessResult:
-    """End-to-end timing of one processor-side HMC transaction."""
-
-    issue: int  # when the request packet started serialising
-    completion: int  # data (read) or acknowledgement (write/PIM) at the core
 
 
 class Hmc:
@@ -52,7 +42,6 @@ class Hmc:
         self._vault_mask = self.mapping._vault_mask
         self._vault_bits = self.mapping._vault_bits
         self._bank_mask = self.mapping._bank_mask
-        self._header_bytes = config.request_header_bytes
         self.stats = stats if stats is not None else StatGroup("hmc")
         self._n_vault_accesses = 0
         self._n_vault_bytes_read = 0
@@ -82,46 +71,6 @@ class Hmc:
         if self._n_pim_updates:
             stats.bump("pim_updates", self._n_pim_updates)
             self._n_pim_updates = 0
-
-    # -- lean link crossings (no LinkTransfer objects) ---------------------
-
-    def _request(self, cycle: int, payload_bytes: int) -> tuple:
-        """Inline request-lane crossing: ``(start, accepted, arrival)``."""
-        links = self.links
-        lanes = links._request_lanes
-        channel = lanes.channels[lanes.cursor % lanes._n]
-        lanes.cursor += 1
-        packet = self._header_bytes + payload_bytes
-        start = channel._next_free
-        if cycle > start:
-            start = cycle
-        duration = int(-(-packet // channel.bytes_per_cycle))
-        if duration < 1:
-            duration = 1
-        end = start + duration
-        channel._next_free = end
-        channel.bytes_moved += packet
-        links.request_packets += 1
-        return start, end, end + links.latency
-
-    def _response(self, cycle: int, payload_bytes: int) -> tuple:
-        """Inline response-lane crossing: ``(start, accepted, arrival)``."""
-        links = self.links
-        lanes = links._response_lanes
-        channel = lanes.channels[lanes.cursor % lanes._n]
-        lanes.cursor += 1
-        packet = self._header_bytes + payload_bytes
-        start = channel._next_free
-        if cycle > start:
-            start = cycle
-        duration = int(-(-packet // channel.bytes_per_cycle))
-        if duration < 1:
-            duration = 1
-        end = start + duration
-        channel._next_free = end
-        channel.bytes_moved += packet
-        links.response_packets += 1
-        return start, end, end + links.latency
 
     # -- vault-side primitives (no link crossing) --------------------------
 
@@ -166,62 +115,29 @@ class Hmc:
     # -- processor-side transactions ---------------------------------------
 
     def read_line_times(self, cycle: int, address: int, nbytes: int) -> tuple:
-        """Lean :meth:`read_line`: ``(issue, completion)``."""
-        start, __, arrival = self._request(cycle, 0)
+        """A demand fill: request packet out, DRAM read, data packet back.
+
+        Returns ``(issue, completion)``: when the request started
+        serialising and when the data reached the core.
+        """
+        start, __, arrival = self.links.request(cycle)
         data_ready = self.vault_access(arrival, address, nbytes, is_write=False)
-        completion = self._response(data_ready, nbytes)[2]
+        completion = self.links.response(data_ready, nbytes)[2]
         self._n_line_reads += 1
         return start, completion
 
-    def read_line(self, cycle: int, address: int, nbytes: int) -> HmcAccessResult:
-        """A demand fill: request packet out, DRAM read, data packet back."""
-        issue, completion = self.read_line_times(cycle, address, nbytes)
-        return HmcAccessResult(issue=issue, completion=completion)
-
-    def write_line(self, cycle: int, address: int, nbytes: int) -> HmcAccessResult:
+    def write_line_times(self, cycle: int, address: int, nbytes: int) -> tuple:
         """A writeback: request packet carries the data; ack comes back.
 
-        Writes are posted — callers normally use ``issue`` time; the
-        acknowledgement matters only for fence-like semantics.
+        Returns ``(issue, completion)``.  Writes are posted — callers
+        normally use ``issue``; the acknowledgement (``completion``)
+        matters only for fence-like semantics.
         """
-        issue, completion = self.write_line_times(cycle, address, nbytes)
-        return HmcAccessResult(issue=issue, completion=completion)
-
-    def write_line_times(self, cycle: int, address: int, nbytes: int) -> tuple:
-        """Lean :meth:`write_line`: ``(issue, completion)``."""
-        start, __, arrival = self._request(cycle, nbytes)
+        start, __, arrival = self.links.request(cycle, nbytes)
         written = self.vault_access(arrival, address, nbytes, is_write=True)
-        completion = self._response(written, 0)[2]
+        completion = self.links.response(written)[2]
         self._n_line_writes += 1
         return start, completion
-
-    def pim_update(
-        self,
-        cycle: int,
-        address: int,
-        nbytes: int,
-        response_payload_bytes: int,
-        writes_back: bool = False,
-    ) -> HmcAccessResult:
-        """Execute one extended HMC ISA instruction at a vault.
-
-        Models the paper's second baseline: the instruction crosses the
-        links as a 16 B packet, the addressed vault reads ``nbytes``
-        (one row-buffer block at most per vault, larger ops split), the
-        per-vault functional unit applies the operation (e.g. compare
-        against an immediate), optionally writes the result back to DRAM
-        (classic read-modify-write update), and a response packet returns
-        ``response_payload_bytes`` (a status, or the comparison bitmask).
-        """
-        if nbytes > max(self.config.op_sizes):
-            raise ValueError(
-                f"operation size {nbytes} exceeds HMC ISA maximum "
-                f"{max(self.config.op_sizes)}"
-            )
-        issue, completion = self.pim_update_times(
-            cycle, address, nbytes, response_payload_bytes, writes_back
-        )
-        return HmcAccessResult(issue=issue, completion=completion)
 
     def pim_update_times(
         self,
@@ -231,13 +147,24 @@ class Hmc:
         response_payload_bytes: int,
         writes_back: bool = False,
     ) -> tuple:
-        """Lean :meth:`pim_update`: ``(issue, completion)``."""
+        """Execute one extended HMC ISA instruction at a vault.
+
+        Models the paper's second baseline: the instruction crosses the
+        links as a 16 B packet, the addressed vault reads ``nbytes``
+        (one row-buffer block at most per vault, larger ops split), the
+        per-vault functional unit applies the operation (e.g. compare
+        against an immediate), optionally writes the result back to DRAM
+        (classic read-modify-write update), and a response packet returns
+        ``response_payload_bytes`` (a status, or the comparison bitmask).
+        Returns ``(issue, completion)``: when the request started
+        serialising and when the response reached the core.
+        """
         if nbytes > max(self.config.op_sizes):
             raise ValueError(
                 f"operation size {nbytes} exceeds HMC ISA maximum "
                 f"{max(self.config.op_sizes)}"
             )
-        start, __, arrival = self._request(cycle, 0)
+        start, __, arrival = self.links.request(cycle)
         data_ready = self.vault_access(arrival, address, nbytes, is_write=False)
         vault = self.vaults[(address >> self._offset_bits) & self._vault_mask]
         fu = vault._fu
@@ -251,7 +178,7 @@ class Hmc:
         fu_done = fu_start + self.config.vault_fu_latency
         if writes_back:
             fu_done = self.vault_access(fu_done, address, nbytes, is_write=True)
-        completion = self._response(fu_done, response_payload_bytes)[2]
+        completion = self.links.response(fu_done, response_payload_bytes)[2]
         self._n_pim_updates += 1
         return start, completion
 

@@ -12,25 +12,21 @@ data-dependent branches: the cost lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.config import HmcConfig
 from ..common.resources import MultiChannelBandwidth
 from ..common.units import CORE_CLOCK, ClockDomain, GIGA
 
 
-@dataclass(slots=True)
-class LinkTransfer:
-    """Timing of one packet crossing the links."""
-
-    start: int
-    accepted: int  # serialisation done at the sender (posted completion)
-    arrival: int  # last bit received at the far side
-    packet_bytes: int
-
-
 class HmcLinks:
-    """Four full-duplex serial links between the processor and the cube."""
+    """Four full-duplex serial links between the processor and the cube.
+
+    :meth:`request` and :meth:`response` are the one link crossing of
+    every transaction (cache fills and writebacks, HMC ISA updates,
+    HIVE/HIPE instructions).  Each returns ``(start, accepted,
+    arrival)``: when the packet began serialising, when the sender
+    finished (a posted completion), and when its last bit reached the
+    far side.
+    """
 
     def __init__(self, config: HmcConfig) -> None:
         self.config = config
@@ -48,29 +44,36 @@ class HmcLinks:
             config.num_links, bytes_per_core_cycle
         )
         self.latency = config.link_latency_core_cycles
+        self._header_bytes = config.request_header_bytes
         self.request_packets = 0
         self.response_packets = 0
 
-    def _packet_bytes(self, payload_bytes: int) -> int:
-        return self.config.request_header_bytes + payload_bytes
-
-    def send_request(self, cycle: int, payload_bytes: int = 0) -> LinkTransfer:
-        """Processor -> cube packet; returns when it arrives at the cube."""
-        packet = self._packet_bytes(payload_bytes)
-        start, end = self._request_lanes.transfer(cycle, packet)
+    def request(self, cycle: int, payload_bytes: int = 0) -> tuple:
+        """Processor -> cube packet: ``(start, accepted, arrival)``."""
         self.request_packets += 1
-        return LinkTransfer(
-            start=start, accepted=end, arrival=end + self.latency, packet_bytes=packet
-        )
+        return self._cross(self._request_lanes, cycle, payload_bytes)
 
-    def send_response(self, cycle: int, payload_bytes: int = 0) -> LinkTransfer:
-        """Cube -> processor packet; returns when it arrives at the core."""
-        packet = self._packet_bytes(payload_bytes)
-        start, end = self._response_lanes.transfer(cycle, packet)
+    def response(self, cycle: int, payload_bytes: int = 0) -> tuple:
+        """Cube -> processor packet: ``(start, accepted, arrival)``."""
         self.response_packets += 1
-        return LinkTransfer(
-            start=start, accepted=end, arrival=end + self.latency, packet_bytes=packet
-        )
+        return self._cross(self._response_lanes, cycle, payload_bytes)
+
+    def _cross(self, lanes: MultiChannelBandwidth, cycle: int,
+               payload_bytes: int) -> tuple:
+        """One packet on the next lane: ``lanes.transfer`` inlined."""
+        channel = lanes.channels[lanes.cursor % lanes._n]
+        lanes.cursor += 1
+        packet = self._header_bytes + payload_bytes
+        start = channel._next_free
+        if cycle > start:
+            start = cycle
+        duration = int(-(-packet // channel.bytes_per_cycle))
+        if duration < 1:
+            duration = 1
+        end = start + duration
+        channel._next_free = end
+        channel.bytes_moved += packet
+        return start, end, end + self.latency
 
     @property
     def request_bytes(self) -> int:
@@ -81,8 +84,3 @@ class HmcLinks:
     def response_bytes(self) -> int:
         """Total bytes serialised cube -> processor."""
         return self._response_lanes.bytes_moved
-
-    @property
-    def total_bytes(self) -> int:
-        """Total link traffic in both directions."""
-        return self.request_bytes + self.response_bytes

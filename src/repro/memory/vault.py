@@ -12,20 +12,9 @@ extended HMC ISA instructions of the paper's second baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.config import HmcConfig
 from ..common.resources import BandwidthResource, BusyResource
 from .dram import DramBank, DramTimings
-
-
-@dataclass(slots=True)
-class VaultAccessResult:
-    """Completion info for one <=row-buffer-sized vault access."""
-
-    start: int
-    data_ready: int  # cycle the data is available at the vault interface
-    bank_free: int
 
 
 class Vault:
@@ -33,7 +22,6 @@ class Vault:
 
     def __init__(self, vault_id: int, config: HmcConfig) -> None:
         self.vault_id = vault_id
-        self.config = config
         timings = DramTimings.from_config(config)
         bus_bytes_per_core_cycle = config.burst_bytes / config.core_to_bus_ratio
         cycles_per_byte = 1.0 / bus_bytes_per_core_cycle
@@ -52,34 +40,20 @@ class Vault:
         self._fu = BusyResource()
         self.fu_ops = 0
 
-    def access(
+    def access_times(
         self, cycle: int, bank: int, nbytes: int, is_write: bool, address: int = 0
-    ) -> VaultAccessResult:
+    ) -> tuple:
         """Perform a closed-page access of ``nbytes`` within one row.
 
         The command is accepted by the queue, the bank performs the
         activate/access/precharge sequence, and the data beats ride the
-        vault's shared bus.  Returns vault-local timing (no link cost).
-        ``address`` routes replay relabelling (see BusyResource).
+        vault's shared bus.  Returns vault-local timing (no link cost) as
+        ``(start, data_ready, bank_free)``: when the bank activated, when
+        the data is at the vault interface, and when the bank can
+        activate again.  ``address`` routes replay relabelling (see
+        BusyResource).  The caller (:meth:`Hmc.vault_access`) keeps
+        ``bank`` in range and ``nbytes`` within one row-buffer block.
         """
-        if not (0 <= bank < len(self.banks)):
-            raise ValueError(f"bank {bank} out of range")
-        if nbytes > self.config.row_buffer_bytes:
-            raise ValueError(
-                f"{nbytes} B exceeds the {self.config.row_buffer_bytes} B row buffer"
-            )
-        start, data_ready, bank_free = self.access_times(
-            cycle, bank, nbytes, is_write, address
-        )
-        return VaultAccessResult(
-            start=start, data_ready=data_ready, bank_free=bank_free
-        )
-
-    def access_times(
-        self, cycle: int, bank: int, nbytes: int, is_write: bool, address: int = 0
-    ) -> tuple:
-        """Lean :meth:`access` (no bounds re-checks, plain tuple):
-        ``(start, data_ready, bank_free)``.  The per-fill hot path."""
         # One command slot per core cycle, serialised in arrival order.
         queue = self._command_queue
         issued = queue._next_free
@@ -105,12 +79,6 @@ class Vault:
         bus.last_address = address
         data_ready = data_end if data_end > bus_end else bus_end
         return start, data_ready, bank_free
-
-    def execute_fu(self, cycle: int, address: int = 0) -> int:
-        """Run one PIM functional-unit operation; returns completion cycle."""
-        granted, __ = self._fu.occupy(cycle, 1, address=address)
-        self.fu_ops += 1
-        return granted + self.config.vault_fu_latency
 
     # -- statistics -------------------------------------------------------
 

@@ -439,13 +439,13 @@ class HiveBackend(PimBackend):
         can run ahead of the core's.  (Before this backpressure the
         modelled buffer was unbounded, which no hardware is.)
         """
-        request = self.hmc.links.send_request(cycle, payload_bytes=0)
-        completion = self.engine.execute(inst, request.arrival)
+        __, accepted, arrival = self.hmc.links.request(cycle)
+        completion = self.engine.execute(inst, arrival)
         release = self.engine._seq_time  # the sequencer consumed the entry
         self._n_sent += 1
         if inst.returns_value:
             lanes = max(1, inst.size // inst.lane_bytes) if inst.size else 1
             payload = max(2, ceil_div(lanes, 8))
-            response = self.hmc.links.send_response(completion, payload_bytes=payload)
-            return response.arrival, max(response.arrival, release)
-        return request.accepted, release
+            arrival = self.hmc.links.response(completion, payload)[2]
+            return arrival, max(arrival, release)
+        return accepted, release

@@ -26,10 +26,14 @@ cache of its own — the engine is the cache front there):
   warm-hits what the other computed).
 
 Architecture: a supervisor thread owns worker lifecycle.  Each worker
-is a persistent process with a *private* task queue holding at most one
-job, so when a worker dies the supervisor knows exactly which job it
-held.  Workers answer on one shared result queue.  All public methods
-are thread-safe.
+is a persistent process joined to the supervisor by its own duplex pipe
+and holds at most one job, so when a worker dies the supervisor knows
+exactly which job it held.  A worker sends each message whole, from its
+own thread, before it reads its next job; the supervisor treats an
+ended pipe (end of file, or a frame torn by a kill) as a dead worker
+once every message that worker finished sending has been handled.  A
+kill can therefore damage only the killed worker's own channel, never
+another worker's answers.  All public methods are thread-safe.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue as queue_module
 import signal
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from multiprocessing.connection import wait
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..codegen.base import ScanConfig
@@ -168,18 +172,12 @@ class JobRecord:
 class _Worker:
     """Parent-side view of one worker process (one job in flight max)."""
 
-    __slots__ = ("process", "task_queue", "job_id", "dead_since")
+    __slots__ = ("process", "conn", "job_id")
 
-    def __init__(self, process, task_queue) -> None:
+    def __init__(self, process, conn) -> None:
         self.process = process
-        self.task_queue = task_queue
+        self.conn = conn  # the supervisor's end of the worker's pipe
         self.job_id: Optional[int] = None
-        self.dead_since: Optional[float] = None
-
-
-#: grace between observing a worker's death and retrying its job, so a
-#: "done" message flushed just before the crash can still drain
-_DEAD_WORKER_GRACE = 0.25
 
 #: how often the supervisor, a blocked submit and a stream re-check state
 _POLL_INTERVAL = 0.05
@@ -322,9 +320,7 @@ class SimulationService:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        self._result_queue = self._ctx.Queue()
         self._workers: List[_Worker] = []
-        self._retired: List[_Worker] = []  # announced-exit, awaiting reap
         self._records: Dict[int, JobRecord] = {}
         self._pending: deque = deque()
         self._completed_order: List[int] = []
@@ -527,7 +523,6 @@ class SimulationService:
             if record.state is JobState.RUNNING:
                 for worker in self._workers:
                     if worker.job_id == ticket.id:
-                        worker.job_id = None
                         self._kill_worker(worker)
                         break
                 self._finish(record, JobState.CANCELLED)
@@ -736,7 +731,6 @@ class SimulationService:
                 if worker.job_id is None:
                     continue
                 record = self._records.get(worker.job_id)
-                worker.job_id = None
                 self._kill_worker(worker)
                 killed += 1
                 if record is not None and not record.state.terminal:
@@ -792,14 +786,15 @@ class SimulationService:
         self._supervisor.join(timeout=timeout)
         for worker in self._workers:
             try:
-                worker.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
+                worker.conn.send(None)
+            except OSError:
+                pass  # already dead
         for worker in self._workers:
             worker.process.join(timeout=1.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
+            # SIGKILL, not SIGTERM: a worker reads SIGTERM as "drain",
+            # which a single-pass run never reaches.
+            self._kill_worker(worker)
+            worker.conn.close()
         self._workers.clear()
         for entry in self._images.values():
             entry.image.close()
@@ -876,9 +871,9 @@ class SimulationService:
         self._cv.notify_all()
 
     def _spawn_worker(self) -> _Worker:
-        task_queue = self._ctx.SimpleQueue()
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=worker_main, args=(task_queue, self._result_queue),
+            target=worker_main, args=(child_conn,),
             daemon=True, name="repro-service-worker",
         )
         # The child inherits this thread's signal mask through fork:
@@ -896,46 +891,65 @@ class SimulationService:
         finally:
             if old_mask is not None:
                 signal.pthread_sigmask(signal.SIG_SETMASK, old_mask)
-        worker = _Worker(process, task_queue)
+            # With our copy of the worker's end closed, the worker's
+            # death reads as end of file on ``conn``.
+            child_conn.close()
+        worker = _Worker(process, conn)
         self._workers.append(worker)
         return worker
 
-    def _kill_worker(self, worker: _Worker) -> None:
-        try:
-            worker.process.kill()
-        except (OSError, ValueError, AttributeError):
-            try:
-                worker.process.terminate()
-            except (OSError, ValueError):
-                pass
-        if worker in self._workers:
-            self._workers.remove(worker)
+    @staticmethod
+    def _kill_worker(worker: _Worker) -> None:
+        """SIGKILL and reap ``worker`` (lock held; any thread).
+
+        It stays in the pool, dead and idle, until the supervisor sees
+        its pipe end: only the supervisor closes pipes, so no pipe is
+        closed under a read.
+        """
+        worker.job_id = None
+        worker.process.kill()
+        worker.process.join()
+
+    def _retire(self, worker: _Worker) -> None:
+        """Take ``worker`` out of the pool for good (supervisor thread)."""
+        self._workers.remove(worker)
+        self._kill_worker(worker)
+        worker.conn.close()
 
     def _supervise(self) -> None:
         while True:
-            try:
-                message = self._result_queue.get(timeout=_POLL_INTERVAL)
-            except queue_module.Empty:
-                message = None
-            except (OSError, ValueError):  # pragma: no cover - teardown race
-                return
             with self._cv:
-                if message is not None:
-                    self._handle_message(message)
-                    while True:
-                        try:
-                            self._handle_message(self._result_queue.get_nowait())
-                        except queue_module.Empty:
-                            break
-                self._reap_dead_workers()
+                if self._stopped:
+                    return
+                workers = list(self._workers)
+            # Read outside the lock: a worker's message may be large,
+            # and a killed worker can only end its own pipe.
+            ready = wait([w.conn for w in workers], timeout=_POLL_INTERVAL)
+            received = [(w, *_receive(w.conn)) for w in workers
+                        if w.conn in ready]
+            with self._cv:
+                ended = set()
+                for worker, messages, pipe_ended in received:
+                    for message in messages:
+                        self._handle_message(worker, message)
+                    if pipe_ended:
+                        ended.add(worker)
+                for worker in list(self._workers):
+                    # A dead worker whose pipe holds nothing unread is
+                    # gone too: some other forked process may still hold
+                    # its end of the pipe, and then no end of file comes.
+                    if worker in ended or not (
+                        worker.process.is_alive() or worker.conn.poll()
+                    ):
+                        self._worker_gone(worker)
                 self._check_timeouts()
                 self._check_deadlines()
                 self._dispatch()
-                if self._stopped:
-                    return
 
-    def _handle_message(self, message) -> None:
+    def _handle_message(self, worker: _Worker, message) -> None:
         kind, job_id, payload = message
+        if worker.job_id != job_id:
+            return  # the late word of an attempt already given up on
         record = self._records.get(job_id)
         if kind == "heartbeat":
             # Progress only: the worker keeps the job; feed the watchdog.
@@ -943,17 +957,9 @@ class SimulationService:
                 record.last_heartbeat = time.monotonic()
                 record.progress = payload
             return
-        for worker in self._workers:
-            if worker.job_id == job_id:
-                worker.job_id = None
-                if kind in ("drained", "recycle"):
-                    # The sender exits right after announcing: retire it
-                    # (no kill — it may still be flushing the shared
-                    # result queue) so the requeued job can never be
-                    # dispatched into its dying task queue.
-                    self._workers.remove(worker)
-                    self._retired.append(worker)
-                break
+        worker.job_id = None
+        if kind == "stopped" and payload["reason"] != "deadline":
+            self._retire(worker)  # it exits after announcing this stop
         if record is None or record.state.terminal:
             return  # cancelled while running; result discarded
         if kind == "done":
@@ -968,83 +974,76 @@ class SimulationService:
             self._finish(record, JobState.DONE)
         elif kind == "error":
             record.error = payload
-            record.attempt_log.append({
-                "attempt": record.attempts, "kind": "exception",
-                "reason": "worker raised (see error for the traceback)",
-                "duration": self._attempt_duration(record),
-                "exitcode": None,
-            })
+            self._log_attempt(record, "exception",
+                              "worker raised (see error for the traceback)")
             self._finish(record, JobState.FAILED)
-        elif kind == "expired":
-            stopped_at = payload.get("pass")
-            record.attempt_log.append({
-                "attempt": record.attempts, "kind": "expired",
-                "reason": (
-                    f"deadline passed; checkpoint-stopped at pass "
-                    f"{stopped_at}"
-                ),
-                "duration": self._attempt_duration(record),
-                "exitcode": None,
-            })
+        else:
+            self._handle_stop(record, payload)
+
+    def _handle_stop(self, record: JobRecord, stop: Dict[str, Any]) -> None:
+        """A worker checkpoint-stopped ``record`` at a pass boundary."""
+        reason, stopped_at = stop["reason"], stop["pass"]
+        if reason == "deadline":
+            self._log_attempt(
+                record, "expired",
+                f"deadline passed; checkpoint-stopped at pass {stopped_at}",
+            )
             record.error = (
                 f"deadline exceeded; attempt checkpoint-stopped at pass "
                 f"{stopped_at} (partial work preserved; a resubmission "
                 f"resumes from it)"
             )
             self._finish(record, JobState.EXPIRED)
-        elif kind == "drained":
-            stopped_at = payload.get("pass")
-            if self._draining or self._closed:
-                record.error = (
-                    f"service drained; checkpoint-stopped at pass "
-                    f"{stopped_at} (a successor service resumes from it)"
-                )
-                self._finish(record, JobState.DRAINED)
-            else:
-                # A stray SIGTERM hit the worker, not a service drain:
-                # the point checkpointed cleanly, so requeue it — a
-                # fresh worker resumes from the snapshot.  Doesn't
-                # consume the crash-retry budget.
-                record.recycles += 1
-                record.attempt_log.append({
-                    "attempt": record.attempts, "kind": "drained",
-                    "reason": (
-                        f"worker SIGTERMed externally; checkpointed at "
-                        f"pass {stopped_at} and requeued"
-                    ),
-                    "duration": self._attempt_duration(record),
-                    "exitcode": None,
-                })
-                record.state = JobState.PENDING
-                record.worker_pid = None
-                self._pending.appendleft(record.ticket.id)
-                self._cv.notify_all()
-        elif kind == "recycle":
+            return
+        if reason == "drain" and (self._draining or self._closed):
+            record.error = (
+                f"service drained; checkpoint-stopped at pass "
+                f"{stopped_at} (a successor service resumes from it)"
+            )
+            self._finish(record, JobState.DRAINED)
+            return
+        # A stray SIGTERM or the RSS watermark, not a service drain: the
+        # point checkpointed cleanly, so a fresh worker resumes it from
+        # the snapshot.  Doesn't consume the crash-retry budget.
+        record.recycles += 1
+        if reason == "drain":
+            self._log_attempt(
+                record, "drained",
+                f"worker SIGTERMed externally; checkpointed at pass "
+                f"{stopped_at} and requeued",
+            )
+        else:
             self.recycled_workers += 1
-            record.recycles += 1
-            rss = payload.get("rss_mb")
-            record.attempt_log.append({
-                "attempt": record.attempts, "kind": "recycled",
-                "reason": (
-                    f"worker RSS {rss:.0f} MB crossed the watermark; "
-                    f"checkpointed at pass {payload.get('pass')} and "
-                    f"recycled onto a fresh process"
-                    if isinstance(rss, (int, float)) else
-                    f"worker recycled at pass {payload.get('pass')}"
-                ),
-                "duration": self._attempt_duration(record),
-                "exitcode": None,
-            })
-            record.state = JobState.PENDING
-            record.worker_pid = None
-            self._pending.appendleft(record.ticket.id)
-            self._cv.notify_all()
+            self._log_attempt(
+                record, "recycled",
+                f"worker RSS {stop['rss_mb']:.0f} MB crossed the watermark; "
+                f"checkpointed at pass {stopped_at} and recycled onto a "
+                f"fresh process",
+            )
+        self._requeue(record)
 
     @staticmethod
-    def _attempt_duration(record: JobRecord) -> Optional[float]:
-        if record.started_at is None:
-            return None
-        return round(time.monotonic() - record.started_at, 3)
+    def _log_attempt(
+        record: JobRecord, kind: str, reason: str,
+        exitcode: Optional[int] = None,
+    ) -> None:
+        """Append the post-mortem of the attempt that just ended."""
+        record.attempt_log.append({
+            "attempt": record.attempts, "kind": kind, "reason": reason,
+            "duration": (
+                None if record.started_at is None
+                else round(time.monotonic() - record.started_at, 3)
+            ),
+            "exitcode": exitcode,
+        })
+
+    def _requeue(self, record: JobRecord, delay: float = 0.0) -> None:
+        """Put a job back at the head of the queue, due in ``delay`` s."""
+        record.state = JobState.PENDING
+        record.worker_pid = None
+        record.not_before = time.monotonic() + delay if delay else None
+        self._pending.appendleft(record.ticket.id)
+        self._cv.notify_all()
 
     def _retry_or_fail(self, record: JobRecord, reason: str) -> None:
         if self._draining:
@@ -1067,13 +1066,8 @@ class SimulationService:
             # hammered, and the delay sequence is reproducible run to
             # run — chaos tests can pin the attempt log exactly.
             delay = backoff_delay(failures, record.ticket.key)
-            record.not_before = time.monotonic() + delay
-            if record.attempt_log:
-                record.attempt_log[-1]["retry_in"] = delay
-            record.state = JobState.PENDING
-            record.worker_pid = None
-            self._pending.appendleft(record.ticket.id)
-            self._cv.notify_all()
+            record.attempt_log[-1]["retry_in"] = delay
+            self._requeue(record, delay)
         else:
             history = "; ".join(
                 f"attempt {entry['attempt']}: {entry['kind']} "
@@ -1087,40 +1081,19 @@ class SimulationService:
             )
             self._finish(record, JobState.FAILED)
 
-    def _reap_dead_workers(self) -> None:
-        now = time.monotonic()
-        for worker in list(self._retired):
-            if not worker.process.is_alive():
-                worker.process.join(timeout=0)
-                self._retired.remove(worker)
-        for worker in list(self._workers):
-            if worker.process.is_alive():
-                continue
-            if worker.dead_since is None:
-                worker.dead_since = now
-            # Let an in-flight "done" message drain before declaring the
-            # job crashed: a worker can die between answering and being
-            # observed dead.
-            if worker.job_id is not None \
-                    and now - worker.dead_since < _DEAD_WORKER_GRACE:
-                continue
-            self._workers.remove(worker)
-            job_id, worker.job_id = worker.job_id, None
-            if job_id is None:
-                continue
-            record = self._records.get(job_id)
-            if record is None or record.state is not JobState.RUNNING:
-                continue
-            exitcode = worker.process.exitcode
-            record.attempt_log.append({
-                "attempt": record.attempts, "kind": "crash",
-                "reason": f"worker died (exitcode {exitcode})",
-                "duration": self._attempt_duration(record),
-                "exitcode": exitcode,
-            })
-            self._retry_or_fail(
-                record, f"worker died (exitcode {exitcode}) while running point"
-            )
+    def _worker_gone(self, worker: _Worker) -> None:
+        """``worker`` died: retire it and retry the job it held."""
+        job_id = worker.job_id
+        self._retire(worker)
+        record = self._records.get(job_id)
+        if record is None or record.state is not JobState.RUNNING:
+            return
+        exitcode = worker.process.exitcode
+        self._log_attempt(record, "crash", f"worker died (exitcode {exitcode})",
+                          exitcode)
+        self._retry_or_fail(
+            record, f"worker died (exitcode {exitcode}) while running point"
+        )
 
     def _check_timeouts(self) -> None:
         if self.timeout is None:
@@ -1140,17 +1113,12 @@ class SimulationService:
                 reference = max(reference, record.last_heartbeat)
             if now - reference <= self.timeout:
                 continue
-            worker.job_id = None
             self._kill_worker(worker)
-            record.attempt_log.append({
-                "attempt": record.attempts, "kind": "stalled",
-                "reason": (
-                    f"no heartbeat for {self.timeout:.1f}s "
-                    f"(last progress: {record.progress})"
-                ),
-                "duration": self._attempt_duration(record),
-                "exitcode": None,
-            })
+            self._log_attempt(
+                record, "stalled",
+                f"no heartbeat for {self.timeout:.1f}s "
+                f"(last progress: {record.progress})",
+            )
             self._retry_or_fail(
                 record,
                 f"attempt exceeded the {self.timeout:.1f}s heartbeat timeout",
@@ -1186,17 +1154,12 @@ class SimulationService:
                 continue
             if now <= record.deadline_at + self.deadline_grace:
                 continue
-            worker.job_id = None
             self._kill_worker(worker)
-            record.attempt_log.append({
-                "attempt": record.attempts, "kind": "expired",
-                "reason": (
-                    f"deadline + {self.deadline_grace:.1f}s grace passed "
-                    f"without a voluntary checkpoint-stop; worker killed"
-                ),
-                "duration": self._attempt_duration(record),
-                "exitcode": None,
-            })
+            self._log_attempt(
+                record, "expired",
+                f"deadline + {self.deadline_grace:.1f}s grace passed "
+                f"without a voluntary checkpoint-stop; worker killed",
+            )
             record.error = (
                 "deadline exceeded (worker killed after grace; any "
                 "completed pass is checkpointed and resumable)"
@@ -1239,6 +1202,24 @@ class SimulationService:
             if isinstance(record.payload, dict):
                 record.payload["attempt"] = record.attempts
             worker.job_id = job_id
-            worker.task_queue.put((job_id, record.payload))
+            try:
+                worker.conn.send((job_id, record.payload))
+            except OSError:  # the worker died since it was last seen
+                self._worker_gone(worker)
             # queue room opened: wake any submitter blocked on admission
             self._cv.notify_all()
+
+
+def _receive(conn) -> Tuple[List[Any], bool]:
+    """Every whole message waiting on ``conn``, and whether it ended.
+
+    A pipe ends at end of file or at a frame torn by the writer's death;
+    the messages read before that still count.
+    """
+    messages: List[Any] = []
+    try:
+        while conn.poll():
+            messages.append(conn.recv())
+    except (EOFError, OSError):
+        return messages, True
+    return messages, False

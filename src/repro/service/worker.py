@@ -1,39 +1,42 @@
 """Worker-side protocol of the simulation service.
 
 One persistent process per worker slot runs :func:`worker_main`: a loop
-over a private task queue (the supervisor dispatches at most one job to
-a worker at a time, so crash attribution is exact), answering on the
-shared result queue.  The payload format is plain dicts/tuples (a
-serialised :class:`~repro.sim.results.RunResult` comes back, each number
-keeping its JSON type); datasets travel as
+over its own duplex pipe to the supervisor, which dispatches at most one
+job to a worker at a time, so crash attribution is exact.  The worker
+sends every message itself, whole, before it reads its next job, so a
+kill tears at most its own pipe.  The payload format is plain
+dicts/tuples (a serialised :class:`~repro.sim.results.RunResult` comes
+back, each number keeping its JSON type); datasets travel as
 :class:`~repro.memory.shared_data.DatasetHandle` descriptors and are
 attached (mapped, not copied) once per dataset per worker.  These
 workers are also the :class:`~repro.sim.engine.ExperimentEngine`'s:
 its parallel cache misses run on a service it owns.
 
-Messages on the result queue::
+Jobs arrive as ``(job_id, payload)``; ``None`` is the shutdown
+sentinel.  Messages to the supervisor::
 
     ("done",      job_id, {"result": run_result_dict,
                            "resumed_from_pass": int | None})
     ("error",     job_id, formatted_traceback_str)
     ("heartbeat", job_id, {"runs": int, "pass": int})
-    ("expired",   job_id, {"pass": int})   # deadline: checkpointed, abandoned
-    ("drained",   job_id, {"pass": int})   # SIGTERM drain: checkpointed
-    ("recycle",   job_id, {"pass": int, "rss_mb": float})  # RSS watermark
+    ("stopped",   job_id, {"reason": "deadline" | "drain" | "recycle",
+                           "pass": int, "rss_mb": float})
 
-The last three are *voluntary* checkpoint-then-stop outcomes, decided
-at a pass boundary right after its snapshot went to disk:
+``stopped`` is a *voluntary* checkpoint-then-stop, decided at a pass
+boundary right after its snapshot went to disk:
 
-* a job submitted with a **deadline** (absolute wall-clock epoch in the
-  payload) abandons at the first boundary past it — partial work stays
-  resumable, only this attempt's clock is bounded;
-* a **SIGTERM** to the worker sets a drain flag (the handler does
-  nothing else, so an in-flight checkpoint write completes untorn) and
-  the running point checkpoint-stops at its next boundary;
-* a worker whose RSS crossed the service's ``rss_watermark_mb`` (or
-  that hit an armed ``oom@rss`` fault) checkpoints, reports ``recycle`` and
-  *exits* — the supervisor requeues the job on a fresh process, which
-  resumes from the snapshot with a clean address space.
+* ``deadline``: a job submitted with a deadline (absolute wall-clock
+  epoch in the payload) abandons at the first boundary past it —
+  partial work stays resumable, only this attempt's clock is bounded;
+* ``drain``: a SIGTERM to the worker sets a drain flag (the handler
+  does nothing else, so an in-flight checkpoint write completes untorn)
+  and the running point checkpoint-stops at its next boundary;
+* ``recycle``: the worker's RSS crossed the service's
+  ``rss_watermark_mb`` (or an armed ``oom@rss`` fault said so) — the
+  supervisor requeues the job on a fresh process, which resumes from
+  the snapshot with a clean address space.
+
+The worker exits after every stop except ``deadline``.
 
 Heartbeats flow while a point simulates — at job start, throttled per
 consumed run, and at every pass boundary — and are what the
@@ -48,9 +51,10 @@ from its predecessor's last completed pass — bit-identical to an
 uninterrupted run — instead of restarting from zero.  On success the
 worker's monitor discards the snapshot before the result is sent.
 
-A worker that dies without answering (segfault, ``kill -9``, OOM) sends
-nothing; the supervisor detects the dead process and retries the job it
-held, bounded by the service's retry budget.  A Python exception inside
+A worker that dies without answering (segfault, ``kill -9``, OOM), even
+in the middle of a message, ends its pipe; the supervisor handles what
+the worker sent whole before that and retries the job it held, bounded
+by the service's retry budget.  A Python exception inside
 :func:`~repro.sim.runner.run_scan` is deterministic and is *not*
 retried — it comes back as an ``error`` message and fails the job with
 the worker traceback attached.
@@ -58,8 +62,8 @@ the worker traceback attached.
 Fault injection (chaos tests only; inert without ``REPRO_FAULTS``):
 ``start`` fires when a job is picked up, ``pass`` at each pass boundary
 *after* its checkpoint is written, and ``result`` just before the done
-message — a ``drop`` there models a lost queue write, which the
-watchdog then recovers via heartbeat silence.
+message — a ``drop`` there models a lost message, which the watchdog
+then recovers via heartbeat silence.
 """
 
 from __future__ import annotations
@@ -206,9 +210,9 @@ def execute_point_payload(
     return result.to_dict()
 
 
-def worker_main(task_queue, result_queue) -> None:
-    """Loop of one persistent service worker process."""
-    from ..sim.checkpoint import CheckpointAbandon, DeadlineExceeded
+def worker_main(conn) -> None:
+    """Loop of one persistent service worker process on its pipe ``conn``."""
+    from ..sim.checkpoint import CheckpointAbandon
 
     # SIGTERM means *drain*, not die: the handler only raises a flag, so
     # an in-flight checkpoint write finishes untorn and the running
@@ -227,7 +231,10 @@ def worker_main(task_queue, result_queue) -> None:
     gc.freeze()
     while True:
         gc.collect()
-        task = task_queue.get()
+        try:
+            task = conn.recv()
+        except EOFError:
+            break  # the supervisor is gone
         if task is None:  # shutdown sentinel
             break
         job_id, payload = task
@@ -236,33 +243,29 @@ def worker_main(task_queue, result_queue) -> None:
         faults.fire("start", attempt=attempt, arch=arch)
 
         def heartbeat(info: Dict[str, Any], _job=job_id) -> None:
-            try:
-                result_queue.put(("heartbeat", _job, info))
-            except (OSError, ValueError):  # pragma: no cover - teardown
-                pass
+            conn.send(("heartbeat", _job, info))
 
-        monitor = None
+        stop = None
         try:
             monitor = _build_monitor(payload, heartbeat=heartbeat)
             heartbeat({"runs": 0, "pass": 0})  # job picked up
             result = execute_point_payload(payload, monitor=monitor)
-        except DeadlineExceeded as exc:
-            result_queue.put(("expired", job_id, {"pass": exc.pass_ordinal}))
         except CheckpointAbandon as exc:
-            if exc.reason == "recycle":
-                result_queue.put(("recycle", job_id, {
-                    "pass": exc.pass_ordinal, "rss_mb": worker_rss_mb(),
-                }))
-                break  # exit: only a fresh process truly releases RSS
-            result_queue.put(("drained", job_id, {"pass": exc.pass_ordinal}))
-            if _DRAIN_REQUESTED:
-                break  # the service is going away; stop taking work
+            stop = exc.reason
+            conn.send(("stopped", job_id, {
+                "reason": stop, "pass": exc.pass_ordinal,
+                "rss_mb": worker_rss_mb(),
+            }))
         except BaseException:
-            result_queue.put(("error", job_id, traceback.format_exc()))
+            conn.send(("error", job_id, traceback.format_exc()))
         else:
             if faults.fire("result", attempt=attempt, arch=arch):
                 continue  # chaos: the done message is "lost in transit"
-            result_queue.put(("done", job_id, {
+            conn.send(("done", job_id, {
                 "result": result,
                 "resumed_from_pass": monitor.resumed_from_pass,
             }))
+        if stop not in (None, "deadline"):
+            # drain: the service is going away; recycle: only a fresh
+            # process truly releases RSS
+            break

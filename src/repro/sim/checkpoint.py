@@ -73,29 +73,19 @@ class CheckpointAbandon(Exception):
 
     Raised by :class:`RunMonitor` right after the boundary's snapshot
     went to disk, so whatever was simulated so far is preserved and a
-    later attempt resumes from this pass.  ``reason`` says why
-    (``"drain"``, ``"recycle"``, ...); the service maps it to the
-    matching non-error job outcome.
+    later attempt resumes from this pass.  ``reason`` says why:
+    ``"deadline"`` (the point's deadline passed: a deadline bounds this
+    attempt's wall clock and does not discard progress), or whatever
+    the monitor's ``stop_check`` returned (the service worker's are
+    ``"drain"`` and ``"recycle"``).  The worker reports it as one
+    ``stopped`` message, which the service maps to the matching
+    non-error job outcome.
     """
 
     def __init__(self, reason: str, pass_ordinal: int) -> None:
         super().__init__(f"abandoned at pass {pass_ordinal}: {reason}")
         self.reason = reason
         self.pass_ordinal = pass_ordinal
-
-
-class DeadlineExceeded(CheckpointAbandon):
-    """The point's deadline passed: checkpoint-then-abandon.
-
-    The partial work is on disk (the boundary snapshot preceded this
-    exception), so a resubmission with a fresh deadline resumes instead
-    of restarting — a deadline bounds *this attempt's* wall clock, it
-    does not discard progress.
-    """
-
-    def __init__(self, pass_ordinal: int, deadline: float) -> None:
-        CheckpointAbandon.__init__(self, "deadline", pass_ordinal)
-        self.deadline = deadline
 
 
 @dataclass
@@ -348,10 +338,11 @@ class RunMonitor:
       already covers (their functional effects live in the restored
       memory image),
     * enforces the overload-safety hooks *after* each boundary snapshot:
-      a ``deadline`` (absolute wall-clock ``time.time()`` epoch) raises
-      :class:`DeadlineExceeded`, and a ``stop_check`` callback returning
-      a reason string raises :class:`CheckpointAbandon` — either way the
-      pass just snapshotted is preserved and resumable.
+      a passed ``deadline`` (absolute wall-clock ``time.time()`` epoch)
+      raises :class:`CheckpointAbandon` with reason ``"deadline"``, and
+      a ``stop_check`` callback returning a reason string raises it
+      with that reason — either way the pass just snapshotted is
+      preserved and resumable.
 
     With no store the monitor is heartbeats-only; with no heartbeat it
     is checkpoints-only; both default to inert.
@@ -454,13 +445,11 @@ class RunMonitor:
         # Decide *before* snapshotting whether this boundary abandons
         # the point (deadline passed, drain/recycle requested); the
         # snapshot then precedes the abandon.
-        abandon: Optional[CheckpointAbandon] = None
+        reason = None
         if self.deadline is not None and time.time() >= self.deadline:
-            abandon = DeadlineExceeded(self.pass_ordinal, self.deadline)
+            reason = "deadline"
         elif self.stop_check is not None:
             reason = self.stop_check(self.pass_ordinal)
-            if reason:
-                abandon = CheckpointAbandon(reason, self.pass_ordinal)
         if self.store is not None and self.key:
             if self.store.save(
                 self.key, self._machine, self._execution,
@@ -470,8 +459,8 @@ class RunMonitor:
         self._beat(consumed, force=True)
         if self.pass_hook is not None:
             self.pass_hook(self.pass_ordinal)
-        if abandon is not None:
-            raise abandon
+        if reason:
+            raise CheckpointAbandon(reason, self.pass_ordinal)
 
     def _beat(self, consumed: int, force: bool) -> None:
         if self.heartbeat is None:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import AccessType, CacheLevel
-from repro.cache.coherence import MoesiDirectory, MoesiState
 from repro.cache.mshr import MshrFile
 from repro.cache.prefetcher import (
     NullPrefetcher,
@@ -216,42 +215,3 @@ class TestPrefetchers:
         assert isinstance(make_prefetcher("none", 64, 0), NullPrefetcher)
         with pytest.raises(ValueError):
             make_prefetcher("oracle", 64, 1)
-
-
-class TestMoesiDirectory:
-    def setup_method(self):
-        self.directory = MoesiDirectory(snoop_latency=10)
-
-    def test_first_read_exclusive(self):
-        assert self.directory.read(0, 0x100) == 0
-        assert self.directory.state_of(0x100) == MoesiState.EXCLUSIVE
-
-    def test_second_reader_shares(self):
-        self.directory.read(0, 0x100)
-        extra = self.directory.read(1, 0x100)
-        assert extra == 10  # exclusive copy snooped
-        assert self.directory.state_of(0x100) == MoesiState.SHARED
-        assert self.directory.sharers_of(0x100) == {0, 1}
-
-    def test_write_invalidates_sharers(self):
-        self.directory.read(0, 0x100)
-        self.directory.read(1, 0x100)
-        extra = self.directory.write(1, 0x100)
-        assert extra == 10
-        assert self.directory.state_of(0x100) == MoesiState.MODIFIED
-        assert self.directory.sharers_of(0x100) == {1}
-
-    def test_read_from_modified_becomes_owned(self):
-        self.directory.write(0, 0x100)
-        self.directory.read(1, 0x100)
-        assert self.directory.state_of(0x100) == MoesiState.OWNED
-
-    def test_eviction_clears(self):
-        self.directory.read(0, 0x100)
-        self.directory.evict(0, 0x100)
-        assert self.directory.state_of(0x100) == MoesiState.INVALID
-
-    def test_forced_invalidation(self):
-        self.directory.write(0, 0x100)
-        self.directory.invalidate_line(0x100)
-        assert self.directory.state_of(0x100) == MoesiState.INVALID

@@ -239,40 +239,3 @@ class TestOoOCore:
         core = make_core()
         result = core.run([alu(pc=i % 5, dst=100 + i) for i in range(100)])
         assert result.stats.get("ipc") > 0
-
-
-class TestMulticoreProcessor:
-    def test_partitioned_traces_complete(self):
-        from repro.cpu.processor import Processor
-        from repro.memory.hmc import Hmc
-
-        config = machine_for("x86")
-        hmc = Hmc(config.hmc)
-        processor = Processor(config, hmc, num_cores=4)
-        traces = [
-            [load(pc=1, address=core * 1 << 16 | (64 * i), size=8, dst=100 + i)
-             for i in range(50)]
-            for core in range(4)
-        ]
-        results = processor.run(traces)
-        assert len(results) == 4
-        assert all(r.cycles > 0 for r in results)
-        assert processor.last_makespan == max(r.cycles for r in results)
-
-    def test_too_many_traces_rejected(self):
-        from repro.cpu.processor import Processor
-        from repro.memory.hmc import Hmc
-
-        config = machine_for("x86")
-        processor = Processor(config, Hmc(config.hmc), num_cores=2)
-        with pytest.raises(ValueError):
-            processor.run([[], [], []])
-
-    def test_run_single(self):
-        from repro.cpu.processor import Processor
-        from repro.memory.hmc import Hmc
-
-        config = machine_for("x86")
-        processor = Processor(config, Hmc(config.hmc), num_cores=1)
-        result = processor.run_single([alu(pc=1, dst=5)])
-        assert result.uops == 1

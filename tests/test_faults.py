@@ -4,10 +4,11 @@ The contract under test is the ISSUE 8 acceptance list: a worker
 SIGKILLed mid-run resumes from its last completed pass and produces a
 bit-identical result; a hung worker is caught by heartbeat silence (not
 wall-clock) and retried; a dropped result message is recovered by the
-watchdog; corrupted cache and checkpoint files are quarantined and
-degrade to a miss — re-simulation, never a wrong number; truncated
-shared-memory datasets fail loudly; stale segments of dead publishers
-are swept.  Every fault here is injected deterministically via
+watchdog; a worker killed in the middle of a message costs only its own
+attempt; ``close()`` stops a worker that SIGTERM cannot; corrupted
+cache and checkpoint files are quarantined and degrade to a miss —
+re-simulation, never a wrong number; truncated shared-memory datasets
+fail loudly; stale segments of dead publishers are swept.  Every fault here is injected deterministically via
 ``REPRO_FAULTS`` (:mod:`repro.testing.faults`) or
 :func:`~repro.testing.faults.corrupt_file` — no timing races, no
 flakiness by construction.
@@ -16,6 +17,8 @@ flakiness by construction.
 import json
 import os
 import pickle
+import signal
+import struct
 import time
 from multiprocessing import shared_memory
 
@@ -35,6 +38,8 @@ from repro.memory.shared_data import (
     sweep_stale_segments,
 )
 from repro.service import JobState, SimulationService
+from repro.service import service as service_module
+from repro.service.worker import worker_main
 from repro.sim import runner
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
@@ -462,6 +467,62 @@ class TestServiceChaos:
                 )
             assert len(excinfo.value.attempts) == 2
             assert excinfo.value.attempts[0]["kind"] == "crash"
+
+
+# -- a killed worker damages only its own pipe ----------------------------------
+
+
+def _tearing_worker_main(conn):
+    """``worker_main`` whose first attempt of seed 0 dies mid-message."""
+
+    class Tearing:
+        def recv(self):
+            task = conn.recv()
+            if task is not None and task[1]["seed"] == 0 \
+                    and task[1]["attempt"] == 1:
+                # a length header announcing 4 096 bytes, then 100 of them
+                os.write(conn.fileno(), struct.pack("!i", 4096) + bytes(100))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return task
+
+        def send(self, message):
+            conn.send(message)
+
+    worker_main(Tearing())
+
+
+class TestKilledWorker:
+    def test_torn_message_costs_only_the_killed_attempt(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "worker_main",
+                            _tearing_worker_main)
+        point = ("hive", ScanConfig("dsm", "column", 256))
+        with SimulationService(
+            jobs=2, use_cache=False, retries=1,
+            checkpoint_dir=tmp_path / "ckpt",
+        ) as service:
+            tickets = [service.submit(*point, 256, seed=seed)
+                       for seed in range(4)]
+            records = service.wait(tickets, timeout=60)
+        assert [r.state for r in records] == [JobState.DONE] * 4
+        assert records[0].attempts == 2
+        assert [e["kind"] for e in records[0].attempt_log] == ["crash"]
+        assert [r.attempts for r in records[1:]] == [1, 1, 1]
+
+    def test_close_kills_a_worker_sigterm_cannot_stop(self, tmp_path):
+        # An x86 NSM tuple scan is one pass: a SIGTERM only asks it to
+        # drain at a boundary it never reaches.
+        service = SimulationService(jobs=1, use_cache=False,
+                                    checkpoint_dir=tmp_path / "ckpt")
+        ticket = service.submit("x86", ScanConfig("nsm", "tuple", 64), 131_072)
+        deadline = time.monotonic() + 30
+        while service.status(ticket).state is not JobState.RUNNING:
+            assert time.monotonic() < deadline, "job never reached RUNNING"
+            time.sleep(0.01)
+        process = service._workers[0].process
+        service.close(timeout=0.5, force=True)
+        assert not process.is_alive()
 
 
 # -- resource exhaustion degrades, never fails ---------------------------------

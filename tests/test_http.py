@@ -202,7 +202,7 @@ class TestLoadBurst:
         ) as (service, client):
             ids = self._burst(client)
             assert len(set(ids)) == self.BURST  # no duplicated admissions
-            finals = client.wait(ids, timeout=300)
+            finals = client.wait(ids, timeout=120)
             counts = client.progress()
         assert counts["total"] == self.BURST  # nothing lost service-side
         assert [f["state"] for f in finals] == ["done"] * self.BURST
@@ -221,7 +221,7 @@ class TestLoadBurst:
             jobs=2, cache_dir=tmp_path / "cache", max_pending=4, retries=1
         ) as (service, client):
             ids = self._burst(client)
-            finals = client.wait(ids, timeout=300)
+            finals = client.wait(ids, timeout=120)
         assert [f["state"] for f in finals] == ["done"] * self.BURST
         for seed, final in enumerate(finals):
             assert final["result"] == references[seed]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import HmcConfig
+from repro.common.resources import MultiChannelBandwidth
 from repro.common.stats import StatGroup
 from repro.memory.address_mapping import AddressMapping, DecodedAddress
 from repro.memory.dram import DramBank, DramTimings
@@ -96,30 +97,30 @@ class TestDramBank:
         self.bank = DramBank(self.timings, burst_core_cycles_per_byte=0.25)
 
     def test_read_latency_structure(self):
-        result = self.bank.access(0, 256, is_write=False)
-        assert result.data_start == self.timings.t_rcd + self.timings.t_cas
-        assert result.data_end == result.data_start + 64  # 256 B at 4 B/cy
+        __, data_start, data_end, __ = self.bank.access_times(0, 256, False)
+        assert data_start == self.timings.t_rcd + self.timings.t_cas
+        assert data_end == data_start + 64  # 256 B at 4 B/cy
 
     def test_closed_page_holds_row_cycle(self):
-        first = self.bank.access(0, 8, is_write=False)
-        assert first.bank_free - first.start >= self.timings.row_cycle
-        second = self.bank.access(0, 8, is_write=False)
-        assert second.start >= first.bank_free
+        start, __, __, bank_free = self.bank.access_times(0, 8, False)
+        assert bank_free - start >= self.timings.row_cycle
+        second_start = self.bank.access_times(0, 8, False)[0]
+        assert second_start >= bank_free
 
     def test_write_uses_cwd(self):
-        result = self.bank.access(0, 64, is_write=True)
-        assert result.data_start == self.timings.t_rcd + self.timings.t_cwd
+        data_start = self.bank.access_times(0, 64, True)[1]
+        assert data_start == self.timings.t_rcd + self.timings.t_cwd
 
     def test_counters(self):
-        self.bank.access(0, 64, is_write=False)
-        self.bank.access(0, 32, is_write=True)
+        self.bank.access_times(0, 64, False)
+        self.bank.access_times(0, 32, True)
         assert self.bank.activations == 2
         assert self.bank.bytes_read == 64
         assert self.bank.bytes_written == 32
 
     def test_rejects_empty_access(self):
         with pytest.raises(ValueError):
-            self.bank.access(0, 0, is_write=False)
+            self.bank.access_times(0, 0, False)
 
 
 class TestVault:
@@ -127,33 +128,19 @@ class TestVault:
         self.vault = Vault(0, CONFIG)
 
     def test_banks_parallel(self):
-        a = self.vault.access(0, bank=0, nbytes=8, is_write=False)
-        b = self.vault.access(0, bank=1, nbytes=8, is_write=False)
+        a = self.vault.access_times(0, bank=0, nbytes=8, is_write=False)
+        b = self.vault.access_times(0, bank=1, nbytes=8, is_write=False)
         # Different banks overlap almost fully (command-queue slot apart).
-        assert b.data_ready - a.data_ready < 10
+        assert b[1] - a[1] < 10
 
     def test_same_bank_serialises(self):
-        a = self.vault.access(0, bank=0, nbytes=8, is_write=False)
-        b = self.vault.access(0, bank=0, nbytes=8, is_write=False)
-        assert b.start >= a.bank_free
-
-    def test_row_buffer_limit(self):
-        with pytest.raises(ValueError):
-            self.vault.access(0, bank=0, nbytes=512, is_write=False)
-
-    def test_bad_bank(self):
-        with pytest.raises(ValueError):
-            self.vault.access(0, bank=99, nbytes=8, is_write=False)
-
-    def test_fu_pipeline(self):
-        done0 = self.vault.execute_fu(0)
-        done1 = self.vault.execute_fu(0)
-        assert done1 == done0 + 1  # 1 op/cycle, 1-cycle latency
-        assert self.vault.fu_ops == 2
+        a = self.vault.access_times(0, bank=0, nbytes=8, is_write=False)
+        b = self.vault.access_times(0, bank=0, nbytes=8, is_write=False)
+        assert b[0] >= a[2]
 
     def test_statistics(self):
-        self.vault.access(0, 0, 64, is_write=False)
-        self.vault.access(0, 1, 32, is_write=True)
+        self.vault.access_times(0, 0, 64, is_write=False)
+        self.vault.access_times(0, 1, 32, is_write=True)
         assert self.vault.activations == 2
         assert self.vault.bytes_read == 64
         assert self.vault.bytes_written == 32
@@ -164,34 +151,56 @@ class TestLinks:
         self.links = HmcLinks(CONFIG)
 
     def test_header_only_packet(self):
-        transfer = self.links.send_request(0, payload_bytes=0)
-        assert transfer.packet_bytes == 16
-        assert transfer.arrival == transfer.accepted + self.links.latency
+        __, accepted, arrival = self.links.request(0, payload_bytes=0)
+        assert self.links.request_bytes == 16
+        assert arrival == accepted + self.links.latency
 
     def test_payload_serialisation(self):
-        small = self.links.send_response(0, payload_bytes=0)
+        small = self.links.response(0, payload_bytes=0)
         self.setup_method()
-        large = self.links.send_response(0, payload_bytes=256)
-        assert large.arrival > small.arrival
+        large = self.links.response(0, payload_bytes=256)
+        assert large[2] > small[2]
 
     def test_four_lanes_parallel(self):
-        transfers = [self.links.send_request(0, 0) for _ in range(4)]
-        starts = {t.start for t in transfers}
+        starts = {self.links.request(0, 0)[0] for _ in range(4)}
         assert starts == {0}
-        fifth = self.links.send_request(0, 0)
-        assert fifth.start > 0
+        assert self.links.request(0, 0)[0] > 0
 
     def test_directions_independent(self):
-        self.links.send_request(0, 256)
-        response = self.links.send_response(0, 0)
-        assert response.start == 0
+        self.links.request(0, 256)
+        assert self.links.response(0, 0)[0] == 0
 
     def test_byte_accounting(self):
-        self.links.send_request(0, 10)
-        self.links.send_response(0, 20)
+        self.links.request(0, 10)
+        self.links.response(0, 20)
         assert self.links.request_bytes == 26
         assert self.links.response_bytes == 36
-        assert self.links.total_bytes == 62
+
+    def test_crossings_match_the_bandwidth_primitive(self):
+        # request/response inline MultiChannelBandwidth.transfer; the
+        # primitive is the reference the inlined crossing answers to.
+        rate = self.links._request_lanes.channels[0].bytes_per_cycle
+        reference = {
+            True: MultiChannelBandwidth(CONFIG.num_links, rate),
+            False: MultiChannelBandwidth(CONFIG.num_links, rate),
+        }
+        rng = np.random.default_rng(7)
+        cycle = 0
+        for __ in range(200):
+            is_request = bool(rng.integers(2))
+            cycle += int(rng.integers(6))
+            payload = int(rng.choice([0, 2, 8, 16, 64, 256]))
+            cross = self.links.request if is_request else self.links.response
+            start, end = reference[is_request].transfer(
+                cycle, CONFIG.request_header_bytes + payload
+            )
+            assert cross(cycle, payload) == (
+                start, end, end + self.links.latency
+            )
+        assert self.links.request_bytes == reference[True].bytes_moved
+        assert self.links.response_bytes == reference[False].bytes_moved
+        assert self.links.request_packets == reference[True].cursor
+        assert self.links.response_packets == reference[False].cursor
 
 
 class TestHmc:
@@ -199,14 +208,14 @@ class TestHmc:
         self.hmc = Hmc(CONFIG, StatGroup("hmc"))
 
     def test_read_line_roundtrip_latency(self):
-        result = self.hmc.read_line(0, address=0, nbytes=64)
+        issue, completion = self.hmc.read_line_times(0, address=0, nbytes=64)
         # Two link crossings plus a DRAM access: order of 100+ cycles.
-        assert result.completion > 2 * CONFIG.link_latency_core_cycles
-        assert result.completion > result.issue
+        assert completion > 2 * CONFIG.link_latency_core_cycles
+        assert completion > issue
 
     def test_write_line_posted(self):
-        result = self.hmc.write_line(0, address=0, nbytes=64)
-        assert result.issue <= result.completion
+        issue, completion = self.hmc.write_line_times(0, address=0, nbytes=64)
+        assert issue <= completion
 
     def test_vault_access_spreads_blocks(self):
         # A 1 KB access spans 4 vaults and overlaps heavily.
@@ -215,18 +224,21 @@ class TestHmc:
         assert wide < 4 * narrow
 
     def test_pim_update_roundtrip(self):
-        result = self.hmc.pim_update(0, address=0, nbytes=256,
-                                     response_payload_bytes=8)
-        assert result.completion > result.issue
+        issue, completion = self.hmc.pim_update_times(
+            0, address=0, nbytes=256, response_payload_bytes=8
+        )
+        assert completion > issue
         assert self.hmc.stats.get("pim_updates") == 1
+        assert self.hmc.vaults[0].fu_ops == 1
 
     def test_pim_update_size_limit(self):
         with pytest.raises(ValueError):
-            self.hmc.pim_update(0, address=0, nbytes=512, response_payload_bytes=8)
+            self.hmc.pim_update_times(0, address=0, nbytes=512,
+                                      response_payload_bytes=8)
 
     def test_collect_stats(self):
-        self.hmc.read_line(0, 0, 64)
-        self.hmc.write_line(0, 4096, 64)
+        self.hmc.read_line_times(0, 0, 64)
+        self.hmc.write_line_times(0, 4096, 64)
         stats = self.hmc.collect_stats()
         assert stats.get("row_activations") == 2
         assert stats.get("dram_bytes_read") == 64

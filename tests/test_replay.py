@@ -455,7 +455,7 @@ def test_vault_servers_track_last_address():
     from repro.memory.vault import Vault
 
     vault = Vault(0, HmcConfig())
-    vault.access(0, bank=2, nbytes=64, is_write=False, address=0xABC0)
+    vault.access_times(0, bank=2, nbytes=64, is_write=False, address=0xABC0)
     assert vault._command_queue.last_address == 0xABC0
     assert vault.banks[2]._resource.last_address == 0xABC0
     assert vault._data_bus.last_address == 0xABC0
