@@ -5,6 +5,8 @@ LRU stacks, dirty bits — so hit ratios are genuine) and *timed* through
 the resource algebra (ports, latency, MSHR pools, downstream requests).
 Data values are not stored here; the memory image holds them.
 
+Replacement is LRU, as Table I gives for every level.
+
 Write policy: write-back, write-allocate (store misses fetch the line).
 Writebacks arriving from an upper level install the full line without a
 fetch.  Prefetch requests fill the level but never recurse into the
@@ -14,6 +16,7 @@ prefetcher.
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from typing import Callable, List, Optional
 
 from ..common.config import CacheConfig
@@ -22,7 +25,6 @@ from ..common.stats import StatGroup, ratio
 from ..common.units import align_down
 from .mshr import MshrFile, PRUNE_GRACE
 from .prefetcher import make_prefetcher
-from .replacement import LruPolicy, RandomPolicy, make_policy
 
 
 class AccessType(enum.Enum):
@@ -41,38 +43,13 @@ for _i, _member in enumerate(AccessType):
 
 
 class _Set:
-    """Tags + dirty bits + replacement state of one set.
+    """One set: its tags in LRU order (oldest first) and its dirty bits."""
 
-    ``tags`` aliases the policy's ordered tag container so the access
-    fast path can do C-speed membership tests, and ``touch`` is the
-    policy's pre-bound recency hook (None when hits don't promote —
-    FIFO/random): a hit then costs two dict operations, not three
-    Python-level method calls.
-    """
+    __slots__ = ("tags", "dirty")
 
-    __slots__ = ("policy", "dirty", "tags", "touch", "pop_oldest")
-
-    def __init__(self, policy_name: str) -> None:
-        self.policy = make_policy(policy_name)
+    def __init__(self) -> None:
+        self.tags: "OrderedDict[int, None]" = OrderedDict()
         self.dirty: dict = {}
-        for container_name in ("_stack", "_queue", "_tags"):
-            container = getattr(self.policy, container_name, None)
-            if container is not None:
-                self.tags = container
-                break
-        else:  # pragma: no cover - new policy flavours must declare tags
-            raise TypeError(
-                f"policy {policy_name!r} exposes no ordered tag container"
-            )
-        self.touch = (
-            self.tags.move_to_end if isinstance(self.policy, LruPolicy) else None
-        )
-        # LRU and FIFO both victimise the oldest container entry; bind
-        # the C-level popitem for them (random keeps the policy call).
-        self.pop_oldest = (
-            self.tags.popitem if not isinstance(self.policy, RandomPolicy)
-            else None
-        )
 
 
 class CacheLevel:
@@ -83,7 +60,6 @@ class CacheLevel:
         config: CacheConfig,
         next_level,
         stats: Optional[StatGroup] = None,
-        policy: str = "lru",
     ) -> None:
         self.config = config
         self.next_level = next_level
@@ -92,7 +68,7 @@ class CacheLevel:
         self.latency = config.latency
         self.num_sets = config.num_sets
         self.ways = config.ways
-        self._sets = [_Set(policy) for _ in range(self.num_sets)]
+        self._sets = [_Set() for _ in range(self.num_sets)]
         self._ports = SlottedResource(config.ports)
         self.mshr = MshrFile(config)
         self.prefetcher = make_prefetcher(
@@ -101,53 +77,19 @@ class CacheLevel:
         self.stats = stats if stats is not None else StatGroup(config.name)
         self.stats.derive("hit_ratio", ratio("hits", "accesses"))
         self._invalidate_upstream: List[Callable[[int], None]] = []
-        # Hot counters batched as ints (see StatGroup.register_flush).
-        self._n_accesses = 0
-        self._n_hits = 0
-        self._n_misses = 0
-        self._n_prefetch_hits = 0
-        self._n_invalidations = 0
-        self._n_evictions = 0
-        self._n_writebacks = 0
-        self._n_prefetches_issued = 0
-        self._n_prefetches_dropped = 0
-        self._n_miss_by_type = [0] * len(AccessType)
-        self.stats.register_flush(self._flush_counts)
-
-    def _flush_counts(self) -> None:
-        stats = self.stats
-        if self._n_accesses:
-            stats.bump("accesses", self._n_accesses)
-            self._n_accesses = 0
-        if self._n_hits:
-            stats.bump("hits", self._n_hits)
-            self._n_hits = 0
-        if self._n_misses:
-            stats.bump("misses", self._n_misses)
-            self._n_misses = 0
-        if self._n_prefetch_hits:
-            stats.bump("prefetch_hits", self._n_prefetch_hits)
-            self._n_prefetch_hits = 0
-        if self._n_invalidations:
-            stats.bump("invalidations", self._n_invalidations)
-            self._n_invalidations = 0
-        if self._n_evictions:
-            stats.bump("evictions", self._n_evictions)
-            self._n_evictions = 0
-        if self._n_writebacks:
-            stats.bump("writebacks", self._n_writebacks)
-            self._n_writebacks = 0
-        if self._n_prefetches_issued:
-            stats.bump("prefetches_issued", self._n_prefetches_issued)
-            self._n_prefetches_issued = 0
-        if self._n_prefetches_dropped:
-            stats.bump("prefetches_dropped", self._n_prefetches_dropped)
-            self._n_prefetches_dropped = 0
-        for acc_type in AccessType:
-            count = self._n_miss_by_type[acc_type.index]
-            if count:
-                stats.bump(f"misses_{acc_type.value}", count)
-                self._n_miss_by_type[acc_type.index] = 0
+        self.stats.batch(self, (
+            ("_n_accesses", "accesses"),
+            ("_n_hits", "hits"),
+            ("_n_misses", "misses"),
+            ("_n_prefetch_hits", "prefetch_hits"),
+            ("_n_invalidations", "invalidations"),
+            ("_n_evictions", "evictions"),
+            ("_n_writebacks", "writebacks"),
+            ("_n_prefetches_issued", "prefetches_issued"),
+            ("_n_prefetches_dropped", "prefetches_dropped"),
+            ("_n_miss_by_type",
+             tuple(f"misses_{acc_type.value}" for acc_type in AccessType)),
+        ))
 
     # -- wiring -------------------------------------------------------------
 
@@ -166,7 +108,7 @@ class CacheLevel:
     def contains(self, address: int) -> bool:
         """Functional presence check (used by tests)."""
         line = self._line_of(address)
-        return line in self._sets[self._set_index(line)].policy
+        return line in self._sets[self._set_index(line)].tags
 
     def is_dirty(self, address: int) -> bool:
         """Dirty-bit check for a resident line."""
@@ -180,8 +122,8 @@ class CacheLevel:
         and for the HIVE/HIPE engines' uncached stores)."""
         line = self._line_of(line_address)
         cache_set = self._sets[self._set_index(line)]
-        if line in cache_set.policy:
-            cache_set.policy.remove(line)
+        if line in cache_set.tags:
+            del cache_set.tags[line]
             cache_set.dirty.pop(line, None)
             self._n_invalidations += 1
 
@@ -226,9 +168,7 @@ class CacheLevel:
         if present:
             completion = granted + self.latency
             self._n_hits += 1
-            touch = cache_set.touch
-            if touch is not None:
-                touch(line)
+            cache_set.tags.move_to_end(line)
             if acc_type is AccessType.STORE or acc_type is AccessType.WRITEBACK:
                 cache_set.dirty[line] = True
             elif acc_type is AccessType.PREFETCH:
@@ -257,7 +197,8 @@ class CacheLevel:
             self._install(granted, line, cache_set, dirty=True)
             return granted
 
-        # Inlined MshrFile.lookup_in_flight: ride an in-flight fill.
+        # Ride an in-flight fill of the line; a fill that already
+        # completed is dropped instead.
         if cycle > mshr._watermark:
             mshr._watermark = cycle
         in_flight = mshr._in_flight
@@ -266,7 +207,6 @@ class CacheLevel:
             if merged <= cycle:
                 del in_flight[line]
             else:
-                mshr.merges += 1
                 if acc_type is AccessType.STORE:
                     cache_set.dirty[line] = True
                 return merged
@@ -287,8 +227,10 @@ class CacheLevel:
             granted = cycle
         fill = self._next_access(granted, line, AccessType.LOAD, pc)
         pool.acquire(granted, fill)
-        mshr.allocations += 1
-        # Inlined MshrFile.record_fill: publish + amortised pruning.
+        # Publish the fill for later misses to ride, and drop fills that
+        # completed PRUNE_GRACE before the latest request seen: they can
+        # never be ridden again, so pruning is timing-invisible, O(1)
+        # amortised through the FIFO log, and keeps the table bounded.
         if fill > (in_flight.get(line) or 0):
             in_flight[line] = fill
             mshr._fifo.append((fill, line))
@@ -302,12 +244,9 @@ class CacheLevel:
         return fill
 
     def _install(self, cycle: int, line: int, cache_set: _Set, dirty: bool) -> None:
-        if len(cache_set.tags) >= self.ways:
-            pop_oldest = cache_set.pop_oldest
-            if pop_oldest is not None:
-                victim, __ = pop_oldest(last=False)
-            else:
-                victim = cache_set.policy.evict()
+        tags = cache_set.tags
+        if len(tags) >= self.ways:
+            victim, __ = tags.popitem(last=False)
             was_dirty = cache_set.dirty.pop(victim, False)
             self._n_evictions += 1
             if was_dirty:
@@ -317,9 +256,6 @@ class CacheLevel:
             if self.config.inclusive:
                 for invalidate in self._invalidate_upstream:
                     invalidate(victim)
-        # Every policy flavour's insert is an append into its ordered
-        # container (the line is never resident at install time), so the
-        # container write goes direct.
-        cache_set.tags[line] = None
+        tags[line] = None  # never resident at install time
         if dirty:
             cache_set.dirty[line] = True

@@ -46,9 +46,7 @@ class CacheHierarchy:
         self.config = config
         self.stats = stats if stats is not None else StatGroup("caches")
         self.line_bytes = config.l1.line_bytes
-        self._n_loads = 0
-        self._n_stores = 0
-        self.stats.register_flush(self._flush_counts)
+        self.stats.batch(self, (("_n_loads", "loads"), ("_n_stores", "stores")))
 
         port = HmcPort(hmc, config.l3.line_bytes)
         self.l3 = CacheLevel(config.l3, port, self.stats.child("l3"))
@@ -57,14 +55,6 @@ class CacheHierarchy:
         # Inclusive L3: evictions there must purge the private levels.
         self.l3.register_upstream(self.l1.invalidate)
         self.l3.register_upstream(self.l2.invalidate)
-
-    def _flush_counts(self) -> None:
-        if self._n_loads:
-            self.stats.bump("loads", self._n_loads)
-            self._n_loads = 0
-        if self._n_stores:
-            self.stats.bump("stores", self._n_stores)
-            self._n_stores = 0
 
     # -- the core-facing interface ------------------------------------------
 

@@ -45,7 +45,6 @@ class StridePrefetcher(Prefetcher):
         self.table_entries = table_entries
         # pc -> (last_line, stride_lines, confidence)
         self._table: "OrderedDict[int, tuple]" = OrderedDict()
-        self.issued = 0
 
     def observe(self, pc: int, line_address: int, was_miss: bool):
         table = self._table
@@ -69,11 +68,7 @@ class StridePrefetcher(Prefetcher):
         table[pc] = (line_address, stride, confidence)
         if confidence < 2:
             return _NO_PREFETCHES
-        prefetches = [
-            line_address + i * stride for i in range(1, self.degree + 1)
-        ]
-        self.issued += len(prefetches)
-        return prefetches
+        return [line_address + i * stride for i in range(1, self.degree + 1)]
 
     def _trim(self) -> None:
         while len(self._table) > self.table_entries:
@@ -96,7 +91,6 @@ class StreamPrefetcher(Prefetcher):
         self.max_streams = streams
         # region -> (last_line, direction, trained, head)
         self._streams: "OrderedDict[int, tuple]" = OrderedDict()
-        self.issued = 0
 
     def _region(self, line_address: int) -> int:
         return line_address // (self.REGION_LINES * self.line_bytes)
@@ -135,7 +129,6 @@ class StreamPrefetcher(Prefetcher):
                 self._streams[region] = (line_address, direction, trained, head)
         while len(self._streams) > self.max_streams:
             self._streams.popitem(last=False)
-        self.issued += len(prefetches)
         return prefetches
 
 

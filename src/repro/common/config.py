@@ -107,7 +107,6 @@ class HmcConfig:
     total_size_bytes: int = 8 * GIB
     row_buffer_bytes: int = 256
     dram_frequency_mhz: float = 166.0
-    closed_page: bool = True
     burst_bytes: int = 8  # bus width per bus cycle
     core_to_bus_ratio: int = 2  # data bus runs at core_freq / 2
     num_links: int = 4

@@ -326,11 +326,10 @@ class BusyResource:
     command slots); the replay layer relabels such servers by it.
     """
 
-    __slots__ = ("_next_free", "busy_cycles", "last_address")
+    __slots__ = ("_next_free", "last_address")
 
     def __init__(self) -> None:
         self._next_free = 0
-        self.busy_cycles = 0
         self.last_address = None
 
     def occupy(self, cycle: int, duration: int, address=None) -> tuple:
@@ -342,7 +341,6 @@ class BusyResource:
             start = cycle
         end = start + duration
         self._next_free = end
-        self.busy_cycles += duration
         if address is not None:
             self.last_address = address
         return start, end

@@ -5,6 +5,10 @@ counters as it models events ("l1.load_hits", "hmc.vault3.row_activations",
 ...).  The registry supports:
 
 * cheap integer counters and accumulators,
+* batched counters: a hot component counts events in plain int
+  attributes that it declares once with :meth:`StatGroup.batch`; the
+  group folds them in whenever it is read, and the declaration is the
+  one list of them the replay layer extrapolates,
 * derived metrics computed at report time (e.g. hit ratios),
 * merging and flat dictionary export,
 * formatted tables for the experiment harness.
@@ -14,7 +18,7 @@ Components never format their own output; experiments read the registry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class StatGroup:
@@ -25,7 +29,9 @@ class StatGroup:
         self._counters: Dict[str, float] = {}
         self._children: Dict[str, "StatGroup"] = {}
         self._derived: Dict[str, Callable[["StatGroup"], float]] = {}
-        self._flush_hooks: List[Callable[[], None]] = []
+        #: declared batched cells: (owner, attribute, counter), where
+        #: ``counter`` is a name, or a tuple of names for a list attribute
+        self._batched: List[Tuple[object, str, object]] = []
 
     # -- counters ---------------------------------------------------------
 
@@ -37,20 +43,51 @@ class StatGroup:
         """Set ``counter`` to an absolute value."""
         self._counters[counter] = value
 
-    def register_flush(self, hook: Callable[[], None]) -> None:
-        """Register a deferred-counter flush, run before any read.
+    def batch(self, owner: object, cells: Iterable[Tuple[str, object]]) -> None:
+        """Declare ``owner``'s batched counters as ``(attribute, counter)``.
 
-        Hot components batch their event counts in plain integer
-        attributes (a dict update per simulated event is measurable on
-        million-uop traces) and install a hook that folds them into the
-        counter dict; every read-side entry point syncs first, so the
-        deferral is invisible to callers and tests.
+        A dict update per simulated event is measurable on million-uop
+        traces, so a hot component counts in plain int attributes of its
+        own.  This sets each attribute to 0 (a list attribute, whose
+        ``counter`` is a tuple of names, to one 0 per name), and every
+        read of the group folds each nonzero value into its counter and
+        zeroes it: the deferral is invisible to readers, and a counter
+        appears only once it has counted something.  The declarations
+        are the one list of batched counters (:meth:`batched_cells`).
         """
-        self._flush_hooks.append(hook)
+        for attribute, counter in cells:
+            if isinstance(counter, tuple):
+                setattr(owner, attribute, [0] * len(counter))
+            else:
+                setattr(owner, attribute, 0)
+            self._batched.append((owner, attribute, counter))
+
+    def batched_cells(self) -> Iterator[Tuple[object, object, str]]:
+        """Every declared cell as ``(container, key, counter)``.
+
+        ``container[key]`` is the cell's pending count: the owner's
+        attribute dict and the attribute, or a list attribute and the
+        index.  The replay layer reads and extrapolates them there.
+        """
+        for owner, attribute, counter in self._batched:
+            if isinstance(counter, tuple):
+                values = getattr(owner, attribute)
+                for index, name in enumerate(counter):
+                    yield values, index, name
+            else:
+                yield vars(owner), attribute, counter
 
     def _sync(self) -> None:
-        for hook in self._flush_hooks:
-            hook()
+        for owner, attribute, counter in self._batched:
+            value = getattr(owner, attribute)
+            if isinstance(counter, tuple):
+                for index, name in enumerate(counter):
+                    if value[index]:
+                        self.bump(name, value[index])
+                        value[index] = 0
+            elif value:
+                self.bump(counter, value)
+                setattr(owner, attribute, 0)
 
     def get(self, counter: str, default: float = 0) -> float:
         """Read a counter, or ``default`` when it was never touched."""

@@ -28,32 +28,16 @@ class TwoLevelGAs:
         self._history_mask = (1 << config.history_bits) - 1
         self._pht_mask = config.pht_entries - 1
         # 2-bit counters initialised weakly not-taken.
-        self._pht = bytearray([1]) * 1
         self._pht = bytearray([1] * config.pht_entries)
         self._btb: "OrderedDict[int, int]" = OrderedDict()
         self.stats = stats if stats is not None else StatGroup("branch_predictor")
         self.stats.derive("accuracy", ratio("correct", "predictions"))
-        # Hot counters batched as ints (see StatGroup.register_flush).
-        self._n_predictions = 0
-        self._n_correct = 0
-        self._n_mispredictions = 0
-        self._n_btb_misses = 0
-        self.stats.register_flush(self._flush_counts)
-
-    def _flush_counts(self) -> None:
-        stats = self.stats
-        if self._n_predictions:
-            stats.bump("predictions", self._n_predictions)
-            self._n_predictions = 0
-        if self._n_correct:
-            stats.bump("correct", self._n_correct)
-            self._n_correct = 0
-        if self._n_mispredictions:
-            stats.bump("mispredictions", self._n_mispredictions)
-            self._n_mispredictions = 0
-        if self._n_btb_misses:
-            stats.bump("btb_misses", self._n_btb_misses)
-            self._n_btb_misses = 0
+        self.stats.batch(self, (
+            ("_n_predictions", "predictions"),
+            ("_n_correct", "correct"),
+            ("_n_mispredictions", "mispredictions"),
+            ("_n_btb_misses", "btb_misses"),
+        ))
 
     def _pht_index(self, pc: int) -> int:
         return ((pc << 2) ^ self._history) & self._pht_mask

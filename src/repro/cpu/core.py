@@ -136,40 +136,15 @@ class CoreExecution:
         self.kernel_shapes: dict = {}
         self.kernel_pending: dict = {}
 
-        # Hot event counters, batched as plain ints and folded into the
-        # stats tree lazily (see StatGroup.register_flush).
-        self._n_loads = 0
-        self._n_stores = 0
-        self._n_branches = 0
-        self._n_alu = 0
-        self._n_pim = 0
-        self._n_redirects = 0
-        self._n_forwards = 0
-        stats.register_flush(self._flush_counts)
-
-    def _flush_counts(self) -> None:
-        stats = self.stats
-        if self._n_loads:
-            stats.bump("loads", self._n_loads)
-            self._n_loads = 0
-        if self._n_stores:
-            stats.bump("stores", self._n_stores)
-            self._n_stores = 0
-        if self._n_branches:
-            stats.bump("branches", self._n_branches)
-            self._n_branches = 0
-        if self._n_alu:
-            stats.bump("alu_ops", self._n_alu)
-            self._n_alu = 0
-        if self._n_pim:
-            stats.bump("pim_ops", self._n_pim)
-            self._n_pim = 0
-        if self._n_redirects:
-            stats.bump("redirects", self._n_redirects)
-            self._n_redirects = 0
-        if self._n_forwards:
-            stats.bump("store_forwards", self._n_forwards)
-            self._n_forwards = 0
+        stats.batch(self, (
+            ("_n_loads", "loads"),
+            ("_n_stores", "stores"),
+            ("_n_branches", "branches"),
+            ("_n_alu", "alu_ops"),
+            ("_n_pim", "pim_ops"),
+            ("_n_redirects", "redirects"),
+            ("_n_forwards", "store_forwards"),
+        ))
 
     def process(self, uop: Uop) -> int:
         """Account one uop; returns its commit cycle."""

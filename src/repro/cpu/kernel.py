@@ -664,7 +664,6 @@ def _emit(shape: RunShape, execution) -> None:
         emit("    st = u._next_free")
         emit(f"    if {at} > st: st = {at}")
         emit(f"    u._next_free = st + {K(occupancy)}")
-        emit(f"    u.busy_cycles += {K(occupancy)}")
 
     body_mode[0] = True
     pim_ordinal = 0

@@ -64,7 +64,9 @@ class DramBank:
 
     The bank is a :class:`BusyResource` held for the row-cycle time per
     access; data transfer time is charged by the caller (the vault owns
-    the shared data bus).  Counters: activations, reads, writes.
+    the shared data bus).  Counters: activations, bytes read and bytes
+    written, which the cube sums into its row-activation and DRAM-byte
+    totals (:attr:`~repro.memory.hmc.Hmc.totals`).
     """
 
     def __init__(self, timings: DramTimings, burst_core_cycles_per_byte: float) -> None:
@@ -73,8 +75,6 @@ class DramBank:
         self._burst_cache: dict = {}
         self._resource = BusyResource()
         self.activations = 0
-        self.reads = 0
-        self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -115,15 +115,12 @@ class DramBank:
             start = cycle
         bank_free = start + hold
         resource._next_free = bank_free
-        resource.busy_cycles += hold
         resource.last_address = address
         data_start = start + t.t_rcd + column_delay
         data_end = data_start + burst
         self.activations += 1
         if is_write:
-            self.writes += 1
             self.bytes_written += nbytes
         else:
-            self.reads += 1
             self.bytes_read += nbytes
         return start, data_start, data_end, bank_free

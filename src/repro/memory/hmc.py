@@ -43,34 +43,30 @@ class Hmc:
         self._vault_bits = self.mapping._vault_bits
         self._bank_mask = self.mapping._bank_mask
         self.stats = stats if stats is not None else StatGroup("hmc")
-        self._n_vault_accesses = 0
-        self._n_vault_bytes_read = 0
-        self._n_vault_bytes_written = 0
-        self._n_line_reads = 0
-        self._n_line_writes = 0
-        self._n_pim_updates = 0
-        self.stats.register_flush(self._flush_counts)
-
-    def _flush_counts(self) -> None:
-        stats = self.stats
-        if self._n_vault_accesses:
-            stats.bump("vault_accesses", self._n_vault_accesses)
-            self._n_vault_accesses = 0
-        if self._n_vault_bytes_read:
-            stats.bump("vault_bytes_read", self._n_vault_bytes_read)
-            self._n_vault_bytes_read = 0
-        if self._n_vault_bytes_written:
-            stats.bump("vault_bytes_written", self._n_vault_bytes_written)
-            self._n_vault_bytes_written = 0
-        if self._n_line_reads:
-            stats.bump("line_reads", self._n_line_reads)
-            self._n_line_reads = 0
-        if self._n_line_writes:
-            stats.bump("line_writes", self._n_line_writes)
-            self._n_line_writes = 0
-        if self._n_pim_updates:
-            stats.bump("pim_updates", self._n_pim_updates)
-            self._n_pim_updates = 0
+        self.stats.batch(self, (
+            ("_n_vault_accesses", "vault_accesses"),
+            ("_n_vault_bytes_read", "vault_bytes_read"),
+            ("_n_vault_bytes_written", "vault_bytes_written"),
+            ("_n_line_reads", "line_reads"),
+            ("_n_line_writes", "line_writes"),
+            ("_n_pim_updates", "pim_updates"),
+        ))
+        banks = [bank for vault in self.vaults for bank in vault.banks]
+        links = self.links
+        #: the cube totals, each ``(counter, members, attribute)``: the
+        #: sum of ``attribute`` over ``members``.  collect_stats sets
+        #: them (so they are present even at zero), and the replay layer
+        #: extrapolates the same sums.
+        self.totals = (
+            ("row_activations", banks, "activations"),
+            ("dram_bytes_read", banks, "bytes_read"),
+            ("dram_bytes_written", banks, "bytes_written"),
+            ("link_request_bytes", links._request_lanes.channels, "bytes_moved"),
+            ("link_response_bytes", links._response_lanes.channels, "bytes_moved"),
+            ("link_request_packets", [links], "request_packets"),
+            ("link_response_packets", [links], "response_packets"),
+            ("vault_fu_ops", self.vaults, "fu_ops"),
+        )
 
     # -- vault-side primitives (no link crossing) --------------------------
 
@@ -172,7 +168,6 @@ class Hmc:
         if data_ready > fu_start:
             fu_start = data_ready
         fu._next_free = fu_start + 1
-        fu.busy_cycles += 1
         fu.last_address = address
         vault.fu_ops += 1
         fu_done = fu_start + self.config.vault_fu_latency
@@ -185,14 +180,7 @@ class Hmc:
     # -- statistics ---------------------------------------------------------
 
     def collect_stats(self) -> StatGroup:
-        """Aggregate vault/bank/link counters into the stats group."""
-        total_act = sum(v.activations for v in self.vaults)
-        self.stats.set("row_activations", total_act)
-        self.stats.set("dram_bytes_read", sum(v.bytes_read for v in self.vaults))
-        self.stats.set("dram_bytes_written", sum(v.bytes_written for v in self.vaults))
-        self.stats.set("link_request_bytes", self.links.request_bytes)
-        self.stats.set("link_response_bytes", self.links.response_bytes)
-        self.stats.set("link_request_packets", self.links.request_packets)
-        self.stats.set("link_response_packets", self.links.response_packets)
-        self.stats.set("vault_fu_ops", sum(v.fu_ops for v in self.vaults))
+        """Set every cube total (:attr:`totals`) in the stats group."""
+        for counter, members, attribute in self.totals:
+            self.stats.set(counter, sum(getattr(m, attribute) for m in members))
         return self.stats

@@ -60,7 +60,6 @@ class Vault:
         if cycle > issued:
             issued = cycle
         queue._next_free = issued + 1
-        queue.busy_cycles += 1
         queue.last_address = address
         start, data_start, data_end, bank_free = self.banks[bank].access_times(
             issued, nbytes, is_write, address
@@ -75,7 +74,6 @@ class Vault:
             duration = 1
         bus_end = bus_start + duration
         bus._next_free = bus_end
-        bus.bytes_moved += nbytes
         bus.last_address = address
         data_ready = data_end if data_end > bus_end else bus_end
         return start, data_ready, bank_free

@@ -74,24 +74,23 @@ class HiveEngine:
         self._block_watermark = 0  # completion of everything in the block
         self.last_completion = 0  # engine drain time (run end accounting)
         self.max_op_bytes = max(config.op_sizes)
-        # Deferred counters (a StatGroup dict update per instruction is
-        # measurable on million-uop traces); folded in by _flush_counts.
-        self._n_instructions = 0
-        self._n_locks = 0
-        self._n_unlocks = 0
-        self._n_loads = 0
-        self._n_squashed_loads = 0
-        self._n_partial_loads = 0
-        self._n_stores = 0
-        self._n_squashed_stores = 0
-        self._n_pack = 0
-        self._n_unpack = 0
-        self._n_alu = 0
-        self._n_alu_lanes = 0
-        self._n_bytes_loaded = 0
-        self._n_bytes_stored = 0
-        self._n_bytes_skipped = 0
-        self.stats.register_flush(self._flush_counts)
+        self.stats.batch(self, (
+            ("_n_instructions", "instructions"),
+            ("_n_locks", "locks"),
+            ("_n_unlocks", "unlocks"),
+            ("_n_loads", "loads"),
+            ("_n_squashed_loads", "squashed_loads"),
+            ("_n_partial_loads", "partial_loads"),
+            ("_n_stores", "stores"),
+            ("_n_squashed_stores", "squashed_stores"),
+            ("_n_pack", "pack_ops"),
+            ("_n_unpack", "unpack_ops"),
+            ("_n_alu", "alu_ops"),
+            ("_n_alu_lanes", "alu_lanes"),
+            ("_n_bytes_loaded", "dram_bytes_loaded"),
+            ("_n_bytes_stored", "dram_bytes_stored"),
+            ("_n_bytes_skipped", "dram_bytes_skipped"),
+        ))
         # Dense handler table indexed by PimOp.index (built once; enum
         # hashing per instruction is measurable on million-uop traces).
         handlers = {
@@ -108,29 +107,6 @@ class HiveEngine:
         self._handlers = [None] * len(PimOp)
         for op, handler in handlers.items():
             self._handlers[op.index] = handler
-
-    def _flush_counts(self) -> None:
-        for attr, counter in (
-            ("_n_instructions", "instructions"),
-            ("_n_locks", "locks"),
-            ("_n_unlocks", "unlocks"),
-            ("_n_loads", "loads"),
-            ("_n_squashed_loads", "squashed_loads"),
-            ("_n_partial_loads", "partial_loads"),
-            ("_n_stores", "stores"),
-            ("_n_squashed_stores", "squashed_stores"),
-            ("_n_pack", "pack_ops"),
-            ("_n_unpack", "unpack_ops"),
-            ("_n_alu", "alu_ops"),
-            ("_n_alu_lanes", "alu_lanes"),
-            ("_n_bytes_loaded", "dram_bytes_loaded"),
-            ("_n_bytes_stored", "dram_bytes_stored"),
-            ("_n_bytes_skipped", "dram_bytes_skipped"),
-        ):
-            value = getattr(self, attr)
-            if value:
-                self.stats.bump(counter, value)
-                setattr(self, attr, 0)
 
     # -- latency helpers ----------------------------------------------------
 
@@ -421,13 +397,7 @@ class HiveBackend(PimBackend):
             # instructions the core may stream into the cube.
             max_outstanding = engine.config.instruction_buffer_entries
         self.max_outstanding = max_outstanding
-        self._n_sent = 0
-        self.stats.register_flush(self._flush_counts)
-
-    def _flush_counts(self) -> None:
-        if self._n_sent:
-            self.stats.bump("instructions_sent", self._n_sent)
-            self._n_sent = 0
+        self.stats.batch(self, (("_n_sent", "instructions_sent"),))
 
     def submit_inst(self, inst: PimInstruction, cycle: int) -> tuple:
         """One instruction packet out; completion depends on returns_value.

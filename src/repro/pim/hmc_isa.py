@@ -63,18 +63,10 @@ class HmcIsaBackend(PimBackend):
         #: count of each op's mask (see :meth:`mask_table`)
         self._mask_bytes: List[np.ndarray] = []
         self._mask_widths: List[np.ndarray] = []
-        # Hot counters batched as ints (see StatGroup.register_flush).
-        self._n_loadcmp_ops = 0
-        self._n_loadcmp_bytes = 0
-        self.stats.register_flush(self._flush_counts)
-
-    def _flush_counts(self) -> None:
-        if self._n_loadcmp_ops:
-            self.stats.bump("loadcmp_ops", self._n_loadcmp_ops)
-            self._n_loadcmp_ops = 0
-        if self._n_loadcmp_bytes:
-            self.stats.bump("loadcmp_bytes", self._n_loadcmp_bytes)
-            self._n_loadcmp_bytes = 0
+        self.stats.batch(self, (
+            ("_n_loadcmp_ops", "loadcmp_ops"),
+            ("_n_loadcmp_bytes", "loadcmp_bytes"),
+        ))
 
     def submit_inst(self, inst, cycle: int) -> tuple:
         """Execute one extended HMC instruction; returns (completion, release).

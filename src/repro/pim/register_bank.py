@@ -62,17 +62,7 @@ class PimRegisterBank:
             PimRegister(i, config.register_bytes) for i in range(config.register_count)
         ]
         self.stats = stats if stats is not None else StatGroup("register_bank")
-        self._n_reads = 0
-        self._n_writes = 0
-        self.stats.register_flush(self._flush_counts)
-
-    def _flush_counts(self) -> None:
-        if self._n_reads:
-            self.stats.bump("reads", self._n_reads)
-            self._n_reads = 0
-        if self._n_writes:
-            self.stats.bump("writes", self._n_writes)
-            self._n_writes = 0
+        self.stats.batch(self, (("_n_reads", "reads"), ("_n_writes", "writes")))
 
     def __len__(self) -> int:
         return len(self.registers)

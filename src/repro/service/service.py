@@ -784,13 +784,19 @@ class SimulationService:
             self._stopped = True
             self._cv.notify_all()
         self._supervisor.join(timeout=timeout)
+        # A busy worker would read the shutdown sentinel only after its
+        # point, whose result nobody reads any more, so it is killed at
+        # once; idle workers get the sentinel and one shared deadline.
         for worker in self._workers:
-            try:
-                worker.conn.send(None)
-            except OSError:
-                pass  # already dead
+            if worker.job_id is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass  # already dead
+        exit_by = time.monotonic() + 1.0
         for worker in self._workers:
-            worker.process.join(timeout=1.0)
+            if worker.job_id is None:
+                worker.process.join(timeout=max(0.0, exit_by - time.monotonic()))
             # SIGKILL, not SIGTERM: a worker reads SIGTERM as "drain",
             # which a single-pass run never reaches.
             self._kill_worker(worker)

@@ -27,23 +27,29 @@ run the executor
    with byte-equal signatures and equal statistics deltas prove the
    machine is advancing uniformly: state(k+1) = shift(state(k)),
 3. **extrapolates** — the remaining whole periods are applied
-   analytically: statistics counters grow by the verified per-period
-   deltas, every clock in the machine advances by the period's cycle
-   delta, address-keyed state (cache tags, MSHR merge tables, prefetch
-   tables, store-forward entries, bank/vault busy times) is relabelled
-   by the region advances, round-robin cursors advance by their
-   per-period grant counts, and the run's ``bulk`` hook applies the
-   skipped iterations' functional side effects (engine-stored bitmask
-   bytes, HMC verification masks),
+   analytically: every counter grows by its verified per-period delta
+   (the counters the stats tree holds, the batched cells its groups
+   declare through :meth:`~repro.common.stats.StatGroup.batch`, and the
+   cube totals :attr:`~repro.memory.hmc.Hmc.totals`: the stats tree is
+   the one declaration of the counters), every clock in the machine
+   advances by the period's cycle delta, address-keyed state (cache
+   tags, MSHR merge tables, prefetch tables, store-forward entries,
+   bank/vault busy times) is relabelled by the region advances,
+   round-robin cursors advance by their per-period grant counts, and
+   the run's ``bulk`` hook applies the skipped iterations' functional
+   side effects (engine-stored bitmask bytes, HMC verification masks),
 4. **guards exactness** — anything that breaks uniformity refuses to
    converge and keeps full simulation: data-dependent chunk skipping,
    HIPE's squashed/partial predicated loads under non-uniform
    selectivity, cache-resident warmup (residue accumulating in the
    tags), ambiguous relabels (two live resources landing on one
-   server).  A refused probe returns its reason, which
-   ``tools/diag_replay.py`` prints.  ``REPRO_EXACT=1`` bypasses the
-   replay layer entirely so any point can be re-verified against the
-   slow path; replayed and exact runs produce bit-identical
+   server).  A refused probe returns its reason — new counters, the
+   signature parts that differ, period cycles or uops, the counters
+   whose deltas differ (by dotted name, e.g.
+   ``x86.caches.l2.misses``), rotation deltas, or the relabel plan that
+   failed — which ``tools/diag_replay.py`` prints.  ``REPRO_EXACT=1``
+   bypasses the replay layer entirely so any point can be re-verified
+   against the slow path; replayed and exact runs produce bit-identical
    :class:`~repro.sim.results.RunResult`\\ s.
 
 Every simulated iteration, probe periods included, runs through the
@@ -71,7 +77,7 @@ this file changes — replayed and exact runs share cache keys by design.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..codegen.base import RegAllocator, TraceRun
 from ..common.resources import (
@@ -169,15 +175,6 @@ def _sig_clock(value: int, now: int) -> int:
     return slack if slack > -GRACE else -GRACE
 
 
-def _policy_dict(policy):
-    """The ordered tag container of any replacement policy flavour."""
-    for name in ("_stack", "_queue", "_tags"):
-        container = getattr(policy, name, None)
-        if container is not None:
-            return container
-    raise TypeError(f"unsupported replacement policy {type(policy).__name__}")
-
-
 def _sig_tags(level, amap: _AddressMap):
     """A cache level's tags as a set-position-independent multiset.
 
@@ -197,7 +194,7 @@ def _sig_tags(level, amap: _AddressMap):
     """
     entries = []
     for cache_set in level._sets:
-        for rank, line in enumerate(_policy_dict(cache_set.policy)):
+        for rank, line in enumerate(cache_set.tags):
             region, norm = amap.normalize(line)
             entries.append((region, norm, rank,
                             bool(cache_set.dirty.get(line, False))))
@@ -242,11 +239,12 @@ def _sig_prefetcher(prefetcher, amap: _AddressMap, prev_pf: Dict):
     return ()
 
 
-def _walk_stats(group: StatGroup, out: List[Tuple[Dict, str]]) -> None:
-    for key in group._counters:
-        out.append((group._counters, key))
+def _walk_groups(group: StatGroup,
+                 path: str) -> Iterator[Tuple[str, StatGroup]]:
+    """Every group of a stats tree with its dotted path, parents first."""
+    yield path, group
     for child in group._children.values():
-        _walk_stats(child, out)
+        yield from _walk_groups(child, f"{path}.{child.name}")
 
 
 class _MachineState:
@@ -270,26 +268,23 @@ class _MachineState:
 
         # Round-robin pools: lane/unit assignment is a pure rotation of
         # the pool cursor, so member states compare (and shift) relative
-        # to the cursor phase.  Each entry is (pool, members, counter) —
-        # ``counter`` names the per-member statistic the pool total
-        # extrapolates through, and doubles as the busy-vs-bandwidth
-        # kind for the flat time-shift views.
-        self.rr_pools: List[Tuple[object, List, str]] = []
+        # to the cursor phase.  Each entry is (pool, members).
+        self.rr_pools: List[Tuple[object, List]] = []
         seen = set()
         for pool, __ in machine.core.units._pools.values():
             if id(pool) in seen:
                 continue
             seen.add(id(pool))
-            self.rr_pools.append((pool, list(pool.units), "busy_cycles"))
+            self.rr_pools.append((pool, list(pool.units)))
         hmc = machine.hmc
         for lanes in (hmc.links._request_lanes, hmc.links._response_lanes):
-            self.rr_pools.append((lanes, list(lanes.channels), "bytes_moved"))
+            self.rr_pools.append((lanes, list(lanes.channels)))
 
         # Address-routed pools: requests land on the server their DRAM
         # address decodes to, so a live server's state is keyed by the
         # last address that touched it and relabels with the region
         # advances like any other address-keyed state.  Each entry is
-        # (members, index_of_address, counter).
+        # (members, index_of_address).
         mapping = hmc.mapping
         banks_per_vault = hmc.config.banks_per_vault
 
@@ -300,13 +295,16 @@ class _MachineState:
             decoded = mapping.decompose(address)
             return decoded.vault * banks_per_vault + decoded.bank
 
-        self.addr_pools: List[Tuple[List, object, str]] = [
-            ([v._command_queue for v in hmc.vaults], vault_index, "busy_cycles"),
-            ([v._fu for v in hmc.vaults], vault_index, "busy_cycles"),
-            ([v._data_bus for v in hmc.vaults], vault_index, "bytes_moved"),
+        self.addr_pools: List[Tuple[List, object]] = [
+            ([v._command_queue for v in hmc.vaults], vault_index),
+            ([v._fu for v in hmc.vaults], vault_index),
+            ([v._data_bus for v in hmc.vaults], vault_index),
             ([bank._resource for vault in hmc.vaults for bank in vault.banks],
-             bank_index, "busy_cycles"),
+             bank_index),
         ]
+        #: every pooled server, for time-shifting (order irrelevant there)
+        self.servers = [m for __, members in self.rr_pools for m in members]
+        self.servers.extend(m for members, __ in self.addr_pools for m in members)
 
         self.levels = [machine.hierarchy.l1, machine.hierarchy.l2,
                        machine.hierarchy.l3]
@@ -318,140 +316,74 @@ class _MachineState:
 
         self.engine = machine.engine
 
-        # Flat views for time-shifting (order irrelevant there), derived
-        # from the pools' declared kinds.
-        self.all_slotted = list(self.slotted)
-        self.all_busy = []
-        self.all_bandwidth = []
-        for __, members, counter in self.rr_pools:
-            target = self.all_busy if counter == "busy_cycles" else self.all_bandwidth
-            target.extend(members)
-        for members, __, counter in self.addr_pools:
-            target = self.all_busy if counter == "busy_cycles" else self.all_bandwidth
-            target.extend(members)
-
-        # Monotonic counters outside the stats tree (extrapolated, not
-        # part of the structural signature).
-        counters: List[Tuple[object, str]] = []
-        _walk_stats(machine.stats, counters)  # type: ignore[arg-type]
-        self.stat_cells = counters
-        # Scalar counters: positionally stable between periods.  The
-        # ``_n_*`` attributes are the hot-path batched counters that
-        # flush lazily into the stats tree (StatGroup.register_flush).
-        self.scalar_cells: List[Tuple[object, str]] = [
-            (hmc.links, "request_packets"),
-            (hmc.links, "response_packets"),
-            (hmc, "_n_vault_accesses"),
-            (hmc, "_n_vault_bytes_read"),
-            (hmc, "_n_vault_bytes_written"),
-            (hmc, "_n_line_reads"),
-            (hmc, "_n_line_writes"),
-            (hmc, "_n_pim_updates"),
-            (machine.hierarchy, "_n_loads"),
-            (machine.hierarchy, "_n_stores"),
-        ]
-        for name in ("_n_loads", "_n_stores", "_n_branches", "_n_alu",
-                     "_n_pim", "_n_redirects", "_n_forwards"):
-            self.scalar_cells.append((execution, name))
-        predictor = machine.core.predictor
-        for name in ("_n_predictions", "_n_correct", "_n_mispredictions",
-                     "_n_btb_misses"):
-            self.scalar_cells.append((predictor, name))
-        self.dict_cells: List[Tuple[Dict, object]] = []
-        for level in self.levels:
-            self.scalar_cells.append((level.mshr, "merges"))
-            self.scalar_cells.append((level.mshr, "allocations"))
-            self.scalar_cells.append((level.prefetcher, "issued"))
-            for name in ("_n_accesses", "_n_hits", "_n_misses",
-                         "_n_prefetch_hits", "_n_invalidations",
-                         "_n_evictions", "_n_writebacks",
-                         "_n_prefetches_issued", "_n_prefetches_dropped"):
-                self.scalar_cells.append((level, name))
-            for index in range(len(level._n_miss_by_type)):
-                self.dict_cells.append((level._n_miss_by_type, index))
-        if self.engine is not None:
-            for name in ("_n_instructions", "_n_locks", "_n_unlocks",
-                         "_n_loads", "_n_squashed_loads", "_n_partial_loads",
-                         "_n_stores", "_n_squashed_stores", "_n_pack",
-                         "_n_unpack", "_n_alu", "_n_alu_lanes",
-                         "_n_bytes_loaded", "_n_bytes_stored",
-                         "_n_bytes_skipped"):
-                self.scalar_cells.append((self.engine, name))
-            self.scalar_cells.append((self.engine.registers, "_n_reads"))
-            self.scalar_cells.append((self.engine.registers, "_n_writes"))
-        backend = machine.backend
-        if backend is not None:
-            for name in ("_n_loadcmp_ops", "_n_loadcmp_bytes", "_n_sent"):
-                if hasattr(backend, name):
-                    self.scalar_cells.append((backend, name))
-        # Group-summed counters: requests rotate across the pool's
-        # members, so only the pool total extrapolates linearly (and
-        # only the total ever reaches results, via collect_stats).  One
-        # group per pool — request lanes, response lanes and the vault
-        # buses feed *separate* statistics.
-        banks = [bank for vault in hmc.vaults for bank in vault.banks]
-        self.group_cells: List[List[Tuple[object, str]]] = [
-            [(vault, "fu_ops") for vault in hmc.vaults],
-        ]
-        for name in ("activations", "reads", "writes", "bytes_read",
-                     "bytes_written"):
-            self.group_cells.append([(bank, name) for bank in banks])
-        for __, members, counter in self.rr_pools:
-            self.group_cells.append([(m, counter) for m in members])
-        for members, __, counter in self.addr_pools:
-            self.group_cells.append([(m, counter) for m in members])
+        # Counters extrapolate linearly and stay out of the structural
+        # signature.  The stats tree is their one declaration: the
+        # counters it holds (re-walked by refresh_stats, since they
+        # appear lazily), the batched cells its groups declare
+        # (StatGroup.batch) and the cube totals (Hmc.totals).  Requests
+        # rotate across a total's members, so only the total
+        # extrapolates linearly, and only the total reaches results.
+        groups = list(_walk_groups(machine.stats, machine.stats.name))
+        self.batched_cells: List[Tuple[object, object]] = []
+        self._batched_names: List[str] = []
+        for path, group in groups:
+            for container, key, counter in group.batched_cells():
+                self.batched_cells.append((container, key))
+                self._batched_names.append(f"{path}.{counter}")
+        hmc_path = next((path for path, group in groups if group is hmc.stats),
+                        hmc.stats.name)
+        self.totals = [(f"{hmc_path}.{counter}", members, attribute)
+                       for counter, members, attribute in hmc.totals]
+        self.refresh_stats()
 
     # -- counters (values extrapolate linearly) -----------------------------
 
-    def counter_vector(self) -> List[float]:
-        values = [cells[key] for cells, key in self.stat_cells]
-        values.extend(getattr(obj, name, 0) for obj, name in self.scalar_cells)
-        values.extend(cells[key] for cells, key in self.dict_cells)
-        values.extend(
-            sum(getattr(obj, name, 0) for obj, name in group)
-            for group in self.group_cells
-        )
-        return values
-
-    def rotation_vector(self) -> List[int]:
-        """Round-robin cursors (monotone grant counts) of every rr pool."""
-        return [pool.cursor for pool, __, ___ in self.rr_pools]
+    def refresh_stats(self) -> None:
+        """Re-walk the stats tree's counters (they appear lazily)."""
+        self.stat_cells: List[Tuple[Dict, str]] = []
+        self._stat_names: List[str] = []
+        for path, group in _walk_groups(self.machine.stats,
+                                        self.machine.stats.name):
+            for key in group._counters:
+                self.stat_cells.append((group._counters, key))
+                self._stat_names.append(f"{path}.{key}")
 
     def stat_keys(self):
         """Stable identity of the stats cells (new counters may appear)."""
-        return [
-            (id(cells), key) for cells, key in self.stat_cells
-        ]
+        return [(id(cells), key) for cells, key in self.stat_cells]
 
-    def refresh_stats(self) -> None:
-        """Re-walk the stats tree (counters can be created lazily)."""
-        counters: List[Tuple[Dict, str]] = []
-        _walk_stats(self.machine.stats, counters)
-        self.stat_cells = counters
+    def counter_vector(self) -> List[float]:
+        values = [cells[key] for cells, key in self.stat_cells]
+        values.extend(cells[key] for cells, key in self.batched_cells)
+        values.extend(sum(getattr(m, attribute) for m in members)
+                      for __, members, attribute in self.totals)
+        return values
+
+    def counter_names(self) -> List[str]:
+        """One dotted name per :meth:`counter_vector` entry.
+
+        A batched cell bears the name of the counter it folds into, so
+        a name can appear twice.
+        """
+        return (self._stat_names + self._batched_names
+                + [name for name, __, ___ in self.totals])
+
+    def rotation_vector(self) -> List[int]:
+        """Round-robin cursors (monotone grant counts) of every rr pool."""
+        return [pool.cursor for pool, __ in self.rr_pools]
 
     def add_counters(self, delta: List[float], times: int) -> None:
-        n_stats = len(self.stat_cells)
-        n_scalar = len(self.scalar_cells)
-        n_dict = len(self.dict_cells)
-        for (cells, key), d in zip(self.stat_cells, delta[:n_stats]):
+        cells = self.stat_cells + self.batched_cells
+        for (container, key), d in zip(cells, delta):
             if d:
-                cells[key] = cells[key] + d * times
-        for (obj, name), d in zip(self.scalar_cells,
-                                  delta[n_stats:n_stats + n_scalar]):
+                container[key] = container[key] + d * times
+        for (__, members, attribute), d in zip(self.totals,
+                                               delta[len(cells):]):
             if d:
-                setattr(obj, name, getattr(obj, name) + int(d) * times)
-        for (cells, key), d in zip(
-            self.dict_cells, delta[n_stats + n_scalar:n_stats + n_scalar + n_dict]
-        ):
-            if d:
-                cells[key] = cells[key] + int(d) * times
-        for group, d in zip(self.group_cells,
-                            delta[n_stats + n_scalar + n_dict:]):
-            if d:
-                # Attribute the whole pool's growth to its first member;
-                # results only ever read the pool total.
-                obj, name = group[0]
-                setattr(obj, name, getattr(obj, name) + int(d) * times)
+                # Attribute the whole growth to the first member;
+                # results only ever read the total.
+                first = members[0]
+                setattr(first, attribute, getattr(first, attribute) + d * times)
 
     # -- structural signature ----------------------------------------------
 
@@ -482,7 +414,7 @@ class _MachineState:
         # next.  The cursor advance itself is verified separately
         # (rotation_vector deltas must match period over period).
         rr_parts = []
-        for pool, members, __ in self.rr_pools:
+        for pool, members in self.rr_pools:
             n = len(members)
             phase = pool.cursor % n
             rr_parts.append(tuple(
@@ -500,7 +432,7 @@ class _MachineState:
         # — any future request's max(cycle, next_free) resolves to the
         # request cycle — and are excluded.
         addr_parts = []
-        for members, __, ___ in self.addr_pools:
+        for members, __ in self.addr_pools:
             live = []
             for i, member in enumerate(members):
                 slack = member._next_free - now
@@ -605,7 +537,7 @@ class _MachineState:
             line_bytes = level.line_bytes
             new_sets: Dict[int, List] = {}
             for cache_set in level._sets:
-                for rank, line in enumerate(_policy_dict(cache_set.policy)):
+                for rank, line in enumerate(cache_set.tags):
                     dirty = bool(cache_set.dirty.get(line, False))
                     new_line = amap.relabel(line)
                     new_index = (new_line // line_bytes) % num_sets
@@ -677,7 +609,7 @@ class _MachineState:
         state ambiguous, so the executor refuses.
         """
         plans = []
-        for members, index_of, __ in self.addr_pools:
+        for members, index_of in self.addr_pools:
             now = self.execution.last_commit
             moves = []
             targets = set()
@@ -703,12 +635,11 @@ class _MachineState:
         for level, new_sets in zip(self.levels, plans):
             for index, cache_set in enumerate(level._sets):
                 entries = new_sets.get(index)
-                container = _policy_dict(cache_set.policy)
-                container.clear()
+                cache_set.tags.clear()
                 cache_set.dirty.clear()
                 if entries:
                     for __, line, dirty in entries:  # in LRU-rank order
-                        container[line] = None
+                        cache_set.tags[line] = None
                         if dirty:
                             cache_set.dirty[line] = True
 
@@ -731,7 +662,7 @@ class _MachineState:
         so all that matters — and all that is preserved — is that it is
         behaviourally dead (any future request's ``max(cycle,
         next_free)`` resolves to the request cycle)."""
-        for (members, __, ___), moves in zip(self.addr_pools, plans):
+        for (members, __), moves in zip(self.addr_pools, plans):
             snapshot = [
                 (target, members[i]._next_free, new_address)
                 for i, target, new_address in moves
@@ -752,20 +683,18 @@ class _MachineState:
         """Advance the whole machine by ``dt`` cycles / region deltas."""
         core = self.execution
 
-        for res in self.all_slotted:
+        for res in self.slotted:
             res.shift_time(dt)
         for res in self.occupancy:
             res.shift_time(dt)
-        for res in self.all_busy:
-            res._next_free += dt
-        for res in self.all_bandwidth:
+        for res in self.servers:
             res._next_free += dt
 
         # Round-robin pools: advance the cursor by the accumulated grant
         # count and rotate the member states with it, so member
         # (cursor + i) keeps the state the probe verified for phase i.
         if rotations is not None:
-            for (pool, members, __), advance in zip(self.rr_pools, rotations):
+            for (pool, members), advance in zip(self.rr_pools, rotations):
                 n = len(members)
                 pool.cursor += advance
                 rot = advance % n
@@ -956,9 +885,11 @@ class ReplayExecutor:
             return consumed, f"period uops differ: {uops_a} then {uops_b}"
         delta_a = [b - a for a, b in zip(cnt0, cnt1)]
         delta_b = [b - a for a, b in zip(cnt1, cnt2)]
-        changed = sum(a != b for a, b in zip(delta_a, delta_b))
+        changed = [name for name, a, b in zip(state.counter_names(),
+                                              delta_a, delta_b) if a != b]
         if changed:
-            return consumed, f"counter deltas differ in {changed} cells"
+            return consumed, ("counter deltas differ: "
+                              + ", ".join(dict.fromkeys(changed)))
         rot_a = [b - a for a, b in zip(rot0, rot1)]
         rot_b = [b - a for a, b in zip(rot1, rot2)]
         if rot_a != rot_b:

@@ -510,19 +510,27 @@ class TestKilledWorker:
         assert [e["kind"] for e in records[0].attempt_log] == ["crash"]
         assert [r.attempts for r in records[1:]] == [1, 1, 1]
 
-    def test_close_kills_a_worker_sigterm_cannot_stop(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_close_kills_a_worker_sigterm_cannot_stop(self, tmp_path, jobs):
         # An x86 NSM tuple scan is one pass: a SIGTERM only asks it to
-        # drain at a boundary it never reaches.
-        service = SimulationService(jobs=1, use_cache=False,
+        # drain at a boundary it never reaches.  Busy workers are killed
+        # at once, not joined one after another first.
+        service = SimulationService(jobs=jobs, use_cache=False,
                                     checkpoint_dir=tmp_path / "ckpt")
-        ticket = service.submit("x86", ScanConfig("nsm", "tuple", 64), 131_072)
+        tickets = [service.submit("x86", ScanConfig("nsm", "tuple", 64),
+                                  131_072, seed=seed) for seed in range(jobs)]
         deadline = time.monotonic() + 30
-        while service.status(ticket).state is not JobState.RUNNING:
-            assert time.monotonic() < deadline, "job never reached RUNNING"
+        while any(service.status(ticket).state is not JobState.RUNNING
+                  for ticket in tickets):
+            assert time.monotonic() < deadline, "jobs never reached RUNNING"
             time.sleep(0.01)
-        process = service._workers[0].process
+        processes = [worker.process for worker in service._workers]
+        assert len(processes) == jobs
+        started = time.monotonic()
         service.close(timeout=0.5, force=True)
-        assert not process.is_alive()
+        elapsed = time.monotonic() - started
+        assert not any(process.is_alive() for process in processes)
+        assert elapsed < 0.5 + 0.9
 
 
 # -- resource exhaustion degrades, never fails ---------------------------------

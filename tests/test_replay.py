@@ -408,6 +408,108 @@ def test_replay_never_probes_a_regionless_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the counter registry: the stats tree declares every batched counter
+# ---------------------------------------------------------------------------
+
+
+def _short_point(arch):
+    """A machine and its execution after a short Q6 column point."""
+    plan = q6_select_plan()
+    data = generate_table(plan.table, 2048, 1994)
+    machine = build_machine(arch)
+    workload = build_workload(machine, data, "dsm", plan=plan)
+    execution = machine.core.execution()
+    op = 64 if arch == "x86" else 256
+    ReplayExecutor(machine, execution).consume(
+        _CODEGENS[arch].generate_plan_runs(
+            workload, ScanConfig("dsm", "column", op)))
+    return machine, execution
+
+
+@pytest.mark.parametrize("arch", ["x86", "hmc", "hive", "hipe"])
+def test_every_batched_counter_is_declared(arch):
+    """Every ``_n_*`` attribute of a hot component is a cell the stats
+    tree declares (``StatGroup.batch``), so replay extrapolates it: a
+    counter that skips the declaration fails here instead of silently
+    escaping replay."""
+    from repro.sim.replay import _MachineState
+
+    machine, execution = _short_point(arch)
+    hierarchy = machine.hierarchy
+    owners = [execution, hierarchy, hierarchy.l1, hierarchy.l2,
+              hierarchy.l3, machine.core.predictor, machine.hmc]
+    if machine.engine is not None:
+        owners += [machine.engine, machine.engine.registers]
+    if machine.backend is not None:
+        owners.append(machine.backend)
+    declared = {(id(cells), key) for cells, key
+                in _MachineState(machine, execution).batched_cells}
+    batched = 0
+    for owner in owners:
+        for name, value in vars(owner).items():
+            if not name.startswith("_n_"):
+                continue
+            if isinstance(value, list):
+                cells = {(id(value), index) for index in range(len(value))}
+            else:
+                cells = {(id(vars(owner)), name)}
+            assert cells <= declared, \
+                f"{type(owner).__name__}.{name} is not declared"
+            batched += len(cells)
+    assert batched == len(declared)
+
+
+@pytest.mark.parametrize("arch", ["x86", "hmc", "hive", "hipe"])
+def test_counter_names_match_the_counter_vector(arch):
+    """One dotted stats-tree name per extrapolated counter cell."""
+    from repro.sim.replay import _MachineState
+
+    machine, execution = _short_point(arch)
+    machine.stats.flatten()  # fold the batched cells into the tree
+    machine.hmc.collect_stats()
+    state = _MachineState(machine, execution)
+    names = state.counter_names()
+    assert len(names) == len(state.counter_vector())
+    counters = {name for name in machine.stats.flatten()
+                if not name.endswith(("hit_ratio", "ipc", "accuracy"))}
+    assert counters <= set(names)
+    assert f"{arch}.caches.l2.misses" in names
+    assert f"{arch}.hmc.row_activations" in names
+
+
+def test_counter_refusal_names_the_counter(monkeypatch):
+    """A counter whose per-period delta changes refuses every probe of
+    an otherwise periodic loop, and the refusal names it."""
+    from repro.common.config import reduced_cube_config
+
+    machine = build_machine("x86", config=reduced_cube_config("x86"))
+    ticker = type("Ticker", (), {})()
+    machine.stats.child("ticker").batch(ticker, (("_n_ticks", "ticks"),))
+    spans = []
+    reasons = []
+    simulate = ReplayExecutor._simulate
+    probe = ReplayExecutor._probe_and_skip
+
+    def ticking(self, jlo, jhi):
+        spans.append(jhi - jlo)
+        ticker._n_ticks += len(spans)  # a growing count per span
+        return simulate(self, jlo, jhi)
+
+    def logged(self, run, j, p):
+        consumed, refusal = probe(self, run, j, p)
+        reasons.append(refusal)
+        return consumed, refusal
+
+    monkeypatch.setattr(ReplayExecutor, "_simulate", ticking)
+    monkeypatch.setattr(ReplayExecutor, "_probe_and_skip", logged)
+    executor = ReplayExecutor(machine, machine.core.execution())
+    executor.consume(_fetch_bound_runs())
+    assert reasons
+    assert set(reasons) == {"counter deltas differ: x86.ticker.ticks"}
+    assert executor.stats.runs_converged == 0
+
+
+# ---------------------------------------------------------------------------
 # periodic-by-construction schedulers (PR 4)
 # ---------------------------------------------------------------------------
 

@@ -146,12 +146,6 @@ class TestBusyResource:
         server.push_next_free(100)
         assert server.occupy(0, 1) == (100, 101)
 
-    def test_busy_cycles_accumulate(self):
-        server = BusyResource()
-        server.occupy(0, 7)
-        server.occupy(0, 3)
-        assert server.busy_cycles == 10
-
 
 class TestUnitPool:
     def test_picks_soonest_free_unit(self):

@@ -3,8 +3,9 @@
 Runs one (arch, op bytes, rows) Q6 column point through the replay
 executor and prints every probe it takes: where it ran, its period, and
 either that it converged or the reason it refused (new counters, the
-signature parts that differed, cycle/uop/counter/rotation deltas, or
-the relabel plan that failed).
+signature parts that differed, cycle, uop or rotation deltas, the
+counters whose deltas differed by their dotted stats-tree names, e.g.
+``x86.caches.l2.misses``, or the relabel plan that failed).
 Usage: PYTHONPATH=src python tools/diag_replay.py hmc 256 2097152
 
 An extra ``mini`` argument (after the three positionals) uses the
