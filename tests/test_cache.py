@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import AccessType, CacheLevel
+from repro.cache.mshr import PRUNE_GRACE
 from repro.cache.prefetcher import (
     NullPrefetcher,
     StridePrefetcher,
@@ -31,6 +32,22 @@ def small_cache(**overrides) -> CacheLevel:
                     mshr_eviction=4)
     defaults.update(overrides)
     return CacheLevel(CacheConfig(**defaults), _FlatMemory())
+
+
+class TestMshrFile:
+    def test_completed_fills_pruned(self):
+        """A fill that already completed is not ridden again, and fills
+        older than PRUNE_GRACE leave the merge table."""
+        cache = small_cache()
+        first = cache.access(0, 0x2000, AccessType.LOAD)
+        # Once the line is gone, a miss after its fill fetches it anew.
+        cache.invalidate(0x2000)
+        again = cache.access(first + 1, 0x2000, AccessType.LOAD)
+        assert again > first + 1
+        assert len(cache.next_level.accesses) == 2
+        # A miss PRUNE_GRACE past both fills leaves only its own entry.
+        late = cache.access(again + PRUNE_GRACE + 1, 0x9000, AccessType.LOAD)
+        assert list(cache.mshr._in_flight.values()) == [late]
 
 
 class TestCacheLevel:
@@ -81,12 +98,6 @@ class TestCacheLevel:
         second = cache.access(1, 0x2000, AccessType.LOAD)
         assert second <= first
         assert len([a for a in cache.next_level.accesses]) == 1
-        # A fill that already completed is not ridden again: once the
-        # line is gone, a miss after the fill fetches it anew.
-        cache.invalidate(0x2000)
-        third = cache.access(first + 1, 0x2000, AccessType.LOAD)
-        assert third > first + 1
-        assert len(cache.next_level.accesses) == 2
 
     def test_invalidate(self):
         cache = small_cache()
