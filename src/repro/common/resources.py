@@ -309,11 +309,6 @@ class MultiChannelBandwidth:
         self.cursor += 1
         return channel.transfer(cycle, nbytes)
 
-    @property
-    def bytes_moved(self) -> int:
-        """Total bytes moved across all channels."""
-        return sum(ch.bytes_moved for ch in self.channels)
-
 
 class BusyResource:
     """A single server that is busy for a caller-supplied duration.

@@ -54,13 +54,24 @@ class StatGroup:
         zeroes it: the deferral is invisible to readers, and a counter
         appears only once it has counted something.  The declarations
         are the one list of batched counters (:meth:`batched_cells`).
+
+        An attribute the group already declared (a core's next
+        execution) replaces the earlier declaration in its place, once
+        the earlier owner's pending count is folded in.
         """
         for attribute, counter in cells:
+            entry = (owner, attribute, counter)
+            for index, declared in enumerate(self._batched):
+                if declared[1] == attribute:
+                    self._fold(declared)
+                    self._batched[index] = entry
+                    break
+            else:
+                self._batched.append(entry)
             if isinstance(counter, tuple):
                 setattr(owner, attribute, [0] * len(counter))
             else:
                 setattr(owner, attribute, 0)
-            self._batched.append((owner, attribute, counter))
 
     def batched_cells(self) -> Iterator[Tuple[object, object, str]]:
         """Every declared cell as ``(container, key, counter)``.
@@ -78,16 +89,21 @@ class StatGroup:
                 yield vars(owner), attribute, counter
 
     def _sync(self) -> None:
-        for owner, attribute, counter in self._batched:
-            value = getattr(owner, attribute)
-            if isinstance(counter, tuple):
-                for index, name in enumerate(counter):
-                    if value[index]:
-                        self.bump(name, value[index])
-                        value[index] = 0
-            elif value:
-                self.bump(counter, value)
-                setattr(owner, attribute, 0)
+        for declared in self._batched:
+            self._fold(declared)
+
+    def _fold(self, declared: Tuple[object, str, object]) -> None:
+        """Move one declared cell's pending count into its counter."""
+        owner, attribute, counter = declared
+        value = getattr(owner, attribute)
+        if isinstance(counter, tuple):
+            for index, name in enumerate(counter):
+                if value[index]:
+                    self.bump(name, value[index])
+                    value[index] = 0
+        elif value:
+            self.bump(counter, value)
+            setattr(owner, attribute, 0)
 
     def get(self, counter: str, default: float = 0) -> float:
         """Read a counter, or ``default`` when it was never touched."""

@@ -74,13 +74,3 @@ class HmcLinks:
         channel._next_free = end
         channel.bytes_moved += packet
         return start, end, end + self.latency
-
-    @property
-    def request_bytes(self) -> int:
-        """Total bytes serialised processor -> cube."""
-        return self._request_lanes.bytes_moved
-
-    @property
-    def response_bytes(self) -> int:
-        """Total bytes serialised cube -> processor."""
-        return self._response_lanes.bytes_moved

@@ -77,20 +77,3 @@ class Vault:
         bus.last_address = address
         data_ready = data_end if data_end > bus_end else bus_end
         return start, data_ready, bank_free
-
-    # -- statistics -------------------------------------------------------
-
-    @property
-    def activations(self) -> int:
-        """Total row activations across the vault's banks."""
-        return sum(b.activations for b in self.banks)
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes read from this vault's DRAM arrays."""
-        return sum(b.bytes_read for b in self.banks)
-
-    @property
-    def bytes_written(self) -> int:
-        """Total bytes written to this vault's DRAM arrays."""
-        return sum(b.bytes_written for b in self.banks)

@@ -17,12 +17,12 @@ silent workers from the last completed pass — bit-identical to an
 uninterrupted run — instead of restarting points from zero.
 
 Overload safety (see :mod:`repro.service.admission`): the pending queue
-is bounded and per-client / per-class quotas shed excess load with a
-structured :class:`ServiceOverloadError`; retries back off
-exponentially with deterministic jitter; jobs carry deadlines past
-which they checkpoint-stop; :meth:`SimulationService.drain` (or SIGTERM
-on the HTTP host) checkpoint-stops everything so a restarted service
-resumes from the snapshots.
+is bounded, and a submit past the bound is shed with a structured
+:class:`ServiceOverloadError`; retries back off exponentially with
+deterministic jitter; jobs carry deadlines past which they
+checkpoint-stop; :meth:`SimulationService.drain` (or SIGTERM on the
+HTTP host) checkpoint-stops everything so a restarted service resumes
+from the snapshots.
 
 The HTTP front end (:mod:`repro.service.http_api`) serves the same
 engine over stdlib ``http.server``::
@@ -37,7 +37,6 @@ See :mod:`repro.service.service` for the engine and
 """
 
 from .admission import (
-    AdmissionController,
     ServiceDrainingError,
     ServiceOverloadError,
     backoff_delay,
@@ -59,7 +58,6 @@ from .service import (
 from .worker import execute_point_payload, make_task_payload
 
 __all__ = [
-    "AdmissionController",
     "HTTPServiceError",
     "JobRecord",
     "JobState",

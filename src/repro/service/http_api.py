@@ -6,13 +6,13 @@ no new dependency, one file.  Routes (all JSON):
 
 ====================  =====================================================
 ``POST /submit``      body ``{"arch", "scan": {...}, "rows", "seed"?,
-                      "scale"?, "client"?, "job_class"?, "deadline"?,
-                      "block"?}`` → the submitted job's record
+                      "scale"?, "deadline"?, "block"?}`` → the submitted
+                      job's record (other keys are ignored)
 ``GET /status?id=N``  one job's full record (result inline once done)
 ``GET /progress``     state counts over every job the service has seen
 ``POST /cancel?id=N`` ``{"cancelled": bool}``
 ``GET /healthz``      the service health snapshot (admission, workers,
-                      shared-memory budget, telemetry counters)
+                      shared-memory images, telemetry counters)
 ``POST /drain``       graceful drain: checkpoint-stop everything,
                       reject new submits; ``{"drained", "killed"}``
 ====================  =====================================================
@@ -45,12 +45,7 @@ from urllib.parse import parse_qs, urlparse
 
 from ..codegen.base import ScanConfig
 from ..common.config import DEFAULT_SCALE
-from .admission import (
-    DEFAULT_CLASS,
-    DEFAULT_CLIENT,
-    ServiceDrainingError,
-    ServiceOverloadError,
-)
+from .admission import ServiceDrainingError, ServiceOverloadError
 from .service import JobRecord, SimulationService
 
 #: job states a client may stop polling at
@@ -78,8 +73,6 @@ def describe_record(record: JobRecord) -> Dict[str, Any]:
         "resumed_from_pass": record.resumed_from_pass,
         "attempt_log": record.attempt_log,
         "elapsed": record.elapsed,
-        "client": record.client,
-        "job_class": record.job_class,
         "deadline_at": record.deadline_at,
         "result": (
             record.result.to_dict() if record.result is not None else None
@@ -208,8 +201,6 @@ class _Handler(BaseHTTPRequestHandler):
             int(body["rows"]),
             seed=int(body.get("seed", 1994)),
             scale=int(body.get("scale", DEFAULT_SCALE)),
-            client=str(body.get("client", DEFAULT_CLIENT)),
-            job_class=str(body.get("job_class", DEFAULT_CLASS)),
             deadline=float(deadline) if deadline is not None else None,
             block=bool(body.get("block", False)),
         )
@@ -329,16 +320,14 @@ class ServiceClient:
         *,
         seed: int = 1994,
         scale: int = DEFAULT_SCALE,
-        client: str = DEFAULT_CLIENT,
-        job_class: str = DEFAULT_CLASS,
         deadline: Optional[float] = None,
         block: bool = False,
     ) -> Dict[str, Any]:
         scan_payload = scan.to_dict() if isinstance(scan, ScanConfig) else scan
         return self._request("POST", "/submit", {
             "arch": arch, "scan": scan_payload, "rows": rows,
-            "seed": seed, "scale": scale, "client": client,
-            "job_class": job_class, "deadline": deadline, "block": block,
+            "seed": seed, "scale": scale, "deadline": deadline,
+            "block": block,
         })
 
     def status(self, job_id: int) -> Dict[str, Any]:

@@ -67,17 +67,21 @@ from ..sim.engine import (  # noqa: F401
     resolve_points,
 )
 from ..sim.results import RunResult
+from . import admission
 from .admission import (
-    DEFAULT_BLOCK_TIMEOUT,
-    DEFAULT_CLASS,
-    DEFAULT_CLIENT,
-    DEFAULT_MAX_PENDING,
-    AdmissionController,
     ServiceDrainingError,
     ServiceOverloadError,
     backoff_delay,
 )
 from .worker import make_task_payload, worker_main
+
+#: how long :meth:`SimulationService.drain` waits for running points to
+#: checkpoint-stop at a pass boundary before it hard-kills their workers
+DRAIN_GRACE = 30.0
+
+#: slack past a job's deadline before the supervisor stops waiting for
+#: the worker's voluntary checkpoint-stop and kills it
+DEADLINE_GRACE = 5.0
 
 
 class JobState(str, Enum):
@@ -143,23 +147,16 @@ class JobRecord:
     #: the pass the successful attempt resumed from (None = ran from zero)
     resumed_from_pass: Optional[int] = None
     #: post-mortem of every *failed* attempt: kind (crash/stalled/
-    #: exception/recycled/...), reason, duration, exitcode where known,
-    #: and — for retried attempts — the backoff delay (``retry_in``)
+    #: exception/expired/drained), reason, duration, exitcode where
+    #: known, and — for retried attempts — the backoff delay
+    #: (``retry_in``)
     attempt_log: List[Dict[str, Any]] = field(default_factory=list)
-    #: admission identity of the submitter (quota accounting)
-    client: str = DEFAULT_CLIENT
-    #: admission class of the job (quota accounting)
-    job_class: str = DEFAULT_CLASS
     #: absolute wall-clock epoch past which the job checkpoint-abandons
     deadline_at: Optional[float] = None
     #: monotonic time before which a retry must not re-dispatch (backoff)
     not_before: Optional[float] = None
-    #: the dataset digest this job holds a shared-image reference on
-    digest: Optional[str] = None
-    #: whether this job passed the admission gate (needs a release)
-    admitted: bool = False
-    #: voluntary checkpoint-and-requeue rounds (RSS recycles, stray
-    #: SIGTERMs) — these do *not* consume the crash-retry budget
+    #: checkpoint-and-requeue rounds after a stray SIGTERM to the
+    #: worker — these do *not* consume the crash-retry budget
     recycles: int = 0
 
     @property
@@ -181,22 +178,6 @@ class _Worker:
 
 #: how often the supervisor, a blocked submit and a stream re-check state
 _POLL_INTERVAL = 0.05
-
-
-class _ImageEntry:
-    """One published dataset image plus its reference accounting.
-
-    ``refs`` counts outstanding (non-terminal) jobs whose payload
-    carries this image's handle; only zero-ref images are eligible for
-    LRU unpublishing under the shared-memory budget.
-    """
-
-    __slots__ = ("image", "refs", "last_used")
-
-    def __init__(self, image: DatasetImage) -> None:
-        self.image = image
-        self.refs = 0
-        self.last_used = time.monotonic()
 
 
 class SimulationService:
@@ -230,41 +211,15 @@ class SimulationService:
         ``REPRO_CHECKPOINT_DIR``), and a retried job resumes from its
         predecessor's last completed pass, bit-identical to an
         uninterrupted run.
-    max_pending / client_quota / class_quotas:
-        Admission control (see :mod:`repro.service.admission`): the
-        pending queue is bounded (``max_pending``, default 256) and
-        per-client / per-job-class outstanding quotas (default
-        unlimited) shed excess load with a structured
-        :class:`ServiceOverloadError` instead of queuing unboundedly;
-        ``None`` means unlimited.  ``submit(..., block=True)`` waits
-        for room instead, for at most ``block_timeout`` seconds.
-    drain_grace:
-        How long :meth:`drain` waits for running points to
-        checkpoint-stop at a pass boundary before hard-killing their
-        workers.  Either way the last completed pass is on disk and a
-        restarted service resumes from it.
-    deadline_grace:
-        Slack past a job's deadline before the supervisor stops
-        waiting for the worker's voluntary checkpoint-abandon and
-        kills it (covers single-pass streams that never reach a
-        boundary).  Default 5 s.
-    shm_max_mb:
-        Budget for concurrently published shared-memory dataset
-        images (``None`` or <= 0: unbounded).  Publishing past it
-        LRU-unpublishes *idle* images (no outstanding job references);
-        images still referenced are never unpublished, so the budget
-        can be transiently exceeded rather than ever breaking a
-        running job.
-    rss_watermark_mb:
-        Per-worker RSS watermark (``None`` or <= 0: off): a worker
-        crossing it checkpoints at the next pass boundary and recycles
-        itself onto a fresh process, pre-empting the OOM killer instead
-        of meeting it.
 
     Only ``jobs``, ``cache_dir``, ``use_cache`` and ``checkpoint_dir``
     fall back to the environment (``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
-    ``REPRO_CACHE``, ``REPRO_CHECKPOINT_DIR``); every limit is
-    configured here alone.
+    ``REPRO_CACHE``, ``REPRO_CHECKPOINT_DIR``).  The fixed limits are
+    module constants: the pending-queue bound and the patience of a
+    blocking submit (:data:`~repro.service.admission.MAX_PENDING`,
+    :data:`~repro.service.admission.BLOCK_TIMEOUT`), the drain grace
+    (:data:`DRAIN_GRACE`) and the slack past a deadline
+    (:data:`DEADLINE_GRACE`).
     """
 
     def __init__(
@@ -275,14 +230,6 @@ class SimulationService:
         retries: int = 1,
         timeout: Optional[float] = None,
         checkpoint_dir: Optional[str | os.PathLike] = None,
-        max_pending: Optional[int] = DEFAULT_MAX_PENDING,
-        client_quota: Optional[int] = None,
-        class_quotas: Optional[Dict[str, int]] = None,
-        block_timeout: float = DEFAULT_BLOCK_TIMEOUT,
-        drain_grace: float = 30.0,
-        deadline_grace: float = 5.0,
-        shm_max_mb: Optional[float] = None,
-        rss_watermark_mb: Optional[float] = None,
     ) -> None:
         if retries < 0:
             raise ValueError("retries must be >= 0")
@@ -298,21 +245,6 @@ class SimulationService:
         self.checkpoints = CheckpointStore(checkpoint_directory)
         self.retries = retries
         self.timeout = timeout
-        self.admission = AdmissionController(
-            max_pending=max_pending, client_quota=client_quota,
-            class_quotas=class_quotas,
-        )
-        self.block_timeout = block_timeout
-        self.drain_grace = drain_grace
-        self.deadline_grace = deadline_grace
-        self.shm_max_bytes: Optional[int] = (
-            int(shm_max_mb * 1024 * 1024)
-            if shm_max_mb is not None and shm_max_mb > 0 else None
-        )
-        self.rss_watermark_mb: Optional[float] = (
-            rss_watermark_mb
-            if rss_watermark_mb is not None and rss_watermark_mb > 0 else None
-        )
         # Reclaim shared-memory segments a crashed predecessor left
         # behind before publishing any of our own.
         self.stale_segments_swept = sweep_stale_segments()
@@ -324,7 +256,7 @@ class SimulationService:
         self._records: Dict[int, JobRecord] = {}
         self._pending: deque = deque()
         self._completed_order: List[int] = []
-        self._images: Dict[str, _ImageEntry] = {}
+        self._images: Dict[str, DatasetImage] = {}
         self._ids = itertools.count(1)
         self._cv = threading.Condition(threading.RLock())
         self._closed = False
@@ -333,13 +265,12 @@ class SimulationService:
         # telemetry
         self.cache_hits = 0
         self.simulated_points = 0
+        self.rejected = 0  # submits shed by admission
         self.retried_jobs = 0
         self.resumed_jobs = 0
         self.datasets_published = 0
-        self.datasets_unpublished = 0
         self.drained_jobs = 0
         self.expired_jobs = 0
-        self.recycled_workers = 0
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-service-supervisor", daemon=True
         )
@@ -357,11 +288,8 @@ class SimulationService:
         scale: int = DEFAULT_SCALE,
         data: Optional[LineitemData] = None,
         plan: Optional[QueryPlan] = None,
-        client: str = DEFAULT_CLIENT,
-        job_class: str = DEFAULT_CLASS,
         deadline: Optional[float] = None,
         block: bool = False,
-        block_timeout: Optional[float] = None,
     ) -> Ticket:
         """Enqueue one simulation point; returns its :class:`Ticket`.
 
@@ -372,15 +300,15 @@ class SimulationService:
         schema, and each call digests its table once (see
         :func:`~repro.sim.engine.resolve_points`).
 
-        ``client``/``job_class`` are the admission identities quotas
-        bind to.  ``deadline`` (seconds from now) bounds the attempt's
-        wall clock: past it the worker checkpoint-then-abandons and the
-        job ends :attr:`JobState.EXPIRED` with its partial work
-        resumable.  On overload a non-``block`` submit raises
-        :class:`ServiceOverloadError` immediately; ``block=True`` waits
-        for room up to ``block_timeout`` before giving up the same way.
-        A draining service raises :class:`ServiceDrainingError` either
-        way.
+        ``deadline`` (seconds from now) bounds the attempt's wall clock:
+        past it the worker checkpoint-then-abandons and the job ends
+        :attr:`JobState.EXPIRED` with its partial work resumable.  With
+        :data:`~repro.service.admission.MAX_PENDING` jobs queued a
+        non-``block`` submit raises :class:`ServiceOverloadError`
+        immediately; ``block=True`` waits for room up to
+        :data:`~repro.service.admission.BLOCK_TIMEOUT` before giving up
+        the same way.  A draining service raises
+        :class:`ServiceDrainingError` either way.
         """
         arch = arch.lower()
         # The point key doubles as the checkpoint identity, so it exists
@@ -396,10 +324,7 @@ class SimulationService:
                 id=next(self._ids), arch=arch, scan=scan,
                 rows=int(rows), seed=int(seed), scale=int(scale), key=key,
             )
-            record = JobRecord(
-                ticket=ticket, submitted_at=time.monotonic(),
-                client=client, job_class=job_class,
-            )
+            record = JobRecord(ticket=ticket, submitted_at=time.monotonic())
             if deadline is not None:
                 record.deadline_at = time.time() + float(deadline)
             self._records[ticket.id] = record
@@ -413,33 +338,25 @@ class SimulationService:
                 record.cached = True
                 self._finish(record, JobState.DONE)
                 return ticket
-            self._admit(record, block=block, block_timeout=block_timeout)
-            record.admitted = True
+            self._admit(record, block)
             try:
                 handle = self._publish_dataset(digest, data)
-                entry = self._images[digest]
-                entry.refs += 1
-                record.digest = digest
-                checkpoint = None
-                if key is not None:
-                    checkpoint = {
-                        "dir": str(self.checkpoints.directory), "key": key,
-                    }
-                record.payload = make_task_payload(
-                    arch, scan.to_dict(), rows, seed, scale,
-                    dataset_handle=handle,
-                    plan_payload=plan.to_dict() if plan is not None else None,
-                    checkpoint=checkpoint,
-                    deadline_at=record.deadline_at,
-                    rss_watermark_mb=self.rss_watermark_mb,
-                )
             except BaseException:
-                # e.g. /dev/shm exhausted while publishing: undo the
-                # admission so the failed submit doesn't leak quota.
-                self.admission.release(record.client, record.job_class)
-                record.admitted = False
+                # e.g. /dev/shm exhausted: the failed submit leaves no job
                 self._records.pop(ticket.id, None)
                 raise
+            checkpoint = None
+            if key is not None:
+                checkpoint = {
+                    "dir": str(self.checkpoints.directory), "key": key,
+                }
+            record.payload = make_task_payload(
+                arch, scan.to_dict(), rows, seed, scale,
+                dataset_handle=handle,
+                plan_payload=plan.to_dict() if plan is not None else None,
+                checkpoint=checkpoint,
+                deadline_at=record.deadline_at,
+            )
             self._pending.append(ticket.id)
             self._cv.notify_all()
         return ticket
@@ -454,33 +371,24 @@ class SimulationService:
         if self._closed:
             raise RuntimeError("service is closed")
 
-    def _admit(
-        self,
-        record: JobRecord,
-        block: bool,
-        block_timeout: Optional[float],
-    ) -> None:
+    def _admit(self, record: JobRecord, block: bool) -> None:
         """Admission gate (lock held): fail fast, or park until room.
 
         On rejection the record is dropped from the registry — an
-        unadmitted submit never existed as far as streaming, progress
-        counts and quota accounting are concerned.
+        unadmitted submit never existed as far as streaming and
+        progress counts are concerned.
         """
-        patience = (
-            self.block_timeout if block_timeout is None else block_timeout
-        )
-        deadline = time.monotonic() + patience
-        while True:
-            try:
-                self.admission.admit(
-                    record.client, record.job_class, len(self._pending)
+        limit = admission.MAX_PENDING
+        deadline = time.monotonic() + admission.BLOCK_TIMEOUT
+        while len(self._pending) >= limit:
+            if not block or time.monotonic() >= deadline:
+                self.rejected += 1
+                self._records.pop(record.ticket.id, None)
+                raise ServiceOverloadError(
+                    "queue_full", limit, len(self._pending),
+                    detail=f"pending queue at capacity {limit}",
                 )
-                return
-            except ServiceOverloadError:
-                if not block or time.monotonic() >= deadline:
-                    self._records.pop(record.ticket.id, None)
-                    raise
-            self._cv.wait(min(_POLL_INTERVAL, patience))
+            self._cv.wait(_POLL_INTERVAL)
             try:
                 self._check_open()
             except (ServiceDrainingError, RuntimeError):
@@ -563,23 +471,21 @@ class SimulationService:
                 },
                 "pending": len(self._pending),
                 "jobs": states,
-                "admission": self.admission.snapshot(),
+                "admission": {
+                    "max_pending": admission.MAX_PENDING,
+                    "rejected": self.rejected,
+                },
                 "shm": {
                     "images": len(self._images),
-                    "bytes": sum(
-                        e.image.nbytes for e in self._images.values()
-                    ),
-                    "budget_bytes": self.shm_max_bytes,
+                    "bytes": sum(i.nbytes for i in self._images.values()),
                 },
                 "counters": {
                     "cache_hits": self.cache_hits,
                     "retried_jobs": self.retried_jobs,
                     "resumed_jobs": self.resumed_jobs,
                     "datasets_published": self.datasets_published,
-                    "datasets_unpublished": self.datasets_unpublished,
                     "drained_jobs": self.drained_jobs,
                     "expired_jobs": self.expired_jobs,
-                    "recycled_workers": self.recycled_workers,
                 },
             }
 
@@ -643,7 +549,6 @@ class SimulationService:
         seed: int,
         scale: int,
         plan: Optional[QueryPlan] = None,
-        timeout: Optional[float] = None,
     ) -> List[RunResult]:
         """Run ``points`` and return results in submission order.
 
@@ -660,7 +565,7 @@ class SimulationService:
             for arch, scan in points
         ]
         by_id: Dict[int, RunResult] = {}
-        for record in self.stream(tickets, timeout=timeout):
+        for record in self.stream(tickets):
             ticket = record.ticket
             if record.state is JobState.DONE:
                 self.simulated_points += 0 if record.cached else 1
@@ -678,14 +583,14 @@ class SimulationService:
             )
         return [by_id[t.id] for t in tickets]
 
-    def drain(self, grace: Optional[float] = None) -> Dict[str, int]:
+    def drain(self) -> Dict[str, int]:
         """Graceful drain: checkpoint-stop running jobs, reject new ones.
 
         Queued jobs move straight to :attr:`JobState.DRAINED`; running
         workers get SIGTERM — whose handler only raises a flag, so an
         in-flight checkpoint write completes untorn — and checkpoint-
         stop at their next pass boundary.  Workers still busy after
-        ``grace`` (default ``drain_grace``) are hard-killed; either way
+        :data:`DRAIN_GRACE` seconds are hard-killed; either way
         the last completed pass of every drained job is on disk, and a
         restarted service that resubmits the same points resumes each
         one from its checkpoint.
@@ -693,7 +598,6 @@ class SimulationService:
         Idempotent; returns ``{"drained": n, "killed": m}``.  This is
         also what the HTTP front end's SIGTERM handler calls.
         """
-        grace = self.drain_grace if grace is None else grace
         drained = killed = 0
         with self._cv:
             if self._stopped:
@@ -716,7 +620,7 @@ class SimulationService:
                     except (OSError, TypeError):  # pragma: no cover
                         pass
             self._cv.notify_all()
-        deadline = time.monotonic() + grace
+        deadline = time.monotonic() + DRAIN_GRACE
         while time.monotonic() < deadline:
             with self._cv:
                 busy = any(w.job_id is not None for w in self._workers)
@@ -756,7 +660,7 @@ class SimulationService:
         """Drain (or with ``force`` abandon) jobs, stop workers, unlink images.
 
         ``drain=True`` runs the graceful-drain protocol first:
-        checkpoint-stop everything within :attr:`drain_grace`, preserve
+        checkpoint-stop everything within :data:`DRAIN_GRACE`, preserve
         every snapshot, then tear down — the SIGTERM story for a
         service host.
         """
@@ -802,8 +706,8 @@ class SimulationService:
             self._kill_worker(worker)
             worker.conn.close()
         self._workers.clear()
-        for entry in self._images.values():
-            entry.image.close()
+        for image in self._images.values():
+            image.close()
         self._images.clear()
 
     def __enter__(self) -> "SimulationService":
@@ -815,60 +719,17 @@ class SimulationService:
     # -- supervisor --------------------------------------------------------
 
     def _publish_dataset(self, digest: str, data: LineitemData):
-        """The shared-memory handle of ``data``, published at most once.
-
-        Under a shared-memory budget (``shm_max_mb``) a publish that
-        pushes the total over it first LRU-unpublishes *idle* images —
-        ones no outstanding job references.  Referenced images are never
-        unpublished, so the budget is a pressure valve, not a hard cap:
-        it can be transiently exceeded rather than ever breaking a
-        running job.
-        """
-        entry = self._images.get(digest)
-        if entry is None:
-            entry = _ImageEntry(DatasetImage(data, digest))
-            self._images[digest] = entry
+        """The shared-memory handle of ``data``, published at most once."""
+        image = self._images.get(digest)
+        if image is None:
+            image = self._images[digest] = DatasetImage(data, digest)
             self.datasets_published += 1
-            self._enforce_shm_budget(keep=digest)
-        entry.last_used = time.monotonic()
-        return entry.image.handle
-
-    def _enforce_shm_budget(self, keep: Optional[str] = None) -> None:
-        """LRU-unpublish idle images until under budget (lock held)."""
-        if self.shm_max_bytes is None:
-            return
-        while sum(e.image.nbytes for e in self._images.values()) \
-                > self.shm_max_bytes:
-            idle = [
-                (entry.last_used, digest)
-                for digest, entry in self._images.items()
-                if entry.refs <= 0 and digest != keep
-            ]
-            if not idle:
-                return  # everything is referenced; exceed transiently
-            _, victim = min(idle)
-            self._images.pop(victim).image.close()
-            self.datasets_unpublished += 1
+        return image.handle
 
     def _finish(self, record: JobRecord, state: JobState) -> None:
-        """Move a record to a terminal state (lock held by caller).
-
-        Every terminal transition funnels through here, so this is
-        where admission quota and the job's dataset-image reference are
-        released — cancel, drain, expiry and failure all give their
-        resources back exactly once.
-        """
+        """Move a record to a terminal state (lock held by caller)."""
         record.state = state
         record.finished_at = time.monotonic()
-        if record.admitted:
-            record.admitted = False
-            self.admission.release(record.client, record.job_class)
-        if record.digest is not None:
-            entry = self._images.get(record.digest)
-            if entry is not None:
-                entry.refs = max(0, entry.refs - 1)
-                entry.last_used = time.monotonic()
-            record.digest = None
         if state is JobState.DRAINED:
             self.drained_jobs += 1
         elif state is JobState.EXPIRED:
@@ -964,7 +825,7 @@ class SimulationService:
                 record.progress = payload
             return
         worker.job_id = None
-        if kind == "stopped" and payload["reason"] != "deadline":
+        if kind == "stopped" and payload["reason"] == "drain":
             self._retire(worker)  # it exits after announcing this stop
         if record is None or record.state.terminal:
             return  # cancelled while running; result discarded
@@ -1001,31 +862,22 @@ class SimulationService:
             )
             self._finish(record, JobState.EXPIRED)
             return
-        if reason == "drain" and (self._draining or self._closed):
+        if self._draining or self._closed:
             record.error = (
                 f"service drained; checkpoint-stopped at pass "
                 f"{stopped_at} (a successor service resumes from it)"
             )
             self._finish(record, JobState.DRAINED)
             return
-        # A stray SIGTERM or the RSS watermark, not a service drain: the
-        # point checkpointed cleanly, so a fresh worker resumes it from
-        # the snapshot.  Doesn't consume the crash-retry budget.
+        # A stray SIGTERM, not a service drain: the point checkpointed
+        # cleanly, so a fresh worker resumes it from the snapshot.
+        # Doesn't consume the crash-retry budget.
         record.recycles += 1
-        if reason == "drain":
-            self._log_attempt(
-                record, "drained",
-                f"worker SIGTERMed externally; checkpointed at pass "
-                f"{stopped_at} and requeued",
-            )
-        else:
-            self.recycled_workers += 1
-            self._log_attempt(
-                record, "recycled",
-                f"worker RSS {stop['rss_mb']:.0f} MB crossed the watermark; "
-                f"checkpointed at pass {stopped_at} and recycled onto a "
-                f"fresh process",
-            )
+        self._log_attempt(
+            record, "drained",
+            f"worker SIGTERMed externally; checkpointed at pass "
+            f"{stopped_at} and requeued",
+        )
         self._requeue(record)
 
     @staticmethod
@@ -1137,7 +989,7 @@ class SimulationService:
         A *running* one is the worker's to stop — it checkpoint-abandons
         at the first pass boundary past the deadline — but a stream that
         never reaches another boundary would wait forever, so past
-        ``deadline_grace`` the supervisor stops waiting and kills the
+        :data:`DEADLINE_GRACE` the supervisor stops waiting and kills the
         worker; the last completed pass (if any) is already on disk.
         """
         now = time.time()
@@ -1158,12 +1010,12 @@ class SimulationService:
             record = self._records.get(worker.job_id)
             if record is None or record.deadline_at is None:
                 continue
-            if now <= record.deadline_at + self.deadline_grace:
+            if now <= record.deadline_at + DEADLINE_GRACE:
                 continue
             self._kill_worker(worker)
             self._log_attempt(
                 record, "expired",
-                f"deadline + {self.deadline_grace:.1f}s grace passed "
+                f"deadline + {DEADLINE_GRACE:.1f}s grace passed "
                 f"without a voluntary checkpoint-stop; worker killed",
             )
             record.error = (

@@ -19,8 +19,7 @@ sentinel.  Messages to the supervisor::
                            "resumed_from_pass": int | None})
     ("error",     job_id, formatted_traceback_str)
     ("heartbeat", job_id, {"runs": int, "pass": int})
-    ("stopped",   job_id, {"reason": "deadline" | "drain" | "recycle",
-                           "pass": int, "rss_mb": float})
+    ("stopped",   job_id, {"reason": "deadline" | "drain", "pass": int})
 
 ``stopped`` is a *voluntary* checkpoint-then-stop, decided at a pass
 boundary right after its snapshot went to disk:
@@ -30,13 +29,9 @@ boundary right after its snapshot went to disk:
   partial work stays resumable, only this attempt's clock is bounded;
 * ``drain``: a SIGTERM to the worker sets a drain flag (the handler
   does nothing else, so an in-flight checkpoint write completes untorn)
-  and the running point checkpoint-stops at its next boundary;
-* ``recycle``: the worker's RSS crossed the service's
-  ``rss_watermark_mb`` (or an armed ``oom@rss`` fault said so) — the
-  supervisor requeues the job on a fresh process, which resumes from
-  the snapshot with a clean address space.
-
-The worker exits after every stop except ``deadline``.
+  and the running point checkpoint-stops at its next boundary.  The
+  worker exits after it; a SIGTERM that was no service drain requeues
+  the job on a fresh worker, which resumes from the snapshot.
 
 Heartbeats flow while a point simulates — at job start, throttled per
 consumed run, and at every pass boundary — and are what the
@@ -84,21 +79,6 @@ def _request_drain(signum, frame):  # pragma: no cover - signal path
     _DRAIN_REQUESTED = True
 
 
-def worker_rss_mb() -> float:
-    """This process's peak RSS in MB (0.0 where unknowable).
-
-    ``ru_maxrss`` is kilobytes on Linux; the one platform where it is
-    bytes (macOS) reads ~1000x high, which for a *watermark* check only
-    errs toward recycling sooner — acceptable for a guard rail.
-    """
-    try:
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    except Exception:  # pragma: no cover - platforms without getrusage
-        return 0.0
-
-
 def make_task_payload(
     arch: str,
     scan_payload: Dict[str, Any],
@@ -109,7 +89,6 @@ def make_task_payload(
     plan_payload: Dict[str, Any] | None = None,
     checkpoint: Dict[str, Any] | None = None,
     deadline_at: Optional[float] = None,
-    rss_watermark_mb: Optional[float] = None,
 ) -> Dict[str, Any]:
     """The picklable job payload — note: no column arrays, ever.
 
@@ -118,8 +97,7 @@ def make_task_payload(
     the attempt number at dispatch time.  ``deadline_at`` is an
     absolute wall-clock epoch (``time.time()`` — comparable across
     processes, unlike monotonic clocks) past which the worker
-    checkpoint-then-abandons; ``rss_watermark_mb`` is the
-    checkpoint-and-recycle memory watermark (None: off).
+    checkpoint-then-abandons.
     """
     return {
         "arch": arch,
@@ -131,7 +109,6 @@ def make_task_payload(
         "plan": plan_payload,
         "checkpoint": checkpoint,
         "deadline_at": deadline_at,
-        "rss_watermark_mb": rss_watermark_mb,
         "attempt": 1,
     }
 
@@ -141,7 +118,7 @@ def _build_monitor(
     heartbeat: Optional[Callable[[Dict[str, Any]], None]] = None,
 ):
     """The payload's RunMonitor: checkpoints, heartbeats, fault hooks,
-    deadline enforcement and drain/RSS stop checks."""
+    deadline enforcement and the drain stop check."""
     from ..sim.checkpoint import CheckpointStore, RunMonitor
 
     checkpoint = payload.get("checkpoint")
@@ -151,7 +128,6 @@ def _build_monitor(
         key = checkpoint.get("key")
     attempt = payload.get("attempt", 1)
     arch = payload.get("arch")
-    watermark = payload.get("rss_watermark_mb")
 
     def pass_hook(pass_ordinal: int) -> None:
         faults.fire("pass", **{
@@ -159,14 +135,7 @@ def _build_monitor(
         })
 
     def stop_check(pass_ordinal: int) -> Optional[str]:
-        if _DRAIN_REQUESTED:
-            return "drain"
-        context = {"pass": pass_ordinal, "attempt": attempt, "arch": arch}
-        if faults.oom_pressure("rss", **context):
-            return "recycle"
-        if watermark is not None and worker_rss_mb() > watermark:
-            return "recycle"
-        return None
+        return "drain" if _DRAIN_REQUESTED else None
 
     return RunMonitor(
         store=store, key=key, heartbeat=heartbeat, pass_hook=pass_hook,
@@ -254,7 +223,6 @@ def worker_main(conn) -> None:
             stop = exc.reason
             conn.send(("stopped", job_id, {
                 "reason": stop, "pass": exc.pass_ordinal,
-                "rss_mb": worker_rss_mb(),
             }))
         except BaseException:
             conn.send(("error", job_id, traceback.format_exc()))
@@ -265,7 +233,5 @@ def worker_main(conn) -> None:
                 "result": result,
                 "resumed_from_pass": monitor.resumed_from_pass,
             }))
-        if stop not in (None, "deadline"):
-            # drain: the service is going away; recycle: only a fresh
-            # process truly releases RSS
-            break
+        if stop == "drain":
+            break  # the service is going away, or a fresh worker resumes

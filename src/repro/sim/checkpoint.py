@@ -60,10 +60,8 @@ CHECKPOINT_SCHEMA = 3
 #: subdirectory of the result cache holding checkpoint sidecars
 DEFAULT_CHECKPOINT_SUBDIR = "checkpoints"
 
-#: checkpoints older than this are presumed orphaned (their point either
-#: finished — the worker deletes on success — or its code/config moved on
-#: and the key will never be asked for again)
-DEFAULT_CHECKPOINT_TTL = 7 * 24 * 3600.0
+#: the least time between two throttled per-run heartbeats, in seconds
+HEARTBEAT_INTERVAL = 0.5
 
 _HEADER_LIMIT = 1 << 16  # sanity bound when scanning for the header line
 
@@ -76,8 +74,8 @@ class CheckpointAbandon(Exception):
     later attempt resumes from this pass.  ``reason`` says why:
     ``"deadline"`` (the point's deadline passed: a deadline bounds this
     attempt's wall clock and does not discard progress), or whatever
-    the monitor's ``stop_check`` returned (the service worker's are
-    ``"drain"`` and ``"recycle"``).  The worker reports it as one
+    the monitor's ``stop_check`` returned (the service worker's is
+    ``"drain"``, after a SIGTERM).  The worker reports it as one
     ``stopped`` message, which the service maps to the matching
     non-error job outcome.
     """
@@ -303,20 +301,6 @@ class CheckpointStore:
             out.append(header)
         return out
 
-    def purge(self, max_age_seconds: float = DEFAULT_CHECKPOINT_TTL) -> int:
-        """Drop snapshots (and quarantines) older than ``max_age_seconds``."""
-        cutoff = time.time() - max_age_seconds
-        removed = 0
-        for pattern in ("*.ckpt", "*.ckpt.prev", "*.quarantine", "*.tmp.*"):
-            for path in self.directory.glob(pattern):
-                try:
-                    if path.stat().st_mtime <= cutoff:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    continue
-        return removed
-
 
 #: distinguishes "no previous run yet" from a genuine ``family=None`` run
 _NO_FAMILY = object()
@@ -328,8 +312,9 @@ class RunMonitor:
     Wire one into :func:`~repro.sim.runner.run_scan` (``monitor=``); the
     machine routes the run stream through :meth:`attach`, which
 
-    * emits a throttled ``heartbeat`` callback per consumed run (the
-      worker forwards these to the supervisor's watchdog),
+    * emits a ``heartbeat`` callback per consumed run, at most one per
+      :data:`HEARTBEAT_INTERVAL` (the worker forwards these to the
+      supervisor's watchdog),
     * detects pass boundaries (``run.family`` transitions), snapshots
       ``(machine, execution)`` into the store, and then invokes
       ``pass_hook`` (the fault-injection seam — firing *after* the
@@ -354,7 +339,6 @@ class RunMonitor:
         key: Optional[str] = None,
         heartbeat: Optional[Callable[[Dict[str, Any]], None]] = None,
         pass_hook: Optional[Callable[[int], None]] = None,
-        heartbeat_interval: float = 0.5,
         meta: Optional[Dict[str, Any]] = None,
         deadline: Optional[float] = None,
         stop_check: Optional[Callable[[int], Optional[str]]] = None,
@@ -363,7 +347,6 @@ class RunMonitor:
         self.key = key
         self.heartbeat = heartbeat
         self.pass_hook = pass_hook
-        self.heartbeat_interval = heartbeat_interval
         self.deadline = deadline
         self.stop_check = stop_check
         self.meta = dict(meta or {})
@@ -443,7 +426,7 @@ class RunMonitor:
 
     def _boundary(self, consumed: int) -> None:
         # Decide *before* snapshotting whether this boundary abandons
-        # the point (deadline passed, drain/recycle requested); the
+        # the point (deadline passed, drain requested); the
         # snapshot then precedes the abandon.
         reason = None
         if self.deadline is not None and time.time() >= self.deadline:
@@ -466,7 +449,7 @@ class RunMonitor:
         if self.heartbeat is None:
             return
         now = time.monotonic()
-        if not force and now - self._last_beat < self.heartbeat_interval:
+        if not force and now - self._last_beat < HEARTBEAT_INTERVAL:
             return
         self._last_beat = now
         self.heartbeat({"runs": consumed, "pass": self.pass_ordinal})

@@ -41,7 +41,7 @@ import logging
 import os
 import weakref
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -546,10 +546,6 @@ class ExperimentEngine:
         sweep, least-recently-used entries (by mtime — loads refresh
         it) are evicted.  Defaults to ``REPRO_CACHE_MAX_MB``
         (unbounded when unset).
-    run_hook:
-        Optional callable ``(arch, scan) -> None`` invoked in the parent
-        process for every point that is actually simulated (i.e. missed
-        the cache) — a test/telemetry seam.
 
     ``service`` runs parallel misses: None until the first, then a
     cache-less :class:`~repro.service.SimulationService` with ``jobs``
@@ -562,7 +558,6 @@ class ExperimentEngine:
         cache_dir: Optional[str | os.PathLike] = None,
         use_cache: Optional[bool] = None,
         cache_max_mb: Optional[float] = None,
-        run_hook: Optional[Callable[[str, ScanConfig], None]] = None,
     ) -> None:
         self.jobs = _resolve_jobs(jobs)
         self.cache_dir, _ = cache_directories(cache_dir)
@@ -578,7 +573,6 @@ class ExperimentEngine:
         self.cache_max_bytes: Optional[int] = (
             None if cache_max_mb is None else int(cache_max_mb * 1024 * 1024)
         )
-        self.run_hook = run_hook
         self.service: Optional[Any] = None
         self._close_service: Optional[weakref.finalize] = None
         self.cache_hits = 0
@@ -685,9 +679,6 @@ class ExperimentEngine:
         plan: Optional[QueryPlan] = None,
     ) -> List[RunResult]:
         """Simulate ``points`` (cache misses only): in-process or service."""
-        if self.run_hook is not None:
-            for arch, scan in points:
-                self.run_hook(arch, scan)
         self.simulated_points += len(points)
         if self.jobs == 1 or len(points) == 1:
             return [

@@ -103,7 +103,6 @@ def run_scan(
     seed: int = 1994,
     scale: int = DEFAULT_SCALE,
     data: Optional[LineitemData] = None,
-    verify: bool = True,
     plan: Optional[QueryPlan] = None,
     exact: Optional[bool] = None,
     config=None,
@@ -149,12 +148,12 @@ def run_scan(
     core_result = machine.run_runs(runs, exact=exact, monitor=monitor)
 
     verified: Optional[bool] = None
-    if verify and scan.strategy == "column" and arch in ("hive", "hipe"):
+    if scan.strategy == "column" and arch in ("hive", "hipe"):
         mask_bytes = workload.buffers.mask_bytes_for(workload.rows)
         produced = machine.image.read(workload.buffers.bitmask_base, mask_bytes)
         expected = np.packbits(workload.final_mask, bitorder="little")
         verified = bool(np.array_equal(produced[: expected.size], expected))
-    elif verify and arch == "hmc":
+    elif arch == "hmc":
         verified = _verify_hmc_masks(machine, workload, scan)
 
     aggregates = None
@@ -163,9 +162,8 @@ def run_scan(
             key: dict(values)
             for key, values in workload.computed_aggregates.items()
         }
-        if verify:
-            agg_ok = _verify_aggregates(machine, workload, scan, arch)
-            verified = agg_ok if verified is None else (verified and agg_ok)
+        agg_ok = _verify_aggregates(machine, workload, scan, arch)
+        verified = agg_ok if verified is None else (verified and agg_ok)
 
     energy = compute_energy(
         machine.config,

@@ -23,9 +23,6 @@ Actions
     ``enospc`` — at disk-writing sites, raise ``OSError(ENOSPC)`` from
     inside the write (models a full disk); the write path must degrade
     to a logged miss, never crash the simulation it serves.
-    ``oom``   — at the worker's RSS-watermark probe, report the
-    watermark as exceeded (models runaway worker memory); the worker
-    must checkpoint and recycle itself.
 
 Sites (the production code passes matching context keys)
     ``start``  — worker picked up a job, before simulation.
@@ -39,14 +36,12 @@ Sites (the production code passes matching context keys)
     its result message.  For ``enospc``: inside
     :meth:`~repro.sim.engine.ResultCache.store` — the cache entry
     write itself fails.
-    ``rss``    — the worker's RSS-watermark probe at a pass boundary
-    (``oom`` only).
 
-``kill``/``hang``/``drop`` clauses and ``enospc``/``oom`` clauses are
+``kill``/``hang``/``drop`` clauses and ``enospc`` clauses are
 independent populations: :func:`fire` only detonates the former, the
-dedicated :func:`fire_enospc`/:func:`oom_pressure` probes only the
-latter, so ``drop@result;enospc@result`` arms both a lost message and
-a full disk without the two interfering.
+dedicated :func:`fire_enospc` probe only the latter, so
+``drop@result;enospc@result`` arms both a lost message and a full disk
+without the two interfering.
 
 Every non-action key is a match condition against the context the
 injection point supplies (``pass``, ``attempt``, ``arch``, ...); a
@@ -77,10 +72,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 ENV_VAR = "REPRO_FAULTS"
 
-_ACTIONS = ("kill", "hang", "drop", "enospc", "oom")
+_ACTIONS = ("kill", "hang", "drop", "enospc")
 
-#: the actions :func:`FaultPlan.fire` detonates itself; ``enospc``/``oom``
-#: clauses are probed by their dedicated helpers instead
+#: the actions :func:`FaultPlan.fire` detonates itself; ``enospc``
+#: clauses are probed by :func:`fire_enospc` instead
 _FIRE_ACTIONS = ("kill", "hang", "drop")
 
 
@@ -151,9 +146,9 @@ class FaultPlan:
         """The action armed for this (site, context), or None.
 
         ``actions`` restricts the match to a subset — the process-level
-        injection points (:func:`fire`) and the resource-pressure probes
-        (:func:`fire_enospc`, :func:`oom_pressure`) draw from disjoint
-        action sets even when they share a site name.
+        injection points (:func:`fire`) and the full-disk probe
+        (:func:`fire_enospc`) draw from disjoint action sets even when
+        they share a site name.
         """
         for clause in self.clauses:
             if actions is not None and clause.action not in actions:
@@ -167,7 +162,7 @@ class FaultPlan:
 
         ``kill`` and ``hang`` do not return; ``drop`` returns True so
         the caller suppresses its send.  Unarmed sites return False
-        (``enospc``/``oom`` clauses never fire here — see their probes).
+        (``enospc`` clauses never fire here — see :func:`fire_enospc`).
         """
         action = self.check(site, actions=_FIRE_ACTIONS, **context)
         if action is None:
@@ -220,20 +215,6 @@ def fire_enospc(site: str, **context: Any) -> None:
     if plan.check(site, actions=("enospc",), **context) is not None:
         plan.fired.append((site, "enospc", dict(context)))
         raise OSError(errno.ENOSPC, "No space left on device (injected)")
-
-
-def oom_pressure(site: str = "rss", **context: Any) -> bool:
-    """True when an ``oom`` clause is armed at this site.
-
-    The worker's RSS-watermark probe ORs this in, so chaos tests force
-    a checkpoint-and-recycle deterministically without actually
-    ballooning worker memory.
-    """
-    plan = active_plan()
-    if plan.check(site, actions=("oom",), **context) is not None:
-        plan.fired.append((site, "oom", dict(context)))
-        return True
-    return False
 
 
 # -- passive damage: deterministic file corruption ----------------------------

@@ -66,16 +66,13 @@ class TestParallelEqualsSerial:
 
 class TestCaching:
     def test_second_sweep_hits_cache_without_resimulating(self, tmp_path):
-        simulated = []
-        engine = make_engine(
-            tmp_path, jobs=1, run_hook=lambda arch, scan: simulated.append(arch)
-        )
+        engine = make_engine(tmp_path, jobs=1)
         first = engine.sweep("one", POINTS, ROWS)
-        assert len(simulated) == len(POINTS)
+        assert engine.simulated_points == len(POINTS)
         assert engine.cache_misses == len(POINTS)
 
         second = engine.sweep("two", POINTS, ROWS)
-        assert len(simulated) == len(POINTS)  # nothing re-simulated
+        assert engine.simulated_points == len(POINTS)  # nothing re-simulated
         assert engine.cache_hits == len(POINTS)
         assert [r.cycles for r in first.runs] == [r.cycles for r in second.runs]
         assert [r.stats for r in first.runs] == [r.stats for r in second.runs]
@@ -440,8 +437,8 @@ class TestLifecycle:
 
         with make_engine(tmp_path, jobs=2, use_cache=False) as engine:
             workers = workers_of(engine)
-            segments = [entry.image._shm.name
-                        for entry in engine.service._images.values()]
+            segments = [image._shm.name
+                        for image in engine.service._images.values()]
         assert workers and segments and engine.service is None
         for name in segments:
             assert not os.path.exists(os.path.join("/dev/shm", name))

@@ -102,6 +102,7 @@ class TestFaultSpec:
         "explode@pass",      # unknown action
         "kill@",             # empty site
         "kill@pass,notakv",  # malformed condition
+        "oom@rss,attempt=1",  # oom is not an action
     ])
     def test_bad_specs_raise(self, bad):
         with pytest.raises(faults.FaultSpecError):
@@ -215,11 +216,12 @@ class TestCheckpointResume:
         assert store.save_failures == 1
         assert result.to_dict() == reference
 
-    def test_monitor_without_store_is_transparent(self):
+    def test_monitor_without_store_is_transparent(self, monkeypatch):
         arch, scan = POINTS[0]
         reference = run_scan(arch, scan, rows=ROWS, seed=1994).to_dict()
         beats = []
-        monitor = RunMonitor(heartbeat=beats.append, heartbeat_interval=0.0)
+        monkeypatch.setattr("repro.sim.checkpoint.HEARTBEAT_INTERVAL", 0.0)
+        monitor = RunMonitor(heartbeat=beats.append)
         result = run_scan(arch, scan, rows=ROWS, seed=1994, monitor=monitor)
         assert result.to_dict() == reference
         assert beats, "heartbeats should flow while simulating"
@@ -320,13 +322,6 @@ class TestCheckpointIntegrity:
         result = run_scan(arch, scan, rows=ROWS, seed=1994, monitor=monitor)
         assert monitor.resumed_from_pass is None  # no resume: from zero
         assert result.to_dict() == reference
-
-    def test_purge_drops_old_snapshots(self, tmp_path):
-        store, path = self._saved(tmp_path)
-        old = time.time() - 10 * 24 * 3600
-        os.utime(path, (old, old))
-        assert store.purge() == 1
-        assert not path.exists()
 
 
 # -- result-cache integrity ---------------------------------------------------
@@ -643,32 +638,6 @@ class TestCheckpointGenerations:
         store.discard("bye")
         assert not store.path_for("bye").exists()
         assert not store.prev_path_for("bye").exists()
-
-
-# -- worker RSS watermark: checkpoint and recycle, not OOM ---------------------
-
-
-class TestWorkerRecycle:
-    def test_oom_pressure_recycles_without_consuming_retry_budget(
-        self, tmp_path, monkeypatch
-    ):
-        reference = run_scan(*SERVICE_POINT, rows=SERVICE_ROWS,
-                             seed=1994).to_dict()
-        monkeypatch.setenv(faults.ENV_VAR, "oom@rss,attempt=1")
-        # retries=0: a *crash* would fail the job outright, so the pass
-        # below proves recycling is budget-free by construction.
-        with SimulationService(
-            jobs=1, use_cache=False, retries=0,
-            checkpoint_dir=tmp_path / "ckpt",
-        ) as service:
-            ticket = service.submit(*SERVICE_POINT, SERVICE_ROWS)
-            record = service.wait([ticket], timeout=180)[0]
-        assert record.state is JobState.DONE
-        assert record.recycles == 1
-        assert service.recycled_workers == 1
-        assert record.attempt_log[0]["kind"] == "recycled"
-        assert record.resumed_from_pass is not None  # resumed, not redone
-        assert record.result.to_dict() == reference
 
 
 # -- shared-memory hygiene ----------------------------------------------------

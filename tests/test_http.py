@@ -21,6 +21,8 @@ from repro.service import (
     SimulationService,
     start_http_server,
 )
+from repro.service import admission
+from repro.service import service as service_module
 from repro.service.http_api import TERMINAL_STATES
 from repro.sim.runner import run_scan
 from repro.testing import faults
@@ -139,10 +141,9 @@ class TestRoutes:
 
 
 class TestOverloadHTTP:
-    def test_queue_full_sheds_as_429_with_retry_after(self):
-        with serving(jobs=1, use_cache=False, max_pending=1) as (
-            _service, client,
-        ):
+    def test_queue_full_sheds_as_429_with_retry_after(self, monkeypatch):
+        monkeypatch.setattr(admission, "MAX_PENDING", 1)
+        with serving(jobs=1, use_cache=False) as (_service, client):
             running = client.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
             wait_http_running(client, running["id"])
             client.submit(POINT[0], POINT[1], ROWS)  # fills the queue
@@ -168,7 +169,7 @@ class TestLoadBurst:
     injection loses nothing, duplicates nothing, and stays bit-identical
     to unfaulted references."""
 
-    BURST = 16  # 4x the max_pending=4 admission bound below
+    BURST = 16  # 4x the MAX_PENDING = 4 admission bound below
 
     def _references(self):
         return {
@@ -179,10 +180,8 @@ class TestLoadBurst:
     def _burst(self, client):
         ids = []
         for seed in range(self.BURST):
-            record = submit_retrying(
-                client, POINT[0], POINT[1], ROWS, seed=seed,
-                client=f"burst-{seed % 4}",
-            )
+            record = submit_retrying(client, POINT[0], POINT[1], ROWS,
+                                     seed=seed)
             ids.append(record["id"])
         return ids
 
@@ -197,8 +196,9 @@ class TestLoadBurst:
     def test_burst_under_faults_loses_nothing(self, monkeypatch, spec, extra):
         references = self._references()
         monkeypatch.setenv(faults.ENV_VAR, spec)
+        monkeypatch.setattr(admission, "MAX_PENDING", 4)
         with serving(
-            jobs=2, use_cache=False, max_pending=4, retries=1, **extra
+            jobs=2, use_cache=False, retries=1, **extra
         ) as (service, client):
             ids = self._burst(client)
             assert len(set(ids)) == self.BURST  # no duplicated admissions
@@ -217,8 +217,9 @@ class TestLoadBurst:
         monkeypatch.setenv(
             faults.ENV_VAR, "kill@start,attempt=1;enospc@result"
         )
+        monkeypatch.setattr(admission, "MAX_PENDING", 4)
         with serving(
-            jobs=2, cache_dir=tmp_path / "cache", max_pending=4, retries=1
+            jobs=2, cache_dir=tmp_path / "cache", retries=1
         ) as (service, client):
             ids = self._burst(client)
             finals = client.wait(ids, timeout=120)
@@ -230,11 +231,13 @@ class TestLoadBurst:
 
 
 class TestDrainRestartHTTP:
-    def test_drain_over_http_then_successor_resumes(self, tmp_path):
+    def test_drain_over_http_then_successor_resumes(self, tmp_path,
+                                                     monkeypatch):
         ckpt = tmp_path / "ckpt"
         reference = run_scan(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS).to_dict()
+        monkeypatch.setattr(service_module, "DRAIN_GRACE", 60)
         with serving(
-            jobs=2, use_cache=False, checkpoint_dir=ckpt, drain_grace=60,
+            jobs=2, use_cache=False, checkpoint_dir=ckpt,
         ) as (_service, client):
             record = client.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
             wait_http_running(client, record["id"])

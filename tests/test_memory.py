@@ -141,9 +141,15 @@ class TestVault:
     def test_statistics(self):
         self.vault.access_times(0, 0, 64, is_write=False)
         self.vault.access_times(0, 1, 32, is_write=True)
-        assert self.vault.activations == 2
-        assert self.vault.bytes_read == 64
-        assert self.vault.bytes_written == 32
+        banks = self.vault.banks
+        assert sum(b.activations for b in banks) == 2
+        assert sum(b.bytes_read for b in banks) == 64
+        assert sum(b.bytes_written for b in banks) == 32
+
+
+def lane_bytes(lanes):
+    """Bytes serialised on every lane of one link direction."""
+    return sum(channel.bytes_moved for channel in lanes.channels)
 
 
 class TestLinks:
@@ -152,7 +158,7 @@ class TestLinks:
 
     def test_header_only_packet(self):
         __, accepted, arrival = self.links.request(0, payload_bytes=0)
-        assert self.links.request_bytes == 16
+        assert lane_bytes(self.links._request_lanes) == 16
         assert arrival == accepted + self.links.latency
 
     def test_payload_serialisation(self):
@@ -173,8 +179,8 @@ class TestLinks:
     def test_byte_accounting(self):
         self.links.request(0, 10)
         self.links.response(0, 20)
-        assert self.links.request_bytes == 26
-        assert self.links.response_bytes == 36
+        assert lane_bytes(self.links._request_lanes) == 26
+        assert lane_bytes(self.links._response_lanes) == 36
 
     def test_crossings_match_the_bandwidth_primitive(self):
         # request/response inline MultiChannelBandwidth.transfer; the
@@ -197,8 +203,10 @@ class TestLinks:
             assert cross(cycle, payload) == (
                 start, end, end + self.links.latency
             )
-        assert self.links.request_bytes == reference[True].bytes_moved
-        assert self.links.response_bytes == reference[False].bytes_moved
+        assert lane_bytes(self.links._request_lanes) == \
+            lane_bytes(reference[True])
+        assert lane_bytes(self.links._response_lanes) == \
+            lane_bytes(reference[False])
         assert self.links.request_packets == reference[True].cursor
         assert self.links.response_packets == reference[False].cursor
 

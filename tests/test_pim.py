@@ -22,6 +22,11 @@ def make_cube():
     return hmc, image
 
 
+def dram_bytes_read(hmc):
+    """Bytes read from every bank of the cube."""
+    return sum(bank.bytes_read for vault in hmc.vaults for bank in vault.banks)
+
+
 class TestPimOps:
     @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=64),
            st.integers(-500, 500), st.integers(-500, 500))
@@ -387,13 +392,13 @@ class TestHipeEngine:
 
     def test_fully_squashed_load_skips_dram(self):
         self._load_and_compare([1, 2, 3, 4] * 16, threshold=100)  # no matches
-        before = sum(v.bytes_read for v in self.hmc.vaults)
+        before = dram_bytes_read(self.hmc)
         target = self.image.allocate("col2", 256)
         done = self.engine.execute(
             PimInstruction(PimOp.PIM_LOAD, address=target.base, size=256,
                            dst_reg=2, pred_reg=1), 0
         )
-        after = sum(v.bytes_read for v in self.hmc.vaults)
+        after = dram_bytes_read(self.hmc)
         assert after == before  # no DRAM access at all
         assert self.engine.stats.get("squashed_loads") == 1
         assert self.engine.stats.get("dram_bytes_skipped") == 256
@@ -402,12 +407,12 @@ class TestHipeEngine:
     def test_partially_matching_load_reads_full_region_by_default(self):
         self._load_and_compare([1, 10, 2, 20] * 16, threshold=5)
         target = self.image.allocate("col2", 256)
-        before = sum(v.bytes_read for v in self.hmc.vaults)
+        before = dram_bytes_read(self.hmc)
         self.engine.execute(
             PimInstruction(PimOp.PIM_LOAD, address=target.base, size=256,
                            dst_reg=2, pred_reg=1), 0
         )
-        read = sum(v.bytes_read for v in self.hmc.vaults) - before
+        read = dram_bytes_read(self.hmc) - before
         assert read == 256  # paper mode: region squash only
 
     def test_partial_load_extension_reads_fewer_bytes(self):
@@ -422,10 +427,10 @@ class TestHipeEngine:
         engine.execute(PimInstruction(PimOp.PIM_ALU, size=256, src_regs=(0,),
                                       dst_reg=1, func=AluFunc.CMP_GE, imm_lo=5), 0)
         target = self.image.allocate("c2", 256)
-        before = sum(v.bytes_read for v in self.hmc.vaults)
+        before = dram_bytes_read(self.hmc)
         engine.execute(PimInstruction(PimOp.PIM_LOAD, address=target.base,
                                       size=256, dst_reg=2, pred_reg=1), 0)
-        read = sum(v.bytes_read for v in self.hmc.vaults) - before
+        read = dram_bytes_read(self.hmc) - before
         assert read == 128  # 32 of 64 lanes matched
 
     def test_pred_expect_false_inverts(self):

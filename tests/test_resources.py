@@ -131,7 +131,7 @@ class TestMultiChannelBandwidth:
         lanes = MultiChannelBandwidth(4, 8.0)
         for _ in range(4):
             lanes.transfer(0, 10)
-        assert lanes.bytes_moved == 40
+        assert sum(ch.bytes_moved for ch in lanes.channels) == 40
 
 
 class TestBusyResource:

@@ -7,13 +7,12 @@ a killed worker is retried with identical results, and each distinct
 dataset crosses to workers as one shared-memory image, never as
 per-point pickled columns.
 
-ISSUE 9 adds the overload-safety contract: bounded admission with
-structured load-shedding and per-client/per-class quotas, blocking
-admission, exponential backoff with deterministic jitter on retries,
-per-job deadlines that checkpoint-then-expire, graceful drain with
-checkpoint-resume in a successor service, stray-SIGTERM checkpoint
-requeue, and a shared-memory budget that LRU-unpublishes idle dataset
-images without ever breaking a referenced one.
+ISSUE 9 adds the overload-safety contract: a bounded pending queue
+with structured load-shedding, blocking admission, exponential backoff
+with deterministic jitter on retries, per-job deadlines that
+checkpoint-then-expire, graceful drain with checkpoint-resume in a
+successor service, and stray-SIGTERM checkpoint requeue.  The fixed
+limits are module constants, which these tests monkeypatch.
 """
 
 import os
@@ -41,6 +40,8 @@ from repro.service import (
     SimulationService,
     backoff_delay,
 )
+from repro.service import admission
+from repro.service import service as service_module
 from repro.sim.engine import ExperimentEngine, PointExecutionError, data_digest
 from repro.sim.runner import run_scan
 
@@ -262,10 +263,15 @@ class TestSharedDatasets:
 QUICK_POINT = ("hive", ScanConfig("dsm", "column", 256))
 
 
+@pytest.fixture
+def one_pending(monkeypatch):
+    """A pending queue of one job, as in the admission tests."""
+    monkeypatch.setattr(admission, "MAX_PENDING", 1)
+
+
 class TestAdmission:
-    def test_queue_full_sheds_with_structured_error(self):
-        with SimulationService(jobs=1, use_cache=False,
-                               max_pending=1) as service:
+    def test_queue_full_sheds_with_structured_error(self, one_pending):
+        with SimulationService(jobs=1, use_cache=False) as service:
             running = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
             wait_for_running(service, running)
             queued = service.submit(*QUICK_POINT, ROWS)
@@ -276,46 +282,17 @@ class TestAdmission:
             payload = excinfo.value.to_dict()
             assert payload["error"] == "overload"
             assert payload["retry_after"] > 0
-            assert service.admission.rejected == 1
+            assert service.rejected == 1
             # a shed submit leaves no trace in the job registry
             assert service.progress()["total"] == 2
             service.cancel(running)
             service.cancel(queued)
 
-    def test_client_quota_binds_per_client_and_releases_on_terminal(self):
-        with SimulationService(jobs=1, use_cache=False, client_quota=1,
-                               max_pending=64) as service:
-            held = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS,
-                                  client="alice")
-            with pytest.raises(ServiceOverloadError) as excinfo:
-                service.submit(*QUICK_POINT, ROWS, client="alice")
-            assert excinfo.value.reason == "client_quota"
-            # another client is not starved by alice's quota
-            other = service.submit(*QUICK_POINT, ROWS, client="bob")
-            # a terminal state releases the quota: alice may submit again
-            service.cancel(held)
-            again = service.submit(*QUICK_POINT, ROWS, client="alice")
-            records = service.wait([other, again], timeout=120)
-            assert [r.state for r in records] == [JobState.DONE] * 2
-            assert service.admission.outstanding_by_client == {}
-
-    def test_class_quota_bounds_one_class_only(self):
-        with SimulationService(jobs=1, use_cache=False,
-                               class_quotas={"bulk": 1}) as service:
-            bulk = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS,
-                                  job_class="bulk")
-            with pytest.raises(ServiceOverloadError) as excinfo:
-                service.submit(*QUICK_POINT, ROWS, job_class="bulk")
-            assert excinfo.value.reason == "class_quota"
-            # the default class rides along untouched
-            ok = service.wait([service.submit(*QUICK_POINT, ROWS)],
-                              timeout=120)[0]
-            assert ok.state is JobState.DONE
-            service.cancel(bulk)
-
-    def test_blocking_submit_parks_until_room_opens(self):
-        with SimulationService(jobs=1, use_cache=False,
-                               max_pending=1) as service:
+    def test_blocking_submit_parks_until_room_opens(
+        self, one_pending, monkeypatch
+    ):
+        monkeypatch.setattr(admission, "BLOCK_TIMEOUT", 30.0)
+        with SimulationService(jobs=1, use_cache=False) as service:
             running = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
             wait_for_running(service, running)
             queued = service.submit(*QUICK_POINT, ROWS)
@@ -324,7 +301,6 @@ class TestAdmission:
             def blocked():
                 admitted["ticket"] = service.submit(
                     *QUICK_POINT, ROWS, seed=7, block=True,
-                    block_timeout=30.0,
                 )
 
             thread = threading.Thread(target=blocked)
@@ -338,20 +314,20 @@ class TestAdmission:
             service.cancel(running)
             service.cancel(admitted["ticket"])
 
-    def test_blocking_submit_gives_up_after_its_patience(self):
-        with SimulationService(jobs=1, use_cache=False,
-                               max_pending=1) as service:
+    def test_blocking_submit_gives_up_after_its_patience(
+        self, one_pending, monkeypatch
+    ):
+        monkeypatch.setattr(admission, "BLOCK_TIMEOUT", 0.2)
+        with SimulationService(jobs=1, use_cache=False) as service:
             running = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
             wait_for_running(service, running)
             service.submit(*QUICK_POINT, ROWS)
             with pytest.raises(ServiceOverloadError):
-                service.submit(*QUICK_POINT, ROWS, seed=7, block=True,
-                               block_timeout=0.2)
+                service.submit(*QUICK_POINT, ROWS, seed=7, block=True)
             service.cancel(running)
 
-    def test_cache_hit_bypasses_admission(self, tmp_path):
-        with SimulationService(jobs=1, cache_dir=tmp_path / "c",
-                               max_pending=1) as service:
+    def test_cache_hit_bypasses_admission(self, tmp_path, one_pending):
+        with SimulationService(jobs=1, cache_dir=tmp_path / "c") as service:
             warm = service.wait([service.submit(*QUICK_POINT, ROWS)],
                                 timeout=120)[0]
             assert warm.state is JobState.DONE
@@ -367,15 +343,19 @@ class TestAdmission:
 
 
 class TestBackoff:
-    def test_delay_doubles_and_jitters_deterministically(self):
+    def test_delay_doubles_and_jitters_deterministically(self, monkeypatch):
         assert backoff_delay(1, "k") == backoff_delay(1, "k")
         assert backoff_delay(1, "k") != backoff_delay(1, "other")
         assert backoff_delay(1, "k") != backoff_delay(2, "k")
+        monkeypatch.setattr(admission, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(admission, "BACKOFF_CAP", 100.0)
         for attempt in (1, 2, 3, 4):
-            delay = backoff_delay(attempt, "k", base=0.1, cap=100.0)
+            delay = backoff_delay(attempt, "k")
             nominal = 0.1 * 2 ** (attempt - 1)
             assert nominal * 0.5 <= delay < nominal  # jitter in [0.5, 1.0)
-        assert backoff_delay(12, "k", base=1.0, cap=2.0) <= 2.0  # capped
+        monkeypatch.setattr(admission, "BACKOFF_BASE", 1.0)
+        monkeypatch.setattr(admission, "BACKOFF_CAP", 2.0)
+        assert backoff_delay(12, "k") <= 2.0  # capped
 
     def test_retry_is_delayed_and_the_delay_is_logged(self):
         with SimulationService(jobs=1, use_cache=False) as service:
@@ -409,13 +389,13 @@ class TestDeadlines:
             service.cancel(running)
 
     def test_running_job_checkpoint_stops_at_deadline_then_resumes(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         reference = run_scan(*SLOW_POINT, rows=self.DEADLINE_ROWS,
                              seed=1994).to_dict()
+        monkeypatch.setattr(service_module, "DEADLINE_GRACE", 60.0)
         with SimulationService(
             jobs=1, use_cache=False, checkpoint_dir=tmp_path / "ckpt",
-            deadline_grace=60.0,
         ) as service:
             ticket = service.submit(SLOW_POINT[0], SLOW_POINT[1],
                                     self.DEADLINE_ROWS, deadline=0.6)
@@ -435,12 +415,12 @@ class TestDeadlines:
 
 class TestDrain:
     def test_drain_checkpoints_running_drains_queued_and_resumes(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         reference = run_scan(*SLOW_POINT, rows=SLOW_ROWS, seed=1994).to_dict()
+        monkeypatch.setattr(service_module, "DRAIN_GRACE", 60.0)
         with SimulationService(
             jobs=1, use_cache=False, checkpoint_dir=tmp_path / "ckpt",
-            drain_grace=60.0,
         ) as service:
             running = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
             queued = service.submit(*QUICK_POINT, ROWS)
@@ -469,10 +449,11 @@ class TestDrain:
             assert successor.resumed_jobs == 1
             assert done.result.to_dict() == reference
 
-    def test_close_drain_true_is_the_sigterm_story(self, tmp_path):
+    def test_close_drain_true_is_the_sigterm_story(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(service_module, "DRAIN_GRACE", 60.0)
         service = SimulationService(jobs=1, use_cache=False,
-                                    checkpoint_dir=tmp_path / "ckpt",
-                                    drain_grace=60.0)
+                                    checkpoint_dir=tmp_path / "ckpt")
         ticket = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
         wait_for_running(service, ticket)
         service.close(drain=True)
@@ -504,38 +485,13 @@ class TestDrain:
 class TestResourceGovernance:
     def test_cancel_midrun_releases_admission_and_image_refs(self):
         with SimulationService(jobs=2, use_cache=False) as service:
-            ticket = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS,
-                                    client="c")
+            ticket = service.submit(SLOW_POINT[0], SLOW_POINT[1], SLOW_ROWS)
             wait_for_running(service, ticket)
-            with service._cv:
-                assert [e.refs for e in service._images.values()] == [1]
             service.cancel(ticket)
-            with service._cv:
-                assert [e.refs for e in service._images.values()] == [0]
-            assert service.admission.outstanding_by_client == {}
-            # the service keeps serving and the idle image stays reusable
+            # the service keeps serving after a mid-run cancel
             after = service.wait([service.submit(*QUICK_POINT, ROWS)],
                                  timeout=120)[0]
             assert after.state is JobState.DONE
-
-    def test_shm_budget_unpublishes_idle_images_lru(self):
-        # 0.01 MB is below one image: the budget is always exceeded, so
-        # each new publish evicts the *idle* predecessor — and never a
-        # referenced image (the publish that exceeds it still succeeds).
-        with SimulationService(jobs=1, use_cache=False,
-                               shm_max_mb=0.01) as service:
-            first = service.wait([service.submit(*QUICK_POINT, 2048)],
-                                 timeout=120)[0]
-            assert first.state is JobState.DONE
-            assert service.datasets_published == 1
-            assert service.datasets_unpublished == 0  # referenced, kept
-            second = service.wait([service.submit(*QUICK_POINT, 4096)],
-                                  timeout=120)[0]
-            assert second.state is JobState.DONE
-            assert service.datasets_published == 2
-            assert service.datasets_unpublished == 1  # idle LRU evicted
-            with service._cv:
-                assert len(service._images) == 1
 
     def test_healthz_snapshot_shape(self):
         with SimulationService(jobs=1, use_cache=False) as service:
@@ -560,9 +516,7 @@ class TestLifecycle:
         service = SimulationService(jobs=1, use_cache=False)
         ticket = service.submit("hive", ScanConfig("dsm", "column", 256), ROWS)
         service.wait([ticket], timeout=60)
-        names = [
-            entry.image._shm.name for entry in service._images.values()
-        ]
+        names = [image._shm.name for image in service._images.values()]
         service.close()
         service.close()
         for name in names:

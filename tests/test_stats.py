@@ -1,6 +1,7 @@
 """Unit tests for the statistics registry."""
 
 from repro.common.stats import StatGroup, ratio
+from repro.sim.machine import build_machine
 
 
 class TestStatGroup:
@@ -77,3 +78,13 @@ class TestStatGroup:
         group.bump("aa")
         names = [name for name, __ in group.rows()]
         assert names == sorted(names)
+
+    def test_redeclared_attribute_replaces_the_earlier_cell(self):
+        # Each core execution declares its seven cells on the core's
+        # group; a later one replaces them and keeps their counts.
+        core = build_machine("x86").core
+        first = core.execution()
+        first._n_loads += 3
+        core.execution()
+        assert len(list(core.stats.batched_cells())) == 7
+        assert core.stats.get("loads") == 3

@@ -153,7 +153,6 @@ def http_sweep(args) -> int:
             try:
                 record = client.submit(
                     arch, scan, args.rows, seed=args.seed,
-                    client=args.client, job_class=args.job_class,
                     deadline=args.deadline,
                 )
             except HTTPServiceError as exc:
@@ -229,10 +228,6 @@ def main() -> int:
                         help="with --http: print the health snapshot and exit")
     parser.add_argument("--drain", action="store_true",
                         help="with --http: request a graceful drain and exit")
-    parser.add_argument("--client", default="cli",
-                        help="admission client identity (default: cli)")
-    parser.add_argument("--job-class", default="default",
-                        help="admission job class (default: default)")
     parser.add_argument("--deadline", type=float, default=None,
                         help="per-job deadline in seconds (past it the job "
                              "checkpoint-stops and expires)")
