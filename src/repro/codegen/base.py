@@ -19,10 +19,10 @@ Per-operator lowering protocol
 
 Each backend module (``x86``/``hmc``/``hive``/``hipe``) implements
 
-* ``tuple_runs(workload, config)``      — the NSM select scan,
-* ``column_runs(workload, config)``     — the DSM select scan, and
-* ``lower_aggregate(workload, config)`` — the plan's Aggregate node
-  (grouped SUM/COUNT/MIN/MAX over the filter's bitmask, a uop stream).
+* ``tuple_runs(workload, config)``     — the NSM select scan,
+* ``column_runs(workload, config)``    — the DSM select scan, and
+* ``aggregate_runs(workload, config)`` — the plan's Aggregate node
+  (grouped SUM/COUNT/MIN/MAX over the filter's bitmask).
 
 :func:`lower_filter_runs` picks the scan by strategy, and
 :func:`lower_plan_runs` walks a workload's
@@ -184,15 +184,15 @@ class TraceRun:
     * ``key`` — a hashable shape descriptor; two iterations share a key
       exactly when they lower to the same static uops (same pcs, same
       classes, same branch directions, same sizes) with addresses that
-      advance uniformly by the declared ``regions``.  ``key=None`` marks
-      an *opaque* run the replay layer must always simulate (aggregate
-      reductions, whose uop streams are data-dependent per chunk).
+      advance uniformly by the declared ``regions``.  Every run has one:
+      there are no opaque runs, and a prologue or epilogue (an
+      Aggregate's accumulator set-up and final stores) is a
+      one-iteration run of its own key.
     * ``count`` / ``make(j)`` — ``make`` yields the uops of iteration
       ``j`` (0-based within the run) and may be called for any subset of
       iterations in increasing order; it must reseat its register
       allocator itself so generated register ids match the fully
-      materialised stream.  Opaque runs have ``count == 1`` and a
-      ``make`` that may be consumed only once.
+      materialised stream.
     * ``regs_per_iter`` — core registers allocated per iteration (the
       replay layer relabels the rotating register file by this amount
       when it skips iterations); ``fixed_regs`` names the loop-invariant
@@ -240,11 +240,6 @@ class TraceRun:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceRun(key={self.key!r}, count={self.count})"
-
-
-def opaque_run(uops: Iterator[Uop]) -> TraceRun:
-    """Wrap an arbitrary uop stream as a single always-simulated run."""
-    return TraceRun(key=None, count=1, make=lambda j, _uops=uops: _uops)
 
 
 def group_runs(
@@ -745,16 +740,17 @@ def lower_plan_runs(
     """Lower ``workload.plan`` operator by operator on ``backend``.
 
     ``backend`` is a codegen module implementing the per-operator
-    protocol (``tuple_runs`` / ``column_runs`` / ``lower_aggregate``).
+    protocol (``tuple_runs`` / ``column_runs`` / ``aggregate_runs``).
     The Scan and Project nodes need no instructions of their own — the
     tables are materialised in the memory image, and projection only
     narrows what an Aggregate or materialisation touches — so a plan
     lowers to its Filter's scan (:func:`lower_filter_runs`: loop-body
-    runs the kernels compile and the replay layer can fast-forward,
-    keyed by chunk-skip flags in column mode and by per-tuple match
-    flags in tuple mode) followed, when present, by its Aggregate's
-    reduction as one opaque run: its uop stream is data-dependent per
-    chunk.
+    runs keyed by chunk-skip flags in column mode and by per-tuple
+    match flags in tuple mode) followed, when present, by its
+    Aggregate's reduction (``aggregate_runs``: loop-body runs keyed by
+    chunk-skip flags on the core, one run per shape in the engines).
+    Every run is keyed, so the kernels compile every body; none is
+    opaque.
     """
     plan = workload.plan
     if plan is None:
@@ -768,4 +764,4 @@ def lower_plan_runs(
         )
     yield from lower_filter_runs(backend, workload, config)
     if plan.aggregate is not None:
-        yield opaque_run(backend.lower_aggregate(workload, config))
+        yield from backend.aggregate_runs(workload, config)

@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as _np
 
 from ..common.units import ceil_div
-from ..cpu.isa import PimInstruction, PimOp, Uop, alu, branch, pim
+from ..cpu.isa import PimInstruction, PimOp, alu, branch, pim
 from .aggregate import engine_aggregate
 from .base import (
     PcAllocator,
@@ -254,11 +254,12 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
     )
 
 
-def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
+def aggregate_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
     """Aggregate lowering: locked-block reduction with the column loads
     predicated on the filter mask — chunks with no candidate tuples are
     squashed before they touch DRAM, as in the predicated scan."""
-    return engine_aggregate(workload, config, ENGINE_REGS, predicated=True)
+    return engine_aggregate(workload, config, ENGINE_REGS, predicated=True,
+                            tag="hipeagg")
 
 
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:

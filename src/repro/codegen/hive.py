@@ -392,10 +392,11 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
         )
 
 
-def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
+def aggregate_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
     """Aggregate lowering: unpredicated locked-block reduction in the
     logic layer (every chunk streams; dead chunks contribute zeros)."""
-    return engine_aggregate(workload, config, ENGINE_REGS, predicated=False)
+    return engine_aggregate(workload, config, ENGINE_REGS, predicated=False,
+                            tag="hiveagg")
 
 
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:

@@ -195,7 +195,7 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
                             body_regs=lambda predicate: 1, bulk_of=bulk_of)
 
 
-def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
+def aggregate_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
     """Aggregate lowering: the HMC's extended ISA offers load-*compare*
     only, so reductions run the same core-side loop as x86 (the bitmask
     is cache-resident for both).  The 256 B HMC op sizes exist only in
@@ -205,7 +205,7 @@ def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]
         config.layout, config.strategy,
         min(config.op_bytes, 64), min(config.unroll, 8),
     )
-    return core_aggregate(workload, core_config)
+    return core_aggregate(workload, core_config, "hmcagg")
 
 
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:

@@ -146,10 +146,10 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
     )
 
 
-def lower_aggregate(workload: ScanWorkload, config: ScanConfig) -> Iterator[Uop]:
+def aggregate_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
     """Aggregate lowering: core-side reduction over the cached bitmask."""
     _check(config)
-    return core_aggregate(workload, config)
+    return core_aggregate(workload, config, "x86agg")
 
 
 def generate_plan_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:

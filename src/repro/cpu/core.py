@@ -130,11 +130,14 @@ class CoreExecution:
 
         #: validated run-body shapes (run key -> generated kernel); the
         #: kernel runners re-anchor these onto later runs of the same
-        #: shape without materialising them (repro.cpu.kernel), and
+        #: shape without materialising them (repro.cpu.kernel),
         #: ``kernel_pending`` counts iterations of not-yet-compiled
-        #: shapes so one-shot boundary shapes never pay codegen
+        #: shapes so one-shot boundary shapes never pay codegen, and
+        #: ``kernel_samples`` keeps the first iteration of up to two
+        #: earlier runs of a pending key, to compile it across its runs
         self.kernel_shapes: dict = {}
         self.kernel_pending: dict = {}
+        self.kernel_samples: dict = {}
 
         stats.batch(self, (
             ("_n_loads", "loads"),
@@ -271,6 +274,7 @@ class CoreExecution:
         state = self.__dict__.copy()
         state["kernel_shapes"] = {}
         state["kernel_pending"] = {}
+        state["kernel_samples"] = {}
         return state
 
     def result(self) -> CoreResult:

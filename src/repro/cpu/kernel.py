@@ -52,6 +52,7 @@ paths are bit-identical by construction, and CI cross-checks them.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import List, Optional
 
@@ -379,6 +380,108 @@ def _anchor_shape(shape: RunShape, run) -> None:
         region_map.append((anchor, pim_anchor))
     shape.region_map = region_map
     shape.synth_ok = True
+
+
+def _region_offset(address: int, regions) -> tuple:
+    """(region index, offset from its start), or ``(-1, address)``."""
+    for index, region in enumerate(regions):
+        if region.lo <= address < region.hi:
+            return index, address - region.lo
+    return -1, address
+
+
+def cross_run_samples(run, sample: List[Uop],
+                      earlier: List[tuple]) -> Optional[List[List[Uop]]]:
+    """Three consecutive iterations of ``run`` from iteration 0 of three runs.
+
+    ``sample`` is iteration 0 of ``run``; ``earlier`` holds iteration 0
+    of two earlier runs of its key as ``(uops, regions, reg_base)``.
+    Each observation is normalised by its own run's declared regions
+    and ``reg_base`` — the anchoring :func:`synthesize_instance` trusts:
+    an address becomes its (region, offset), and a register id its
+    offset from the run's allocation phase unless all three carry the
+    same id (a loop-invariant register).  The three must agree field by
+    field.  ``sample`` then advances by the region strides and the
+    allocation phase into iterations 1 and 2, which :func:`compile_shape`
+    validates like captured ones.  Returns None when they disagree, or
+    when the runs' phases coincide and an invariant register could not
+    be told from a rotating one.  Integral strides only (``q == 1``).
+    """
+    from ..codegen.base import RegAllocator
+
+    start = RegAllocator.DEFAULT_START
+    window = RegAllocator.DEFAULT_WINDOW
+    rpi = run.regs_per_iter
+    frames = [(sample, run.regions, run.reg_base)] + list(earlier)
+    strides = [region.stride for region in run.regions]
+    for uops, regions, reg_base in frames:
+        if (reg_base is None or len(uops) != len(sample)
+                or [region.stride for region in regions] != strides):
+            return None
+    bases = [reg_base for __, __, reg_base in frames]
+    if rpi and len({base % window for base in bases}) < len(bases):
+        return None
+
+    def register(ids) -> Optional[bool]:
+        """True: rotating, False: invariant, None: neither."""
+        if ids.count(ids[0]) == len(ids):
+            return False
+        offsets = {(reg - start - base) % window for reg, base in zip(ids, bases)}
+        return True if rpi and len(offsets) == 1 else None
+
+    roles = []  # per uop: (src roles, dst role, address anchor, pim anchor)
+    for observed in zip(*(uops for uops, __, __ in frames)):
+        first = observed[0]
+        for uop in observed[1:]:
+            if (uop.cls is not first.cls or uop.pc != first.pc
+                    or bool(uop.taken) != bool(first.taken)
+                    or uop.size != first.size
+                    or len(uop.srcs) != len(first.srcs)
+                    or (uop.dst is None) != (first.dst is None)
+                    or (uop.pim is None) != (first.pim is None)):
+                return None
+            if first.pim is not None and not _same_pim(first.pim, uop.pim):
+                return None
+        srcs = [register([uop.srcs[s] for uop in observed])
+                for s in range(len(first.srcs))]
+        dst = (False if first.dst is None
+               else register([uop.dst for uop in observed]))
+        if None in srcs or dst is None:
+            return None
+        anchors = {_region_offset(uop.address, regions)
+                   for uop, (__, regions, __) in zip(observed, frames)}
+        pim_anchors = {None if uop.pim is None
+                       else _region_offset(uop.pim.address, regions)
+                       for uop, (__, regions, __) in zip(observed, frames)}
+        if len(anchors) != 1 or len(pim_anchors) != 1:
+            return None
+        roles.append((srcs, dst, anchors.pop()[0], pim_anchors.pop()))
+
+    def advanced(k: int) -> List[Uop]:
+        """``sample`` moved ``k`` iterations along its streams and phase."""
+        shift = k * rpi
+
+        def reg(reg_id: int, rotating: bool) -> int:
+            if not rotating:
+                return reg_id
+            return start + (reg_id - start + shift) % window
+
+        out = []
+        for uop, (srcs, dst, index, pim_anchor) in zip(sample, roles):
+            moved = copy.copy(uop)
+            moved.srcs = tuple(reg(r, rot) for r, rot in zip(uop.srcs, srcs))
+            if uop.dst is not None:
+                moved.dst = reg(uop.dst, dst)
+            if index >= 0:
+                moved.address = uop.address + k * int(strides[index])
+            if pim_anchor is not None and pim_anchor[0] >= 0:
+                moved.pim = copy.copy(uop.pim)
+                moved.pim.address = (uop.pim.address
+                                     + k * int(strides[pim_anchor[0]]))
+            out.append(moved)
+        return out
+
+    return [sample, advanced(1), advanced(2)]
 
 
 def _own_instance(shape: RunShape) -> RunInstance:
@@ -884,7 +987,7 @@ class KernelRunner:
     """
 
     __slots__ = ("execution", "run", "instance", "_shape", "_capturing",
-                 "_samples", "_expect_j", "_q")
+                 "_samples", "_expect_j", "_q", "_earlier")
 
     def __init__(self, execution, run) -> None:
         self.execution = execution
@@ -893,7 +996,9 @@ class KernelRunner:
         self._shape: Optional[RunShape] = None
         self._capturing = False
         self._q = 1
-        if setting("REPRO_KERNEL") and run.key is not None:
+        #: iteration-0 samples of earlier runs of this key (cross-run)
+        self._earlier: Optional[List[tuple]] = None
+        if setting("REPRO_KERNEL"):
             q = _stride_period(run)
             self._q = q
             shape = execution.kernel_shapes.get(run.key)
@@ -922,6 +1027,12 @@ class KernelRunner:
                         >= MIN_COMPILE_BENEFIT):
                     self._capturing = True
                 else:
+                    if q == 1 and run.key in pending:
+                        # A key seen before: sample its runs' first
+                        # iterations, and compile from three of them
+                        # once it has promised enough iterations.
+                        self._earlier = execution.kernel_samples.setdefault(
+                            run.key, [])
                     pending[run.key] = seen
         self._samples: List[List[Uop]] = []
         self._expect_j = None
@@ -974,6 +1085,32 @@ class KernelRunner:
             j += 1
         return total
 
+    def _cross_run(self, sample: List[Uop]) -> None:
+        """Keep iteration 0 of a short run, or compile its key from it.
+
+        The key compiles once it has promised ``MIN_COMPILE_BENEFIT``
+        iterations across its runs and two earlier runs left a sample;
+        samples that disagree are dropped and collected afresh.
+        """
+        execution = self.execution
+        run = self.run
+        earlier = self._earlier
+        if len(earlier) < CAPTURE_ITERATIONS - 1:
+            earlier.append((sample, run.regions, run.reg_base))
+            return
+        if execution.kernel_pending[run.key] < MIN_COMPILE_BENEFIT:
+            return
+        samples = cross_run_samples(run, sample, earlier)
+        shape = None if samples is None else compile_shape(
+            execution, run, samples, 0)
+        if shape is None:
+            earlier.clear()
+            return
+        execution.kernel_shapes[run.key] = shape
+        execution.kernel_pending.pop(run.key, None)
+        execution.kernel_samples.pop(run.key, None)
+        self.instance = _own_instance(shape)
+
     def _iteration(self, j: int) -> int:
         """Simulate iteration ``j`` of a not yet compiled run.
 
@@ -982,6 +1119,12 @@ class KernelRunner:
         """
         execution = self.execution
         process = execution.process
+        if self._earlier is not None and j == 0:
+            sample = list(self.run.make(0))
+            for uop in sample:
+                process(uop)
+            self._cross_run(sample)
+            return len(sample)
         if not self._capturing:
             uops = 0
             for uop in self.run.make(j):

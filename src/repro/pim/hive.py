@@ -36,7 +36,7 @@ from ..cpu.core import PimBackend
 from ..cpu.isa import AluFunc, PimInstruction, PimOp
 from ..memory.hmc import Hmc
 from ..memory.image import MemoryImage
-from .ops import apply_alu, apply_compound, is_comparison
+from .ops import apply_alu, apply_compound
 from .register_bank import PimRegisterBank
 
 _LANE_DTYPES = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}
@@ -113,8 +113,6 @@ class HiveEngine:
     def _alu_latency(self, func: AluFunc) -> int:
         if func == AluFunc.MUL:
             return self.config.int_mul_latency
-        if func in (AluFunc.ADD, AluFunc.AND, AluFunc.OR) or is_comparison(func):
-            return self.config.int_alu_latency
         return self.config.int_alu_latency
 
     def _check_size(self, nbytes: int) -> None:

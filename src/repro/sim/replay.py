@@ -935,9 +935,6 @@ class ReplayExecutor:
     def _consume_run(self, run: TraceRun) -> None:
         count = run.count
         self._runner = KernelRunner(self.execution, run)
-        if run.key is None:
-            self._runner.iterations(0, count)
-            return
         p = self._structural_period(run)
         if not run.regions or count < 3 * p:
             # No probe fits: one kernel span, as on the exact path.

@@ -256,7 +256,7 @@ class TestPlanLowering:
         # aggregate must branch over them without loading columns.
         wl = plan_workload(q6_revenue_plan())
         config = ScanConfig("dsm", "column", 64, unroll=8)
-        trace = list(x86_cg.lower_aggregate(wl, config))
+        trace = list(flatten_runs(x86_cg.aggregate_runs(wl, config)))
         skips = [u for u in trace if u.cls == UopClass.BRANCH and u.taken]
         value_loads = [u for u in trace if u.cls == UopClass.LOAD
                        and u.size == 16 * 4]
@@ -273,7 +273,7 @@ class TestPlanLowering:
     def test_engine_aggregate_block_structure(self):
         wl = plan_workload(q1_style_plan(), arch="hive")
         config = ScanConfig("dsm", "column", 256, unroll=32)
-        trace = list(hive_cg.lower_aggregate(wl, config))
+        trace = list(flatten_runs(hive_cg.aggregate_runs(wl, config)))
         pim_ops = [u for u in trace if u.cls == UopClass.PIM]
         locks = [u for u in pim_ops if u.pim.op == PimOp.LOCK]
         unlocks = [u for u in pim_ops if u.pim.op == PimOp.UNLOCK]
@@ -288,14 +288,14 @@ class TestPlanLowering:
     def test_engine_registers_in_bounds_for_aggregates(self):
         wl = plan_workload(q1_style_plan(), arch="hive")
         config = ScanConfig("dsm", "column", 256, unroll=32)
-        for uop in hive_cg.lower_aggregate(wl, config):
+        for uop in flatten_runs(hive_cg.aggregate_runs(wl, config)):
             if uop.cls == UopClass.PIM and uop.pim.dst_reg is not None:
                 assert 0 <= uop.pim.dst_reg < 36
 
     def test_hipe_aggregate_predicates_column_loads(self):
         wl = plan_workload(q6_revenue_plan(), arch="hipe")
         config = ScanConfig("dsm", "column", 256, unroll=32)
-        trace = list(hipe_cg.lower_aggregate(wl, config))
+        trace = list(flatten_runs(hipe_cg.aggregate_runs(wl, config)))
         loads = [u for u in trace if u.cls == UopClass.PIM
                  and u.pim.op == PimOp.PIM_LOAD]
         mask_loads = [u for u in loads if not u.pim.predicated]
@@ -305,7 +305,8 @@ class TestPlanLowering:
         assert len(value_loads) == 2 * chunks  # price + discount, gated
         # HIVE's variant streams the same loads unpredicated.
         hive_wl = plan_workload(q6_revenue_plan(), arch="hive")
-        hive_loads = [u for u in hive_cg.lower_aggregate(hive_wl, config)
+        hive_trace = flatten_runs(hive_cg.aggregate_runs(hive_wl, config))
+        hive_loads = [u for u in hive_trace
                       if u.cls == UopClass.PIM and u.pim.op == PimOp.PIM_LOAD]
         assert not [u for u in hive_loads if u.pim.predicated]
 
@@ -313,4 +314,5 @@ class TestPlanLowering:
         wl = plan_workload(q6_revenue_plan())
         wl.dsm = None
         with pytest.raises(ValueError):
-            list(x86_cg.lower_aggregate(wl, ScanConfig("nsm", "tuple", 64)))
+            list(flatten_runs(x86_cg.aggregate_runs(
+                wl, ScanConfig("nsm", "tuple", 64))))

@@ -11,11 +11,20 @@ escape hatch).
 
 import pytest
 
+from collections import Counter
+
 from repro.codegen.base import ScanConfig
 from repro.common.settings import setting
-from repro.cpu.kernel import MIN_COMPILE_BENEFIT, KernelRunner, consume_runs
+from repro.cpu.kernel import (
+    MIN_COMPILE_BENEFIT,
+    MIN_KERNEL_ITERATIONS,
+    KernelRunner,
+    consume_runs,
+    cross_run_samples,
+)
 from repro.db.datagen import generate_table
 from repro.db.query6 import q6_select_plan
+from repro.db.workloads import selectivity_scan_plan
 from repro.sim.machine import build_machine
 from repro.sim.runner import _CODEGENS, build_workload, run_scan
 
@@ -79,9 +88,9 @@ def test_tuple_scan_compiles_kernels(monkeypatch):
     assert execution.kernel_shapes
 
 
-def _drive(arch, op, rows=ROWS):
+def _drive(arch, op, rows=ROWS, plan=None):
     """Run one exact point by hand; returns the stepping execution."""
-    plan = q6_select_plan()
+    plan = plan or q6_select_plan()
     data = generate_table(plan.table, rows, 1994)
     machine = build_machine(arch)
     workload = build_workload(machine, data, "dsm", plan=plan)
@@ -180,3 +189,85 @@ def test_same_structure_shapes_share_code_objects():
         "re-simulating an identical workload paid compile() again"
     )
     assert after["shared"] - before["shared"] >= n_shapes
+
+
+@pytest.mark.parametrize("arch", ["x86", "hmc", "hive", "hipe"])
+def test_aggregate_plans_lower_to_keyed_runs(arch, monkeypatch):
+    """Every run of a filter-then-aggregate plan carries a key, and the
+    aggregate's loop body compiles like the scan's."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    execution, runs = _drive(arch, 64 if arch == "x86" else 256,
+                             plan=selectivity_scan_plan(0.4))
+    assert all(run.key is not None for run in runs)
+    assert any(run.key[0].endswith("agg") for run in runs)
+    if arch == "hipe":
+        assert any(key[0] == "hipeagg" for key in execution.kernel_shapes)
+
+
+def _hive16_fragmented():
+    """The HIVE 16 B unroll-1 Q6 column scan: its later passes split
+    into short runs at every change of the chunks' skip flags."""
+    return _drive("hive", 16)
+
+
+def test_fragmented_pass_compiles_every_promising_key(monkeypatch):
+    """A key that promises MIN_COMPILE_BENEFIT iterations across its
+    runs compiles, even when none of its runs is long enough to capture
+    three consecutive iterations; kernels on and off agree bit for bit."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    execution, runs = _hive16_fragmented()
+    totals = Counter()
+    longest = Counter()
+    for run in runs:
+        totals[run.key] += run.count
+        longest[run.key] = max(longest[run.key], run.count)
+    due = [key for key, total in totals.items()
+           if total >= MIN_COMPILE_BENEFIT]
+    assert any(longest[key] < MIN_KERNEL_ITERATIONS for key in due), (
+        "no key builds up its iterations from short runs only")
+    assert all(key in execution.kernel_shapes for key in due)
+    scan = ScanConfig("dsm", "column", 16, 1)
+    for exact in (False, True):
+        compiled = run_scan("hive", scan, rows=ROWS, exact=exact)
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        uncompiled = run_scan("hive", scan, rows=ROWS, exact=exact)
+        monkeypatch.delenv("REPRO_KERNEL")
+        assert _fingerprint(compiled) == _fingerprint(uncompiled)
+
+
+def test_cross_run_samples_check_all_three_runs():
+    """Iteration 0 of three runs of one key extrapolates to the run's
+    next iterations exactly; an observation from another key, or one
+    address off its stream, refuses."""
+    __, runs = _hive16_fragmented()
+    by_key = {}
+    for run in runs:
+        by_key.setdefault(run.key, []).append(run)
+    # a later pass's key with live chunks and a run of three iterations
+    key = next(k for k, rs in by_key.items()
+               if k[1] > 0 and not all(k[4][0][0])
+               and any(r.count >= 3 for r in rs[2:]))
+    first, second = by_key[key][:2]
+    third = next(r for r in by_key[key][2:] if r.count >= 3)
+    other = next(rs[0] for k, rs in by_key.items()
+                 if k[:2] == key[:2] and k != key)
+
+    def observed(run):
+        return (list(run.make(0)), run.regions, run.reg_base)
+
+    def fields(uops):
+        return [(u.cls, u.pc, u.srcs, u.dst, u.address, u.size, u.taken,
+                 None if u.pim is None else u.pim.address) for u in uops]
+
+    sample = list(third.make(0))
+    samples = cross_run_samples(third, sample,
+                                [observed(first), observed(second)])
+    assert samples is not None and samples[0] is sample
+    assert fields(samples[1]) == fields(third.make(1))
+    assert fields(samples[2]) == fields(third.make(2))
+    assert cross_run_samples(third, sample,
+                             [observed(first), observed(other)]) is None
+    uops, regions, reg_base = observed(second)
+    next(u for u in uops if u.address).address += 1
+    assert cross_run_samples(third, sample,
+                             [observed(first), (uops, regions, reg_base)]) is None

@@ -21,12 +21,11 @@ from repro.codegen.base import (
     TraceRun,
     flatten_runs,
     lower_filter_runs,
-    opaque_run,
 )
 from repro.common.settings import setting
 from repro.cpu.isa import Uop, UopClass, alu, branch, load
 from repro.db.datagen import generate_table
-from repro.db.query6 import q6_select_plan
+from repro.db.query6 import q6_revenue_plan, q6_select_plan
 from repro.db.workloads import q1_style_plan, selectivity_scan_plan
 from repro.sim.machine import build_machine
 from repro.sim.replay import ReplayExecutor
@@ -113,21 +112,39 @@ _GOLDEN_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("point", sorted(_GOLDEN_STREAMS))
-def test_uop_streams_match_golden_digests(point):
-    """The lowered traces are pinned: run-structuring must not drift."""
+#: golden digests of aggregate plans' uop streams (DSM column, seed 7),
+#: pinned while each Aggregate was still one opaque run: lowering it as
+#: keyed runs left every stream byte-identical.  Keys are (arch, plan,
+#: op bytes, unroll, rows); 1 000 rows leave a partial last chunk.
+_GOLDEN_AGGREGATE_STREAMS = {
+    ("x86", "sel_0.4", 64, 1, 1024): "d13f371f8c52cf07",
+    ("x86", "q6_revenue", 16, 2, 1000): "00887079fc8c6874",
+    ("x86", "q1_style", 32, 4, 1000): "b1a82891a5352142",
+    ("hmc", "q6_revenue", 64, 1, 1024): "b05ef356f05a516e",
+    ("hmc", "q1_style", 256, 2, 1000): "36ada27359db52fa",
+    ("hive", "sel_0.4", 256, 1, 1000): "3d29b1fc4831d337",
+    ("hive", "q1_style", 256, 4, 1024): "695b4b2434bf0eee",
+    ("hipe", "sel_0.4", 256, 1, 1024): "72850966543be028",
+    ("hipe", "q6_revenue", 256, 8, 1000): "9af202ddda7c10aa",
+    ("hipe", "q1_style", 32, 2, 1000): "821b0869e40a6454",
+}
+
+_AGGREGATE_PLANS = {
+    "sel_0.4": lambda: selectivity_scan_plan(0.4),
+    "q6_revenue": q6_revenue_plan,
+    "q1_style": q1_style_plan,
+}
+
+
+def _stream_digest(arch, plan, rows, scan):
+    """16 hex digits of the flattened uop stream of one plan point."""
     import hashlib
 
-    arch, layout, strategy, op, unroll = point
-    plan = q6_select_plan()
-    data = generate_table(plan.table, 1024, 7)
+    data = generate_table(plan.table, rows, 7)
     machine = build_machine(arch)
-    workload = build_workload(machine, data, layout, plan=plan)
+    workload = build_workload(machine, data, scan.layout, plan=plan)
     digest = hashlib.sha256()
-    trace = _CODEGENS[arch].generate_plan_runs(
-        workload, ScanConfig(layout, strategy, op, unroll)
-    )
-    for u in flatten_runs(trace):
+    for u in flatten_runs(_CODEGENS[arch].generate_plan_runs(workload, scan)):
         p = u.pim
         pim_t = None if p is None else (
             p.op.value, p.address, p.size, p.dst_reg, tuple(p.src_regs),
@@ -137,7 +154,26 @@ def test_uop_streams_match_golden_digests(point):
         )
         digest.update(repr((u.cls.value, u.pc, tuple(u.srcs), u.dst,
                             u.address, u.size, u.taken, pim_t)).encode())
-    assert digest.hexdigest()[:16] == _GOLDEN_STREAMS[point]
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("point", sorted(_GOLDEN_STREAMS))
+def test_uop_streams_match_golden_digests(point):
+    """The lowered traces are pinned: run-structuring must not drift."""
+    arch, layout, strategy, op, unroll = point
+    scan = ScanConfig(layout, strategy, op, unroll)
+    assert _stream_digest(arch, q6_select_plan(), 1024, scan) \
+        == _GOLDEN_STREAMS[point]
+
+
+@pytest.mark.parametrize("point", sorted(_GOLDEN_AGGREGATE_STREAMS),
+                         ids=lambda p: "-".join(map(str, p)))
+def test_aggregate_streams_match_golden_digests(point):
+    """The filter-then-aggregate traces are pinned on all four archs."""
+    arch, plan_name, op, unroll, rows = point
+    scan = ScanConfig("dsm", "column", op, unroll)
+    assert _stream_digest(arch, _AGGREGATE_PLANS[plan_name](), rows, scan) \
+        == _GOLDEN_AGGREGATE_STREAMS[point]
 
 
 _GROUPING_SCANS = [
@@ -238,13 +274,6 @@ def test_region_strides_are_exact_fractions():
     run = next(iter(x86.column_runs(workload, ScanConfig("dsm", "column", 16, 1))))
     mask_region = run.regions[-1]
     assert mask_region.stride.denominator == 2  # 4 rows/chunk = half a byte
-
-
-def test_opaque_run_consumes_once():
-    source = iter([alu(1, srcs=(), dst=100)])
-    run = opaque_run(source)
-    assert run.key is None and run.count == 1
-    assert len(list(run.make(0))) == 1
 
 
 def test_reg_allocator_seek():
@@ -610,12 +639,15 @@ def test_replay_engages_hive_q6_reduced_cube(monkeypatch):
 
 def test_replay_engages_hipe_selectivity_reduced_cube():
     """HIPE engages when the predicate stream is uniform (a single
-    predicate leaves predication nothing to squash)."""
+    predicate leaves predication nothing to squash).  The filter
+    converges once and skips 2 560 of its 4 096 iterations; the
+    aggregate's 4 098 iterations (zeroing, 4 095 + 1 chunk iterations,
+    stores) declare no regions and are all simulated."""
     from repro.db.workloads import selectivity_scan_plan
 
     stats = _engagement_point("hipe", 256, 262_144,
                               plan=selectivity_scan_plan(0.4))
-    assert _engagement(stats) == (1, 2_560, 1_536, 0)
+    assert _engagement(stats) == (1, 2_560, 1_536 + 4_098, 0)
 
 
 def test_replay_engages_unrolled_hive_at_a_short_period():
