@@ -40,6 +40,7 @@ default experiment sizes respect by a wide margin.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -374,7 +375,8 @@ def engine_aggregate(
     engine ALU function and fall back to :func:`core_aggregate`.
 
     One iteration is one cycle of ``unroll`` locked blocks of ``unroll``
-    chunks each (the pc sites' body counter).  Every chunk is processed,
+    chunks each (the pc sites' body counter), or two or four cycles when
+    a cycle covers less than a bitmask byte.  Every chunk is processed,
     so every iteration but the last lowers to the same uops; the runs
     declare no regions, because an iteration updates engine accumulator
     registers that no bulk hook could replay.  A one-iteration run
@@ -430,8 +432,13 @@ def engine_aggregate(
     pred_reg = w_mask if predicated else None
     n_chunks = ceil_div(rows, rpc)
     n_blocks = ceil_div(n_chunks, unroll)
-    n_iters = ceil_div(n_blocks, unroll)
-    chunks_per_iter = unroll * unroll
+    # One iteration is one cycle of the pc sites' body counter (unroll
+    # blocks), repeated until it covers whole bitmask bytes: each chunk
+    # unpacks its mask from bit ``start % 8``, so iterations of sub-byte
+    # chunks would alternate that offset and never lower alike.
+    blocks_per_iter = unroll * (8 // math.gcd(8, unroll * unroll * rpc))
+    n_iters = ceil_div(n_blocks, blocks_per_iter)
+    chunks_per_iter = blocks_per_iter * unroll
     run_key = lambda key: (tag, config.op_bytes, unroll) + key  # noqa: E731
     family = (tag, config.op_bytes, unroll)
 
@@ -544,9 +551,11 @@ def engine_aggregate(
         return (limit - first, last_rows, i == n_iters - 1), 0
 
     def make_iteration(i: int) -> Iterator[Uop]:
-        first_block = i * unroll
-        for body in range(min(unroll, n_blocks - first_block)):
-            first = (first_block + body) * unroll
+        first_block = i * blocks_per_iter
+        for block in range(first_block,
+                           min(first_block + blocks_per_iter, n_blocks)):
+            body = block % unroll
+            first = block * unroll
             yield pim(pcs.site(f"agg_lock{body}"), PimInstruction(PimOp.LOCK))
             for c in range(first, min(first + unroll, n_chunks)):
                 yield from chunk_body(body, c * rpc, min((c + 1) * rpc, rows))

@@ -29,6 +29,13 @@ uop, make the constant small:
   materialising a single iteration — which makes a pass fragmented
   into one-iteration runs by data-dependent skip flags as cheap as an
   unbroken stream;
+* a key whose runs are all too short to capture three consecutive
+  iterations compiles *across* its runs: once it has promised
+  ``MIN_COMPILE_BENEFIT`` iterations, iteration 0 of three of its runs
+  (two kept from earlier runs, from its second run on) is normalised
+  by each run's regions and ``reg_base``, checked field by field, and
+  stands in for the three captured iterations
+  (:func:`cross_run_samples`);
 * shape-varying literals (pcs, address deltas, sizes, unit latencies)
   are interned as bound parameters rather than baked into the source,
   so same-structure shapes share one compiled code object — the
@@ -41,6 +48,16 @@ uop, make the constant small:
 * anything else the compiler cannot prove affine (shape drift between
   consecutive iterations, unknown uop classes) falls back to the
   uncompiled path for the entire run.
+
+What compiles, and when: every run is keyed (an Aggregate's prologue
+and epilogue are one-iteration runs of their own), and a key compiles
+the first time it is met on a run of at least ``MIN_KERNEL_ITERATIONS``
+(times ``q``) iterations once its runs so far, this one included, add
+up to ``MIN_COMPILE_BENEFIT`` plus the capture; a ``q == 1`` key whose
+runs stay shorter compiles across runs as above.  Fractional-stride
+keys (``q > 1``: the x86 and HMC 16 B scans) only compile within one
+run.  A key that never reaches ``MIN_COMPILE_BENEFIT`` iterations
+(a pass's final partial iteration, a prologue) stays uncompiled.
 
 Compilation is validated, not assumed: the three captured iterations
 are simulated through the ordinary :meth:`process` path (so capture is
@@ -499,7 +516,13 @@ def synthesize_instance(shape: RunShape, run) -> Optional[RunInstance]:
     and the register-allocation phase (``run.reg_base``).  Both are
     declared on the run, so the generated function can be re-anchored
     outright — this is what makes single-iteration runs (a pass
-    fragmented by data-dependent skip flags) as cheap as long ones.
+    fragmented by data-dependent skip flags) as cheap as long ones,
+    once their key has compiled (within one run, or across three runs
+    by :func:`cross_run_samples`, which trusts the same anchoring).
+    Fractional-stride shapes (``q > 1``) and shapes with a moving
+    address outside every declared region (the engine aggregates,
+    which declare none) are never synthesised: the runner re-anchors
+    them from one observed iteration instead (:func:`rebase_instance`).
     """
     if not shape.synth_ok or run.reg_base is None:
         return None

@@ -191,31 +191,28 @@ def test_same_structure_shapes_share_code_objects():
     assert after["shared"] - before["shared"] >= n_shapes
 
 
-@pytest.mark.parametrize("arch", ["x86", "hmc", "hive", "hipe"])
-def test_aggregate_plans_lower_to_keyed_runs(arch, monkeypatch):
+@pytest.mark.parametrize("arch,op", [("x86", 64), ("hmc", 256), ("hive", 256),
+                                     ("hipe", 256), ("hipe", 16)])
+def test_aggregate_plans_lower_to_keyed_runs(arch, op, monkeypatch):
     """Every run of a filter-then-aggregate plan carries a key, and the
-    aggregate's loop body compiles like the scan's."""
+    engine aggregate's loop body compiles like the scan's (at 16 B too,
+    where one block cycle covers half a bitmask byte)."""
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    execution, runs = _drive(arch, 64 if arch == "x86" else 256,
-                             plan=selectivity_scan_plan(0.4))
+    execution, runs = _drive(arch, op, plan=selectivity_scan_plan(0.4))
     assert all(run.key is not None for run in runs)
     assert any(run.key[0].endswith("agg") for run in runs)
     if arch == "hipe":
         assert any(key[0] == "hipeagg" for key in execution.kernel_shapes)
 
 
-def _hive16_fragmented():
-    """The HIVE 16 B unroll-1 Q6 column scan: its later passes split
-    into short runs at every change of the chunks' skip flags."""
-    return _drive("hive", 16)
-
-
 def test_fragmented_pass_compiles_every_promising_key(monkeypatch):
     """A key that promises MIN_COMPILE_BENEFIT iterations across its
     runs compiles, even when none of its runs is long enough to capture
-    three consecutive iterations; kernels on and off agree bit for bit."""
+    three consecutive iterations; kernels on and off agree bit for bit.
+    The later passes of HIVE's 16 B unroll-1 Q6 scan split into such
+    short runs at every change of the chunks' skip flags."""
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    execution, runs = _hive16_fragmented()
+    execution, runs = _drive("hive", 16)
     totals = Counter()
     longest = Counter()
     for run in runs:
@@ -239,7 +236,7 @@ def test_cross_run_samples_check_all_three_runs():
     """Iteration 0 of three runs of one key extrapolates to the run's
     next iterations exactly; an observation from another key, or one
     address off its stream, refuses."""
-    __, runs = _hive16_fragmented()
+    __, runs = _drive("hive", 16)
     by_key = {}
     for run in runs:
         by_key.setdefault(run.key, []).append(run)
