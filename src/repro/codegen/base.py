@@ -749,8 +749,8 @@ def lower_plan_runs(
     match flags in tuple mode) followed, when present, by its
     Aggregate's reduction (``aggregate_runs``: loop-body runs keyed by
     chunk-skip flags on the core, one run per shape in the engines).
-    Every run is keyed, so the kernels compile every body; none is
-    opaque.
+    Every run is keyed, so any body the kernels' gate admits compiles;
+    none is opaque.
     """
     plan = workload.plan
     if plan is None:
