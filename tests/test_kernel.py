@@ -268,3 +268,9 @@ def test_cross_run_samples_check_all_three_runs():
     next(u for u in uops if u.address).address += 1
     assert cross_run_samples(third, sample,
                              [observed(first), (uops, regions, reg_base)]) is None
+    uops, regions, reg_base = observed(second)
+    renamed = next(u for u in uops if u.dst is not None
+                   and u.dst not in second.fixed_regs)
+    renamed.dst += 1  # one register off the run's allocation phase
+    assert cross_run_samples(third, sample,
+                             [observed(first), (uops, regions, reg_base)]) is None
