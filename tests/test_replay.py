@@ -56,6 +56,8 @@ _PLANS = {
     "q1_style": q1_style_plan,
     "sel_low": lambda: selectivity_scan_plan(0.05),
     "sel_high": lambda: selectivity_scan_plan(0.8),
+    "sel_0.4": lambda: selectivity_scan_plan(0.4),
+    "q6_revenue": q6_revenue_plan,
 }
 
 
@@ -129,13 +131,6 @@ _GOLDEN_AGGREGATE_STREAMS = {
     ("hipe", "q1_style", 32, 2, 1000): "821b0869e40a6454",
 }
 
-_AGGREGATE_PLANS = {
-    "sel_0.4": lambda: selectivity_scan_plan(0.4),
-    "q6_revenue": q6_revenue_plan,
-    "q1_style": q1_style_plan,
-}
-
-
 def _stream_digest(arch, plan, rows, scan):
     """16 hex digits of the flattened uop stream of one plan point."""
     import hashlib
@@ -172,7 +167,7 @@ def test_aggregate_streams_match_golden_digests(point):
     """The filter-then-aggregate traces are pinned on all four archs."""
     arch, plan_name, op, unroll, rows = point
     scan = ScanConfig("dsm", "column", op, unroll)
-    assert _stream_digest(arch, _AGGREGATE_PLANS[plan_name](), rows, scan) \
+    assert _stream_digest(arch, _PLANS[plan_name](), rows, scan) \
         == _GOLDEN_AGGREGATE_STREAMS[point]
 
 
