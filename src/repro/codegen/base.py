@@ -200,8 +200,9 @@ class TraceRun:
       which must *not* rotate with the allocation phase.
     * ``regions`` — the address streams the iterations touch.
     * ``bulk(machine, j0, j1)`` — apply the *functional* side effects
-      of iterations ``[j0, j1)`` without simulating them (memory-image
-      writes of engine-computed bitmasks, HMC verification masks); only
+      of iterations ``[j0, j1)`` without simulating them (the HIVE/HIPE
+      engine ops and HMC load-compares they would have issued, which
+      the engine or backend then evaluates like simulated ones); only
       required for runs whose iterations have functional effects.
     * ``reg_base`` — the register-allocator counter at the run's first
       iteration (None for hand-built runs).  Together with ``regions``
@@ -252,6 +253,7 @@ def group_runs(
     bulk_of: Optional[Callable[[int, Tuple], Optional[Callable]]] = None,
     fixed_regs: Tuple[int, ...] = (),
     family: Optional[Tuple] = None,
+    engine_bulk: bool = False,
 ) -> Iterator[TraceRun]:
     """Group consecutive same-shaped iterations into :class:`TraceRun`\\ s.
 
@@ -269,6 +271,10 @@ def group_runs(
     supplies the functional-side-effect hook.  The flattened stream is
     byte-identical to lowering every iteration in sequence.
 
+    ``engine_bulk`` gives a HIVE/HIPE pass its hook instead
+    (:func:`engine_bulk_hook`): the skipped iterations' engine ops go to
+    the engine, which computes their values like those it simulated.
+
     ``family`` is the pass's flag-free identity (arch tag, pass index,
     op bytes, unroll — everything the run key holds *except* the data-
     dependent flag word); checkpoints snapshot where it changes.
@@ -285,18 +291,41 @@ def group_runs(
             regs.seek(_base + j * _nregs)
             return _mk(_i0 + j)
 
+        regions = regions_of(i0, count)
+        if engine_bulk:
+            bulk = engine_bulk_hook(make, regions)
+        else:
+            bulk = None if bulk_of is None else bulk_of(i0, key)
         yield TraceRun(
             key=run_key(key),
             count=count,
             make=make,
             regs_per_iter=nregs,
-            regions=regions_of(i0, count),
-            bulk=None if bulk_of is None else bulk_of(i0, key),
+            regions=regions,
+            bulk=bulk,
             fixed_regs=fixed_regs,
             reg_base=base_counter,
             family=family,
         )
         regs.seek(base_counter + count * nregs)
+
+
+def engine_bulk_hook(make: Callable[[int], Iterator[Uop]],
+                     regions: Tuple[Region, ...]) -> Callable[..., None]:
+    """The bulk hook of a run whose iterations drive a HIVE/HIPE engine.
+
+    Iterations ``[j0, j1)`` issue iteration ``j0``'s engine ops again and
+    again, each address advanced by the stride of the region holding
+    it; the hook hands them to the engine
+    (:meth:`~repro.pim.hive.HiveEngine.log_iterations`), which computes
+    their values in bulk after everything it simulated.
+    """
+
+    def bulk(machine, j0: int, j1: int) -> None:
+        insts = [uop.pim for uop in make(j0) if uop.pim is not None]
+        machine.engine.log_iterations(insts, regions, j1 - j0)
+
+    return bulk
 
 
 def skip_pattern_key_ids(
@@ -358,6 +387,7 @@ def tuple_runs(
     group_regs: int,
     match_regs: int,
     bulk_of: Optional[Callable[[int, Tuple], Optional[Callable]]] = None,
+    engine_bulk: bool = False,
 ) -> Iterator[TraceRun]:
     """A tuple-at-a-time (NSM) pass as match-keyed trace runs.
 
@@ -375,6 +405,8 @@ def tuple_runs(
     regions are the tuple stream and the materialisation stream, which
     advances by the run's matches per iteration.  Tuple runs declare no
     family: a tuple scan is one pass, so it has no checkpoint boundary.
+    ``bulk_of`` or ``engine_bulk`` supply the bulk hook, as in
+    :func:`group_runs`.
     """
     table = workload.nsm
     if table is None:
@@ -433,6 +465,7 @@ def tuple_runs(
         regions_of=regions_of,
         bulk_of=bulk_of,
         fixed_regs=fixed_regs,
+        engine_bulk=engine_bulk,
     )
 
 

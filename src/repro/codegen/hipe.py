@@ -33,8 +33,6 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-import numpy as _np
-
 from ..common.units import ceil_div
 from ..cpu.isa import PimInstruction, PimOp, alu, branch, pim
 from .aggregate import engine_aggregate
@@ -99,7 +97,6 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
     n_blocks = ceil_div(n_chunks, block_width)
     blocks_per_iter = unroll
     n_iters = ceil_div(n_blocks, blocks_per_iter)
-    final_mask = workload.final_mask
     # Predicated-load *timing* is data-dependent exactly where a chunk's
     # running conjunction dies: an all-false predicate register squashes
     # the next level's load outright (no DRAM access, squash latency).
@@ -229,17 +226,6 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
 
     rows_per_iter = blocks_per_iter * block_width * rpc
 
-    def bulk_of(i0, key):
-        def run_bulk(machine, j0, j1, _i0=i0):
-            """The predicated pass writes the final mask bits directly."""
-            start = (_i0 + j0) * rows_per_iter
-            stop = min((_i0 + j1) * rows_per_iter, rows)
-            machine.image.write(
-                buffers.mask_address(start),
-                _np.packbits(final_mask[start:stop], bitorder="little"),
-            )
-        return run_bulk
-
     yield from group_runs(
         regs,
         skip_pattern_key_ids(squashes + (lane_counts or []), n_iters,
@@ -248,9 +234,9 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
         make_iteration=make_iteration,
         run_key=lambda key: ("hipecol", config.op_bytes, unroll) + key,
         regions_of=column_regions(columns, buffers, rows, rows_per_iter),
-        bulk_of=bulk_of,
         fixed_regs=(induction,),
         family=("hipecol", config.op_bytes, unroll),
+        engine_bulk=True,
     )
 
 

@@ -33,8 +33,6 @@ from __future__ import annotations
 import sys
 from typing import Iterator
 
-import numpy as _np
-
 from ..common.units import ceil_div
 from ..cpu.isa import AluFunc, PimInstruction, PimOp, Uop, alu, branch, load, pim, store
 from .aggregate import engine_aggregate
@@ -59,7 +57,12 @@ ENGINE_REGS = 36
 
 def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]:
     """NSM scan, one locked block per tuple group, as match-keyed trace
-    runs (Figure 3a HIVE bars)."""
+    runs (Figure 3a HIVE bars).
+
+    Each group's UNLOCK returns its compare result, which the runner
+    checks against the reference; the bulk hook hands the groups replay
+    skips to the engine, so that check sees every group.
+    """
     if workload.nsm is None:
         raise ValueError("tuple-at-a-time needs the NSM table")
     table = workload.nsm
@@ -132,6 +135,7 @@ def tuple_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun]
         group_body=group_body,
         group_regs=1,  # the unlock status
         match_regs=1,
+        engine_bulk=True,
     )
 
 
@@ -163,9 +167,9 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
 
     One run iteration covers ``unroll`` consecutive blocks — exactly one
     cycle of the pc-site ``body`` counter, so every iteration lowers to
-    the same static instructions.  The bulk hook writes the engine's
-    packed bitmask bytes for skipped iterations (the conjunction the
-    locked blocks would have stored).
+    the same static instructions.  The bulk hook hands the engine ops of
+    skipped iterations to the engine, which computes and stores their
+    masks like those of simulated iterations.
     """
     if workload.dsm is None:
         raise ValueError("column-at-a-time needs the DSM table")
@@ -187,7 +191,6 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
     for p, predicate in enumerate(workload.predicates):
         column = table.column(predicate.column)
         prev_running = workload.running_mask(p - 1) if p > 0 else None
-        running = workload.running_mask(p)
         dead = chunk_dead_flags(prev_running, rpc, n_chunks) if p > 0 else None
         # one data register per chunk beside the pass's accumulators
         block_width = column_block_width(
@@ -332,44 +335,6 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
                 yield branch(pcs.site(f"p{pass_index}_loop"), taken=not last_block,
                              srcs=(induction,))
 
-        def make_bulk(i0, shape, bits):
-            rows_per_iter = blocks_per_iter * block_width * rpc
-            all_skip = any(flags and all(flags) for flags, __ in shape)
-
-            def bulk(machine, j0, j1, _i0=i0, _shape=shape, _bits=bits):
-                """Engine-stored packed mask bytes of skipped iterations.
-
-                Vectorised across the span: when no block of the shape
-                is fully skipped (every iteration stores its whole mask
-                range — the common streaming case) the span is one
-                contiguous ``packbits`` write; otherwise fall back to
-                per-block writes that honour the skip holes.
-                """
-                image = machine.image
-                if not all_skip:
-                    start = (_i0 + j0) * rows_per_iter
-                    stop = min((_i0 + j1) * rows_per_iter, rows)
-                    image.write(
-                        buffers.mask_address(start),
-                        _np.packbits(_bits[start:stop], bitorder="little"),
-                    )
-                    return
-                for i in range(_i0 + j0, _i0 + j1):
-                    first_b = i * blocks_per_iter
-                    limit_b = min(first_b + blocks_per_iter, n_blocks)
-                    for b in range(first_b, limit_b):
-                        flags = _shape[b - first_b][0]
-                        if flags and all(flags):
-                            continue  # all-skip block: nothing stored
-                        chunk_list = block_bounds(b)
-                        start = chunk_list[0][1]
-                        stop = chunk_list[-1][2]
-                        image.write(
-                            buffers.mask_address(start),
-                            _np.packbits(_bits[start:stop], bitorder="little"),
-                        )
-            return bulk
-
         rows_per_iter = blocks_per_iter * block_width * rpc
         # Only the un-unrolled code's later passes resolve skips: their
         # chunk dead flags key the runs; every other iteration is alike.
@@ -386,9 +351,9 @@ def column_runs(workload: ScanWorkload, config: ScanConfig) -> Iterator[TraceRun
             run_key=(lambda key, _p=p:
                      ("hivecol", _p, config.op_bytes, unroll) + key),
             regions_of=column_regions((column,), buffers, rows, rows_per_iter),
-            bulk_of=(lambda i0, key, _bits=running: make_bulk(i0, key[0], _bits)),
             fixed_regs=(induction,),
             family=("hivecol", p, config.op_bytes, unroll),
+            engine_bulk=True,
         )
 
 

@@ -57,10 +57,6 @@ class PimOp(enum.Enum):
     PIM_LOAD = "pim_load"  # DRAM -> register
     PIM_STORE = "pim_store"  # register -> DRAM
     PIM_ALU = "pim_alu"  # register op register/immediate -> register
-    # Bit-packed bitmask transfers: the store/load units pack the source
-    # register's per-lane match flags into lanes/8 bytes (and back).
-    PIM_STORE_MASK = "pim_store_mask"
-    PIM_LOAD_MASK = "pim_load_mask"
     # Mask accumulator ALU ops: PACK_MASK deposits the source register's
     # per-lane zero flags as packed bits at bit offset ``imm_lo`` of the
     # destination (accumulator) register; UNPACK_MASK expands packed bits

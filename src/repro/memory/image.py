@@ -7,6 +7,12 @@ allocated here; the PIM engines (HMC ISA units, HIVE, HIPE) compute on
 these real bytes so that every architecture's query result can be checked
 bit-for-bit against the numpy reference.
 
+The HIVE/HIPE engines compute their values after the instructions
+issue (see :mod:`repro.pim.evaluator`), so their stores may lag the
+simulated clock.  Such a writer registers its ``settle`` callable with
+:meth:`MemoryImage.defer`; every read, write or snapshot of the image
+calls it first, and so sees the bytes program order has produced.
+
 A pass-boundary checkpoint pickles the image, and pickles only what a
 resume cannot rebuild.  The tables are *frozen* once filled (read-only,
 checksummed): the pickle carries each frozen region as a
@@ -21,7 +27,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -114,6 +120,16 @@ class MemoryImage:
         self._cursor = alignment  # never hand out address 0
         #: frozen regions of an unpickled snapshot, awaiting :meth:`rebind`
         self._unbound: List[RegionRef] = []
+        #: ``settle`` callables of writers whose stores may lag
+        self._deferred: List[Callable[[], None]] = []
+
+    def defer(self, settle: Callable[[], None]) -> None:
+        """Call ``settle`` before every later access to the image."""
+        self._deferred.append(settle)
+
+    def _settle(self) -> None:
+        for settle in self._deferred:
+            settle()
 
     def allocate(self, name: str, size: int) -> Allocation:
         """Reserve ``size`` zeroed bytes; returns the allocation."""
@@ -176,9 +192,22 @@ class MemoryImage:
 
     def read(self, address: int, nbytes: int) -> np.ndarray:
         """Read ``nbytes`` as a uint8 array (a copy)."""
+        if self._deferred:
+            self._settle()
         alloc = self._find(address, nbytes)
         off = address - alloc.base
         return alloc.data[off : off + nbytes].copy()
+
+    def window(self, address: int, nbytes: int) -> np.ndarray:
+        """A live uint8 view of ``nbytes`` at ``address``.
+
+        Unlike :meth:`read` it neither copies nor settles the deferred
+        writers: it is how such a writer applies its own reads and
+        writes, in their program order.
+        """
+        alloc = self._find(address, nbytes)
+        off = address - alloc.base
+        return alloc.data[off : off + nbytes]
 
     def gather(self, addresses: np.ndarray, nbytes: int) -> Tuple[np.ndarray, np.ndarray]:
         """Read ``nbytes`` at each of ``addresses`` in one vectorised pass.
@@ -187,6 +216,43 @@ class MemoryImage:
         each address's offset within its allocation.  A range outside
         every allocation raises ``KeyError``, as :meth:`read` does.
         """
+        if self._deferred:
+            self._settle()
+        index, offsets = self._locate(addresses, nbytes)
+        regions = np.unique(index)
+        if regions.size == 1:
+            windows = sliding_window_view(self._allocs[regions[0]].data, nbytes)
+            return windows[offsets], offsets
+        rows = np.empty((offsets.size, nbytes), dtype=np.uint8)
+        for region in regions:
+            chosen = index == region
+            windows = sliding_window_view(self._allocs[region].data, nbytes)
+            rows[chosen] = windows[offsets[chosen]]
+        return rows, offsets
+
+    def scatter(self, addresses: np.ndarray, rows: np.ndarray) -> None:
+        """Write each row of ``rows`` at the matching address.
+
+        The vectorised :meth:`write`: ``rows`` is ``(len(addresses),
+        nbytes)`` uint8, and the ranges must not overlap (numpy leaves
+        the order of one assignment's writes open).
+        """
+        if self._deferred:
+            self._settle()
+        rows = np.asarray(rows, dtype=np.uint8)
+        index, offsets = self._locate(addresses, rows.shape[1])
+        span = np.arange(rows.shape[1])
+        for region in np.unique(index):
+            chosen = index == region
+            data = self._allocs[region].data
+            if chosen.all():
+                data[offsets[:, None] + span] = rows
+            else:
+                data[offsets[chosen][:, None] + span] = rows[chosen]
+
+    def _locate(self, addresses: np.ndarray,
+                nbytes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(allocation index, offset) of each ``nbytes`` range."""
         addresses = np.asarray(addresses, dtype=np.int64)
         bases = np.asarray(self._bases, dtype=np.int64)
         index = np.searchsorted(bases, addresses, side="right") - 1
@@ -199,20 +265,12 @@ class MemoryImage:
             raise KeyError(
                 f"range [{address:#x}, {address + nbytes:#x}) not inside any allocation"
             )
-        offsets = addresses - bases[index]
-        regions = np.unique(index)
-        if regions.size == 1:
-            windows = sliding_window_view(self._allocs[regions[0]].data, nbytes)
-            return windows[offsets], offsets
-        rows = np.empty((addresses.size, nbytes), dtype=np.uint8)
-        for region in regions:
-            chosen = index == region
-            windows = sliding_window_view(self._allocs[region].data, nbytes)
-            rows[chosen] = windows[offsets[chosen]]
-        return rows, offsets
+        return index, addresses - bases[index]
 
     def write(self, address: int, data: np.ndarray) -> None:
         """Write a uint8 array at ``address``."""
+        if self._deferred:
+            self._settle()
         raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         alloc = self._find(address, raw.size)
         off = address - alloc.base
@@ -220,13 +278,18 @@ class MemoryImage:
 
     def view(self, name: str, dtype) -> np.ndarray:
         """A typed live view of a whole named allocation."""
+        if self._deferred:
+            self._settle()
         return self._by_name[name].data.view(dtype)
 
     # -- snapshots ----------------------------------------------------------
 
     def __getstate__(self):
+        if self._deferred:
+            self._settle()
         state = self.__dict__.copy()
-        del state["_bases"], state["_by_name"]
+        # A deferred writer registers again when it is restored.
+        del state["_bases"], state["_by_name"], state["_deferred"]
         state["_allocs"] = [
             RegionRef(a.name, a.base, a.size, a.checksum) if a.frozen
             else (a.name, a.base, a.size) + _written_pages(a.data)
@@ -238,6 +301,7 @@ class MemoryImage:
         entries = state.pop("_allocs")
         self.__dict__.update(state)
         self._allocs, self._bases, self._by_name = [], [], {}
+        self._deferred = []
         for entry in entries:
             if isinstance(entry, RegionRef):
                 self._unbound.append(entry)

@@ -19,7 +19,13 @@ data dependencies that cost ~15 % versus HIVE's full streaming scan.
 
 The engine logic lives in :class:`~repro.pim.hive.HiveEngine`; this
 subclass enables predication, enforces the instruction-buffer bound and
-separates the statistics namespace.
+separates the statistics namespace.  Like HIVE it computes values after
+the instructions issue, in bulk (:mod:`repro.pim.evaluator`), except
+where timing reads data: a predicated load or store needs its
+predicate's zero flags to decide a squash or a partial transfer, so it
+first evaluates the logged ops that write that predicate.  Predicated
+ALU ops take the same time whichever lanes they keep, so they evaluate
+nothing at issue.
 """
 
 from __future__ import annotations

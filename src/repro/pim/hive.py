@@ -19,13 +19,25 @@ inside the cube), so the engine invalidates any cached copies; processor
 reads of a HIVE-produced bitmask therefore pay DRAM latency — the
 column-at-a-time penalty the paper describes for Figure 3b.
 
-The engine is functional: it computes real values against the memory
-image, so scan results are verified bit-for-bit.
+The engine times an instruction when it issues and computes its values
+later, in bulk.  Timing needs only register readiness, addresses and
+sizes; the values — what loads read, ALU ops compute, PACK/UNPACK move
+and stores write — go to a functional log that
+:class:`~repro.pim.evaluator.Evaluator` runs in program order, one numpy
+call per op across all the iterations of a loop body.  The log is
+evaluated wherever something reads its results: a HIPE predicated load
+or store (its squash decision needs the predicate's zero flags), a
+direct access to the register bank or the memory image, a replay bulk
+hook, a snapshot, the end of a run, and a full slice
+(:data:`VALUE_SLICE_OPS`).  The results are the real values against the
+memory image, bit-identical to computing each instruction as it issues,
+so scan results are verified bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from fractions import Fraction
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,10 +48,16 @@ from ..cpu.core import PimBackend
 from ..cpu.isa import AluFunc, PimInstruction, PimOp
 from ..memory.hmc import Hmc
 from ..memory.image import MemoryImage
-from .ops import apply_alu, apply_compound
+from .evaluator import LOGGED_OPS, Evaluator
 from .register_bank import PimRegisterBank
 
-_LANE_DTYPES = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}
+#: the functional log's slice: the engine evaluates the log at the first
+#: LOCK that finds this many ops in it (at any op once it holds twice as
+#: many), which bounds the log and its batched register arrays (about
+#: 1 MiB per slice) the way :data:`~repro.pim.hmc_isa.MASK_SLICE_OPS`
+#: bounds the HMC's; a LOCK starts a block, so slices hold whole loop
+#: bodies
+VALUE_SLICE_OPS = 4096
 
 
 class HiveEngine:
@@ -67,13 +85,24 @@ class HiveEngine:
         self.hmc = hmc
         self.image = image
         self.stats = stats if stats is not None else StatGroup(config.name)
-        self.registers = PimRegisterBank(config, self.stats.child("register_bank"))
+        self.registers = PimRegisterBank(config, self.stats.child("register_bank"),
+                                         settle=self.settle)
         self._invalidate_range = invalidate_range
         self._seq_time = 0  # sequencer dispatch clock
         self._lock_free = 0  # when the next LOCK may be granted
         self._block_watermark = 0  # completion of everything in the block
         self.last_completion = 0  # engine drain time (run end accounting)
         self.max_op_bytes = max(config.op_sizes)
+        # The functional log: each logged op and its address at issue
+        # (compiled kernels reuse one instruction object per body step).
+        self._log_insts: List[PimInstruction] = []
+        self._log_addrs: List[int] = []
+        self._evaluator = Evaluator(self.registers, image)
+        #: predicated code is running: ops are evaluated as they issue
+        self._eager = False
+        #: a predicated op issued since the last LOCK
+        self._predicated = False
+        image.defer(self._run_log)
         self.stats.batch(self, (
             ("_n_instructions", "instructions"),
             ("_n_locks", "locks"),
@@ -97,9 +126,7 @@ class HiveEngine:
             PimOp.LOCK: self._do_lock,
             PimOp.UNLOCK: self._do_unlock,
             PimOp.PIM_LOAD: self._do_load,
-            PimOp.PIM_LOAD_MASK: self._do_load,
             PimOp.PIM_STORE: self._do_store,
-            PimOp.PIM_STORE_MASK: self._do_store,
             PimOp.PIM_ALU: self._do_alu,
             PimOp.PACK_MASK: self._do_pack,
             PimOp.UNPACK_MASK: self._do_unpack,
@@ -107,6 +134,84 @@ class HiveEngine:
         self._handlers = [None] * len(PimOp)
         for op, handler in handlers.items():
             self._handlers[op.index] = handler
+
+    # -- the functional log ---------------------------------------------------
+
+    def _log(self, inst: PimInstruction) -> None:
+        """Log the values ``inst`` computes, or compute them now."""
+        if self._eager:
+            self._evaluator.step(inst, inst.address)
+            return
+        insts = self._log_insts
+        insts.append(inst)
+        self._log_addrs.append(inst.address)
+        if len(insts) >= 2 * VALUE_SLICE_OPS:
+            self._run_log()
+
+    def _run_log(self) -> None:
+        """Compute the values of every logged op, in program order."""
+        insts = self._log_insts
+        if not insts:
+            return
+        addrs = self._log_addrs
+        # Accesses made while evaluating find an empty log.
+        self._log_insts = []
+        self._log_addrs = []
+        self._evaluator.run(insts, addrs)
+
+    def settle(self) -> None:
+        """Bring every register value, zero flag and memory byte the
+        issued instructions produce up to date."""
+        self._run_log()
+        self._evaluator.refresh()
+
+    def log_iterations(self, insts: Sequence[PimInstruction], regions,
+                       count: int) -> None:
+        """Evaluate ``count`` iterations of a run without timing them.
+
+        The functional side of the iterations the replay layer skips:
+        ``insts`` are the first one's instructions, and each later
+        iteration repeats them with every address advanced by the
+        stride of the run region (:class:`~repro.codegen.base.Region`)
+        that holds it.  They follow everything logged so far.
+        """
+        self._run_log()
+        body = [inst for inst in insts if inst.op in LOGGED_OPS
+                and (inst.op is not PimOp.UNLOCK or inst.src_regs)]
+        if not body or count <= 0:
+            return
+        strides = np.zeros(len(body), dtype=np.int64)
+        for k, inst in enumerate(body):
+            if inst.op is PimOp.PIM_LOAD or inst.op is PimOp.PIM_STORE:
+                stride = next((region.stride for region in regions
+                               if region.lo <= inst.address < region.hi),
+                              Fraction(0))
+                if stride.denominator != 1:
+                    raise ValueError(
+                        f"engine op at {inst.address:#x} advances a "
+                        f"fractional {stride} B per iteration")
+                strides[k] = int(stride)
+        first = np.array([inst.address for inst in body], dtype=np.int64)
+        step = max(1, VALUE_SLICE_OPS // len(body))
+        for i0 in range(0, count, step):
+            advance = np.arange(i0, min(i0 + step, count), dtype=np.int64)
+            self._evaluator.iterations(body, first + advance[:, None] * strides)
+
+    def unlock_flags(self) -> np.ndarray:
+        """The zero flags each value-returning UNLOCK read from its source
+        register (a tuple scan's match status), one row per UNLOCK in
+        program order: ``(unlocks, 8)`` uint8, packed little-endian."""
+        self.settle()
+        return self._evaluator.readout_table()
+
+    def __getstate__(self):
+        # A snapshot carries the values and no log.
+        self.settle()
+        return self.__dict__.copy()
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.image.defer(self._run_log)
 
     # -- latency helpers ----------------------------------------------------
 
@@ -122,29 +227,38 @@ class HiveEngine:
                 f"{self.max_op_bytes} B maximum"
             )
 
-    # -- predication (overridden no-op here; HIPE enables it) ----------------
+    # -- predication (refused here; HIPE enables it) --------------------------
 
-    def _predicate_lanes(self, inst: PimInstruction, start: int):
-        """Evaluate a predicate; returns (gate_time, lane_mask | None).
+    def _predicate_gate(self, inst: PimInstruction, start: int) -> int:
+        """When a predicated instruction may proceed past the match logic.
 
         Plain HIVE has no predication support — predicated instructions
         are a HIPE capability (config.predication).
         """
-        if inst.pred_reg is None:
-            return start, None
         if not self.config.predication:
             raise ValueError(
                 f"{self.config.name} has no predication support; "
                 "predicated instructions require HIPE"
             )
+        self._predicated = True
         predicate = self.registers.read(inst.pred_reg)
-        gate = max(start, predicate.ready) + self.PRED_CHECK_LATENCY
-        lanes = inst.size // inst.lane_bytes if inst.size else predicate.lane_match.size
-        flags = predicate.lane_match[:lanes]
-        # The mask is consumed before any register write can clobber the
-        # predicate's flags, so no defensive copy is needed.
-        wanted = flags if inst.pred_expect else ~flags
-        return gate, wanted
+        return max(start, predicate.ready) + self.PRED_CHECK_LATENCY
+
+    def _predicate_lanes(self, inst: PimInstruction, start: int):
+        """``(gate, lanes moved)`` of a predicated load or store.
+
+        Which lanes move decides the transfer's timing, so the
+        predicate's value must be current: the log is evaluated first,
+        and the engine evaluates ops as they issue from then on, until a
+        locked block issues no predicated op.
+        """
+        gate = self._predicate_gate(inst, start)
+        if not self._eager:
+            self._run_log()
+            self._eager = True
+        flags = self._evaluator.flags(inst.pred_reg)
+        lanes = inst.size // inst.lane_bytes if inst.size else flags.size
+        return gate, (flags[:lanes] if inst.pred_expect else ~flags[:lanes])
 
     # -- the sequencer -------------------------------------------------------
 
@@ -176,6 +290,11 @@ class HiveEngine:
     # -- instruction classes ----------------------------------------------------
 
     def _do_lock(self, inst: PimInstruction, dispatch: int) -> int:
+        if not self._predicated:
+            self._eager = False
+        self._predicated = False
+        if len(self._log_insts) >= VALUE_SLICE_OPS:
+            self._run_log()
         granted = max(dispatch, self._lock_free)
         completion = self._advance(granted)
         self._block_watermark = completion
@@ -193,93 +312,71 @@ class HiveEngine:
         completion = max(drained, self._block_watermark)
         self._lock_free = drained
         self._n_unlocks += 1
+        if inst.src_regs:
+            self._log(inst)  # the status it returns is its source's flags
         return completion
 
     def _do_load(self, inst: PimInstruction, dispatch: int) -> int:
-        self._check_size(inst.size)
-        destination = self.registers[inst.dst_reg]
+        footprint = inst.size
+        if footprint > self.max_op_bytes:
+            self._check_size(footprint)
+        destination = self.registers.peek(inst.dst_reg)
         # WAW interlock: the register must be free of its prior producer.
         gate = max(dispatch, destination.ready)
-        gate, wanted = self._predicate_lanes(inst, gate)
-        start = self._advance(gate)
-
-        if inst.op == PimOp.PIM_LOAD_MASK:
-            # Mask transfers move one byte per lane (the byte-mask layout).
-            lanes = inst.size
-            footprint = inst.size
+        effective = footprint
+        if inst.pred_reg is not None:
+            gate, wanted = self._predicate_lanes(inst, gate)
+            start = self._advance(gate)
+            if not wanted.any():
+                # Fully squashed: no DRAM access at all.
+                self._n_squashed_loads += 1
+                self._n_bytes_skipped += footprint
+                done = start + self.SQUASH_LATENCY
+                self._written(inst, destination, done)
+                return done
+            if self.config.partial_predicated_loads:
+                # Extension: gather only the matching lanes' bytes.
+                effective = max(8, int(wanted.sum()) * inst.lane_bytes)
+                self._n_partial_loads += 1
+                self._n_bytes_skipped += footprint - effective
         else:
-            lanes = inst.size // inst.lane_bytes
-            footprint = inst.size
-        if wanted is not None and not wanted.any():
-            # Fully squashed: no DRAM access at all.
-            self._n_squashed_loads += 1
-            self._n_bytes_skipped += footprint
-            done = start + self.SQUASH_LATENCY
-            self.registers.write(
-                inst.dst_reg, np.zeros(footprint, dtype=np.uint8), inst.lane_bytes, done
-            )
-            return done
-
-        if wanted is not None and self.config.partial_predicated_loads:
-            # Extension: gather only the matching lanes' bytes.
-            matched = int(wanted.sum())
-            effective = max(8, matched * inst.lane_bytes)
-            self._n_partial_loads += 1
-            self._n_bytes_skipped += footprint - effective
-        else:
-            effective = footprint
+            start = self._advance(gate)
         done = self.hmc.vault_access(start, inst.address, effective, is_write=False)
-
-        if inst.op == PimOp.PIM_LOAD_MASK:
-            mask_bytes = self.image.read(inst.address, lanes)
-            values = (mask_bytes != 0).astype(_LANE_DTYPES[inst.lane_bytes])
-        else:
-            raw = self.image.read(inst.address, inst.size)
-            values = raw.view(_LANE_DTYPES[inst.lane_bytes]).copy()
-            if wanted is not None:
-                values[~wanted] = 0  # unloaded lanes carry no data
-        self.registers.write(inst.dst_reg, values, inst.lane_bytes, done)
+        self._written(inst, destination, done)
         self._n_loads += 1
         self._n_bytes_loaded += effective
         return done
 
+    def _written(self, inst: PimInstruction, destination, done: int) -> None:
+        """Time ``inst``'s register write and log the value it writes."""
+        if done > destination.ready:
+            destination.ready = done
+        self.registers._n_writes += 1
+        self._log(inst)
+
     def _do_store(self, inst: PimInstruction, dispatch: int) -> int:
         source = self.registers.read(inst.src_regs[0])
         gate = max(dispatch, source.ready)
-        gate, wanted = self._predicate_lanes(inst, gate)
-        start = self._advance(gate)
-
-        if inst.op == PimOp.PIM_STORE_MASK:
-            # Byte-mask layout: one byte per lane, from the zero flags.
-            lanes = inst.size if inst.size else source.lane_match.size
-            payload = source.lane_match[:lanes].astype(np.uint8)
-            nbytes = lanes
-        else:
-            payload = source.value[: inst.size].copy()
-            nbytes = inst.size
-        self._check_size(nbytes)
-
-        if wanted is not None and not wanted.any():
-            self._n_squashed_stores += 1
-            self._n_bytes_skipped += nbytes
-            return start + self.SQUASH_LATENCY
-        if wanted is not None and inst.op == PimOp.PIM_STORE:
+        nbytes = inst.size
+        effective = nbytes
+        if inst.pred_reg is not None:
+            gate, wanted = self._predicate_lanes(inst, gate)
+            start = self._advance(gate)
+            self._check_size(nbytes)
+            if not wanted.any():
+                self._n_squashed_stores += 1
+                self._n_bytes_skipped += nbytes
+                return start + self.SQUASH_LATENCY
             # Predicated store: only the matched lanes' values land.
-            current = self.image.read(inst.address, nbytes)
-            merged = current.view(_LANE_DTYPES[inst.lane_bytes]).copy()
-            merged[wanted] = payload.view(_LANE_DTYPES[inst.lane_bytes])[wanted]
-            payload = merged.view(np.uint8)
             if self.config.partial_predicated_loads:
-                matched = int(wanted.sum())
-                effective = max(8, matched * inst.lane_bytes)
+                effective = max(8, int(wanted.sum()) * inst.lane_bytes)
                 self._n_bytes_skipped += nbytes - effective
-            else:
-                effective = nbytes
         else:
-            effective = nbytes
+            start = self._advance(gate)
+            self._check_size(nbytes)
 
         drained = self.hmc.vault_access(start, inst.address, effective, is_write=True)
-        self.image.write(inst.address, payload)
+        self._log(inst)
         if self._invalidate_range is not None:
             # In-memory stores bypass the processor caches.
             self._invalidate_range(inst.address, nbytes)
@@ -299,81 +396,48 @@ class HiveEngine:
         accumulator keeps its other bits, so a block's chunks accumulate
         into one register that a single store then writes to DRAM.
         """
-        source = self.registers.read(inst.src_regs[0])
-        accumulator = self.registers[inst.dst_reg]
+        registers = self.registers
+        source = registers.read(inst.src_regs[0])
+        accumulator = registers.peek(inst.dst_reg)
         start = self._advance(max(dispatch, source.ready, accumulator.ready))
         done = start + self.config.int_alu_latency
-        lanes = inst.size if inst.size else source.lane_match.size
-        bit_offset = inst.imm_lo
-        flags = source.lane_match[:lanes]
-        if bit_offset % 8 == 0:
-            # Byte-aligned deposit (every whole-byte chunk): pack the
-            # flags straight into the accumulator bytes — the common
-            # case, without round-tripping the whole 2048-bit register
-            # through unpackbits/packbits per chunk.
-            packed = np.packbits(flags, bitorder="little")
-            accumulator.value[bit_offset // 8 : bit_offset // 8 + packed.size] = packed
-        else:
-            bits = np.unpackbits(accumulator.value, bitorder="little")
-            bits[bit_offset : bit_offset + lanes] = flags
-            # Zero the tail of the last touched byte so a partial final
-            # chunk never leaks stale bits into the stored mask.
-            byte_end = (bit_offset + lanes + 7) // 8 * 8
-            bits[bit_offset + lanes : byte_end] = False
-            accumulator.value[:] = np.packbits(bits, bitorder="little")
-        np.not_equal(accumulator.value.view(np.int32), 0, out=accumulator.lane_match)
-        accumulator.ready = max(accumulator.ready, done)
+        self._written(inst, accumulator, done)
         self._n_pack += 1
-        self.registers._n_writes += 1
         return done
 
     def _do_unpack(self, inst: PimInstruction, dispatch: int) -> int:
         """Expand packed bits at ``imm_lo`` of ``src`` into 0/1 lanes."""
-        source = self.registers.read(inst.src_regs[0])
-        destination = self.registers[inst.dst_reg]
+        registers = self.registers
+        source = registers.read(inst.src_regs[0])
+        destination = registers.peek(inst.dst_reg)
         start = self._advance(max(dispatch, source.ready, destination.ready))
         done = start + self.config.int_alu_latency
-        lanes = inst.size // inst.lane_bytes
-        bits = np.unpackbits(source.value, bitorder="little")
-        values = bits[inst.imm_lo : inst.imm_lo + lanes].astype(
-            _LANE_DTYPES[inst.lane_bytes]
-        )
-        self.registers.write(inst.dst_reg, values, inst.lane_bytes, done)
+        self._written(inst, destination, done)
         self._n_unpack += 1
         return done
 
     def _do_alu(self, inst: PimInstruction, dispatch: int) -> int:
-        sources = [self.registers.read(r) for r in inst.src_regs]
+        registers = self.registers
         gate = dispatch
-        for source in sources:
-            if source.ready > gate:
-                gate = source.ready
-        gate, wanted = self._predicate_lanes(inst, gate)
+        for r in inst.src_regs:
+            ready = registers.read(r).ready
+            if ready > gate:
+                gate = ready
+        if inst.pred_reg is not None:
+            # The match logic gates on the predicate register, but an ALU
+            # op's timing never depends on which lanes it keeps.
+            gate = self._predicate_gate(inst, gate)
         start = self._advance(gate)
-        latency = self._alu_latency(inst.func)
-        done = start + latency
-
-        lane_dtype = _LANE_DTYPES[inst.lane_bytes]
-        if inst.compound is not None:
-            # Whole-tuple conjunction over row-store bytes in the register.
-            raw = sources[0].value[: inst.size] if inst.size else sources[0].value
-            result = apply_compound(raw, inst.tuple_stride, inst.compound)
-        else:
-            count = inst.size // inst.lane_bytes if inst.size else None
-            a = sources[0].lanes(inst.lane_bytes)
-            b = sources[1].lanes(inst.lane_bytes) if len(sources) > 1 else None
-            if count:
-                a = a[:count]
-                b = b[:count] if b is not None else None
-            result = apply_alu(inst.func, a, b, imm_lo=inst.imm_lo, imm_hi=inst.imm_hi)
-        if wanted is not None:
-            result = result.copy()
-            result[~wanted[: result.size]] = 0  # predicated-off lanes produce 0
-        self.registers.write(
-            inst.dst_reg, result.astype(lane_dtype, copy=False), inst.lane_bytes, done
-        )
+        done = start + self._alu_latency(inst.func)
+        self._written(inst, registers.peek(inst.dst_reg), done)
         self._n_alu += 1
-        self._n_alu_lanes += result.size
+        register_bytes = self.config.register_bytes
+        if inst.compound is not None:
+            nbytes = min(inst.size or register_bytes, register_bytes)
+            self._n_alu_lanes += max(1, nbytes // inst.tuple_stride)
+        else:
+            whole = register_bytes // inst.lane_bytes
+            self._n_alu_lanes += min(inst.size // inst.lane_bytes or whole, whole)
         return done
 
 

@@ -53,6 +53,9 @@ class Machine:
         The run ends when both the core has committed everything *and*
         the memory-side engine has drained (posted PIM instructions may
         still be executing in the cube when the core retires them).
+        The engine then evaluates what is left of its functional log,
+        so the run's wall time holds all of its value computation and
+        the memory image holds every result.
 
         ``exact`` is tri-state: ``None`` (default) follows the
         environment (``REPRO_EXACT=1`` forces the slow path), ``True``
@@ -94,9 +97,12 @@ class Machine:
         return self.core.execution()
 
     def _finish(self, result):
-        if self.engine is not None and self.engine.last_completion > result.cycles:
-            result.cycles = self.engine.last_completion
-            result.stats.set("cycles", result.cycles)
+        engine = self.engine
+        if engine is not None:
+            engine.settle()
+            if engine.last_completion > result.cycles:
+                result.cycles = engine.last_completion
+                result.stats.set("cycles", result.cycles)
         self.hmc.collect_stats()
         return result
 

@@ -36,8 +36,10 @@ run the executor
    tags, MSHR merge tables, prefetch tables, store-forward entries,
    bank/vault busy times) is relabelled by the region advances,
    round-robin cursors advance by their per-period grant counts, and
-   the run's ``bulk`` hook applies the skipped iterations' functional
-   side effects (engine-stored bitmask bytes, HMC verification masks),
+   the run's ``bulk`` hook hands the skipped iterations' functional
+   side effects to the machine — their HIVE/HIPE engine ops and HMC
+   load-compares, which the engine or backend then computes like
+   simulated ones, so verification reads their own results,
 4. **guards exactness** — anything that breaks uniformity refuses to
    converge and keeps full simulation: data-dependent chunk skipping,
    HIPE's squashed/partial predicated loads under non-uniform

@@ -4,7 +4,8 @@ This is the top of the public API: :func:`run_scan` simulates one
 (architecture, scan configuration) point end-to-end and returns a
 :class:`~repro.sim.results.RunResult` with timing, statistics, energy
 and — for the architectures that compute in memory — a functional
-verification of the produced mask against the numpy reference.
+verification of the produced mask (or, in a HIVE/HIPE tuple scan, of
+each group's compare result) against the numpy reference.
 
 Every run executes a :class:`~repro.db.plan.QueryPlan`; the default is
 the paper's workload, the Q6 select scan
@@ -153,6 +154,8 @@ def run_scan(
         produced = machine.image.read(workload.buffers.bitmask_base, mask_bytes)
         expected = np.packbits(workload.final_mask, bitorder="little")
         verified = bool(np.array_equal(produced[: expected.size], expected))
+    elif arch in ("hive", "hipe"):
+        verified = _verify_engine_tuples(machine, workload, scan)
     elif arch == "hmc":
         verified = _verify_hmc_masks(machine, workload, scan)
 
@@ -243,6 +246,18 @@ def _verify_hmc_masks(machine: Machine, workload: ScanWorkload, scan: ScanConfig
     return produced is not None and bool(np.array_equal(produced, workload.final_mask))
 
 
+def _verify_engine_tuples(machine: Machine, workload: ScanWorkload,
+                          scan: ScanConfig) -> bool:
+    """Check a HIVE/HIPE tuple scan: the compare result each group's
+    value-returning UNLOCK read must reproduce its tuples' matches."""
+    flags = machine.engine.unlock_flags()
+    group, __ = tuple_grouping(scan.op_bytes, workload.nsm.tuple_bytes)
+    if flags.shape[0] != -(-workload.rows // group):
+        return False
+    produced = _group_matches(flags, group, workload.rows)
+    return bool(np.array_equal(produced, workload.final_mask))
+
+
 def _tuple_mask(flat, widths, workload: ScanWorkload, scan: ScanConfig):
     """The match vector a tuple pass's load-compare masks imply (None if
     the ops do not cover the table one group at a time)."""
@@ -252,7 +267,13 @@ def _tuple_mask(flat, widths, workload: ScanWorkload, scan: ScanConfig):
     if widths.size != groups * pieces or (widths != 1).any():
         return None
     per_group = np.bitwise_and.reduce(flat.reshape(groups, pieces), axis=1)
-    bits = np.unpackbits(per_group[:, None], axis=1, bitorder="little")
+    return _group_matches(per_group[:, None], group, rows)
+
+
+def _group_matches(packed: np.ndarray, group: int, rows: int) -> np.ndarray:
+    """Per-tuple matches from each group's packed match bits (one row
+    per group, the group's tuples in its first bits)."""
+    bits = np.unpackbits(packed, axis=1, bitorder="little")
     return bits[:, :group].reshape(-1)[:rows].astype(bool)
 
 

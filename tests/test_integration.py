@@ -50,7 +50,7 @@ class TestRunScan:
         # past the NSM table.
         result = run_scan(arch, ScanConfig("nsm", "tuple", op), rows=rows)
         assert result.cycles > 0
-        assert result.verified is (True if arch == "hmc" else None)
+        assert result.verified is True
 
     @pytest.mark.parametrize("op", [16, 32, 64, 128, 256])
     def test_hive_all_op_sizes_verify(self, data, op):

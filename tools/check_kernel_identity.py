@@ -3,8 +3,10 @@
 
 Runs the Q6 column scan on every architecture (HIVE also at 16 B, whose
 skip-fragmented later passes compile across their short runs), the NSM
-tuple-at-a-time scan on x86, HMC and HIVE, and two filter-then-aggregate
-plans (HIPE selectivity 0.4 and x86 Q6 revenue) twice — once with run
+tuple-at-a-time scan on x86, HMC and HIVE (HIVE at 64 and 16 B, whose
+groups' compare results are verified), and three filter-then-aggregate
+plans (HIPE selectivity 0.4, x86 Q6 revenue and HIVE Q6 revenue, whose
+engine accumulators are summed across iterations) twice — once with run
 compilation enabled (the default) and once with ``REPRO_KERNEL=0`` — on
 both the replay path and the ``REPRO_EXACT=1`` slow path, and asserts
 cycles, uops, verification, statistics, energy and aggregates are
@@ -28,16 +30,19 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 #: (arch, layout, strategy, op bytes, plan); the tuple points cover the
-#: match-keyed tuple run shapes (HMC-16B: four load-compares per tuple),
-#: HIVE-16B the fragmented column passes, and the plans the aggregate runs
+#: match-keyed tuple run shapes (HMC-16B: four load-compares per tuple,
+#: HIVE-16B four engine loads per verified compare), HIVE-16B column the
+#: fragmented passes, and the plans the aggregate runs (HIVE Q6 revenue:
+#: the engine's ADD accumulators)
 POINTS = [
     ("x86", "dsm", "column", 64, "q6"), ("x86", "dsm", "column", 16, "q6"),
     ("hmc", "dsm", "column", 256, "q6"), ("hive", "dsm", "column", 256, "q6"),
     ("hipe", "dsm", "column", 256, "q6"), ("hive", "dsm", "column", 16, "q6"),
     ("x86", "nsm", "tuple", 16, "q6"), ("hmc", "nsm", "tuple", 16, "q6"),
-    ("hive", "nsm", "tuple", 64, "q6"),
+    ("hive", "nsm", "tuple", 64, "q6"), ("hive", "nsm", "tuple", 16, "q6"),
     ("hipe", "dsm", "column", 256, "sel_0.4"),
     ("x86", "dsm", "column", 64, "q6_revenue"),
+    ("hive", "dsm", "column", 256, "q6_revenue"),
 ]
 
 
