@@ -56,7 +56,7 @@ _UNPACK = PimOp.UNPACK_MASK
 #: the ops whose values the log carries; a logged UNLOCK reads its source
 LOGGED_OPS = frozenset({_LOAD, _STORE, _ALU, _PACK, _UNPACK, PimOp.UNLOCK})
 
-#: a log shorter than this runs as one iteration without a period search
+#: a log shorter than this runs op by op, without a period search
 _MIN_SEARCH = 8
 #: repeats of a stretch's first shape tried as its body length
 _CANDIDATES = 16
@@ -191,26 +191,32 @@ def _separable(body: Sequence, addresses: np.ndarray) -> bool:
     return True
 
 
-def _period_at(sids: np.ndarray, following: List[int],
-               s: int) -> Tuple[int, int]:
-    """``(body length, repetitions)`` of the periodic stretch at ``s``.
+def _period_at(sids: np.ndarray, listed: List[int], following: List[int],
+               s: int) -> Tuple[int, int, int]:
+    """``(body length, repetitions, bodies tried)`` of the periodic
+    stretch at ``s`` (0 repetitions: none).
 
+    ``listed`` holds the shape ids of ``sids`` as a list, and
     ``following[k]`` is the next entry with ``k``'s shape (-1: none);
     the body length is the distance to one of the next repeats of
-    ``s``'s shape.  Returns 0 repetitions when there is no stretch.
+    ``s``'s shape.
     """
-    count = sids.size
+    count = len(listed)
     repeat = following[s]
-    for __ in range(_CANDIDATES):
+    tried = 0
+    while tried < _CANDIDATES and repeat >= 0:
         length = repeat - s
-        if repeat < 0 or s + 2 * length > count:
+        if s + 2 * length > count:
             break
-        if np.array_equal(sids[s:repeat], sids[repeat:repeat + length]):
+        tried += 1
+        # The bodies' last ops decide most candidates before numpy does.
+        if (listed[repeat - 1] == listed[repeat + length - 1]
+                and np.array_equal(sids[s:repeat], sids[repeat:repeat + length])):
             stop = np.flatnonzero(sids[repeat:] != sids[s:count - length])
             span = length + (int(stop[0]) if stop.size else count - repeat)
-            return length, span // length
+            return length, span // length, tried
         repeat = following[repeat]
-    return 0, 0
+    return 0, 0, tried
 
 
 def _deposit(accumulator: np.ndarray, deposit: np.ndarray, offset: int,
@@ -292,11 +298,18 @@ class Evaluator:
         following = np.full(count, -1, dtype=np.int64)
         following[order[:-1][same]] = order[1:][same]
         following = following.tolist()
+        listed = sids.tolist()
+        # Bodies tried per log: a log with no loop in it runs op by op
+        # after about one try per op.
+        budget = count
         done = 0  # entries before this one are evaluated
         s = 0
         while s < count:
-            length, reps = (0, 0) if following[s] < 0 else _period_at(
-                sids, following, s)
+            if following[s] < 0 or budget <= 0:
+                s += 1
+                continue
+            length, reps, tried = _period_at(sids, listed, following, s)
+            budget -= tried
             if reps < 2:
                 s += 1
                 continue
@@ -374,7 +387,7 @@ class Evaluator:
         target = self.registers.registers[register]
         if register in self.lagging:
             self.lagging.discard(register)
-            np.not_equal(target.value.view(_FLAGS), 0, out=target.lane_match)
+            target.refresh_flags()
         return target.lane_match
 
     def refresh(self) -> None:

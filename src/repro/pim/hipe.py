@@ -22,10 +22,12 @@ subclass enables predication, enforces the instruction-buffer bound and
 separates the statistics namespace.  Like HIVE it computes values after
 the instructions issue, in bulk (:mod:`repro.pim.evaluator`), except
 where timing reads data: a predicated load or store needs its
-predicate's zero flags to decide a squash or a partial transfer, so it
-first evaluates the logged ops that write that predicate.  Predicated
-ALU ops take the same time whichever lanes they keep, so they evaluate
-nothing at issue.
+predicate's zero flags to decide a squash or a partial transfer.  It
+evaluates the log, and from then on every value is computed as its
+instruction issues, until a locked block issues no predicated op —
+HIPE's predicated scans stay effectively eager, its unpredicated ones
+(a single-predicate selectivity scan, the count aggregates) run in
+bulk.  Predicated ALU ops take the same time whichever lanes they keep.
 """
 
 from __future__ import annotations

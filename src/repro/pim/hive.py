@@ -21,17 +21,19 @@ column-at-a-time penalty the paper describes for Figure 3b.
 
 The engine times an instruction when it issues and computes its values
 later, in bulk.  Timing needs only register readiness, addresses and
-sizes; the values — what loads read, ALU ops compute, PACK/UNPACK move
-and stores write — go to a functional log that
-:class:`~repro.pim.evaluator.Evaluator` runs in program order, one numpy
-call per op across all the iterations of a loop body.  The log is
-evaluated wherever something reads its results: a HIPE predicated load
-or store (its squash decision needs the predicate's zero flags), a
-direct access to the register bank or the memory image, a replay bulk
-hook, a snapshot, the end of a run, and a full slice
-(:data:`VALUE_SLICE_OPS`).  The results are the real values against the
-memory image, bit-identical to computing each instruction as it issues,
-so scan results are verified bit-for-bit.
+sizes; the values — what loads read, ALU ops compute, PACK/UNPACK move,
+stores write and a tuple scan's UNLOCK returns — go to a functional log
+that :class:`~repro.pim.evaluator.Evaluator` runs in program order, one
+numpy call per op across all the iterations of a loop body.  The log is
+evaluated wherever something reads its results: a direct access to the
+register bank or the memory image, a replay bulk hook, a snapshot, the
+end of a run, and a full slice (:data:`VALUE_SLICE_OPS`).  HIPE's
+predicated loads and stores read data to time themselves (the
+predicate's zero flags decide a squash), so from the first one on the
+engine computes each value as its instruction issues, until a locked
+block issues no predicated op.  Either way the values are the real ones
+against the memory image, bit-identical to computing each instruction
+as it issues, so scan results are verified bit-for-bit.
 """
 
 from __future__ import annotations
