@@ -87,8 +87,8 @@ class HiveEngine:
         self.hmc = hmc
         self.image = image
         self.stats = stats if stats is not None else StatGroup(config.name)
-        self.registers = PimRegisterBank(config, self.stats.child("register_bank"),
-                                         settle=self.settle)
+        self.registers = PimRegisterBank(config, self.stats.child("register_bank"))
+        self.registers.settle = self.settle
         self._invalidate_range = invalidate_range
         self._seq_time = 0  # sequencer dispatch clock
         self._lock_free = 0  # when the next LOCK may be granted

@@ -22,7 +22,7 @@ brings them up to date through the bank's ``settle`` callable.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -72,20 +72,16 @@ class PimRegister:
 class PimRegisterBank:
     """The bank: bounds-checked access plus read/write accounting."""
 
-    def __init__(
-        self,
-        config: PimLogicConfig,
-        stats: StatGroup | None = None,
-        settle: Optional[Callable[[], None]] = None,
-    ) -> None:
+    def __init__(self, config: PimLogicConfig, stats: StatGroup | None = None) -> None:
         self.config = config
         self.registers: List[PimRegister] = [
             PimRegister(i, config.register_bytes) for i in range(config.register_count)
         ]
         self.stats = stats if stats is not None else StatGroup("register_bank")
         self.stats.batch(self, (("_n_reads", "reads"), ("_n_writes", "writes")))
-        #: brings lagging values up to date before a direct access
-        self.settle = settle if settle is not None else _settled
+        #: brings lagging values up to date before a direct access (an
+        #: engine that computes values after issue installs its own)
+        self.settle = _settled
 
     def __len__(self) -> int:
         return len(self.registers)

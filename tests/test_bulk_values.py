@@ -49,6 +49,7 @@ POINTS = [
     ("hipe", "dsm", "column", 256, 4, "sel_0.4"),
     ("hive", "nsm", "tuple", 16, 1, "q6"),
     ("hive", "nsm", "tuple", 256, 4, "q6"),
+    ("hipe", "nsm", "tuple", 64, 1, "q6"),
     ("hive", "dsm", "column", 256, 1, "q6_revenue"),
     ("hipe", "dsm", "column", 64, 4, "q6_revenue"),
     ("hive", "dsm", "column", 16, 32, "q1_style"),
@@ -56,7 +57,7 @@ POINTS = [
 ]
 #: points whose every load is predicated on the previous compare: each
 #: predicated load evaluates the log, so no loop body is left to batch
-_EAGER = {("hipe", "q6"), ("hipe", "q6_revenue")}
+_EAGER = {("hipe", "column", "q6"), ("hipe", "column", "q6_revenue")}
 
 
 def _simulate(arch, layout, strategy, op, unroll, plan_name):
@@ -100,7 +101,7 @@ def test_slice_bound_does_not_change_results(point, monkeypatch):
     widest = _widest_batch(monkeypatch)
     batched = _state(_simulate(*point))
     # the default bound evaluates loop bodies in bulk
-    assert (widest[0] > 1) is ((point[0], point[5]) not in _EAGER)
+    assert (widest[0] > 1) is ((point[0], point[2], point[5]) not in _EAGER)
     monkeypatch.setattr(hive_engine, "VALUE_SLICE_OPS", 1)
     widest[0] = 0
     one_by_one = _state(_simulate(*point))
