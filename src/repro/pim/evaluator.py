@@ -56,12 +56,8 @@ _UNPACK = PimOp.UNPACK_MASK
 #: the ops whose values the log carries; a logged UNLOCK reads its source
 LOGGED_OPS = frozenset({_LOAD, _STORE, _ALU, _PACK, _UNPACK, PimOp.UNLOCK})
 
-#: a log shorter than this runs op by op, without a period search
-_MIN_SEARCH = 8
 #: repeats of a stretch's first shape tried as its body length
 _CANDIDATES = 16
-#: distinct op shapes remembered before the shape and plan caches reset
-_SHAPE_CACHE = 1 << 14
 
 
 def _alu_count(inst, register_bytes: int) -> int:
@@ -284,13 +280,6 @@ class Evaluator:
         """Evaluate a log: ``insts`` in program order, ``addrs`` the
         address each carried when it issued."""
         count = len(insts)
-        if count < _MIN_SEARCH:
-            for inst, address in zip(insts, addrs):
-                self.step(inst, address)
-            return
-        if len(self._shapes) > _SHAPE_CACHE:
-            self._shapes.clear()
-            self._plans.clear()
         addresses = np.asarray(addrs, dtype=np.int64)
         sids = np.asarray(self._shape_ids(insts), dtype=np.int64)
         order = np.argsort(sids, kind="stable")
@@ -318,7 +307,7 @@ class Evaluator:
             end = s + length * reps
             self._iterations(insts[s:s + length],
                              addresses[s:end].reshape(reps, length),
-                             tuple(sids[s:s + length].tolist()))
+                             tuple(listed[s:s + length]))
             s = done = end
         for k in range(done, count):
             self.step(insts[k], addrs[k])
