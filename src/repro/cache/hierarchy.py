@@ -58,15 +58,6 @@ class CacheHierarchy:
 
     # -- the core-facing interface ------------------------------------------
 
-    def _split_lines(self, address: int, nbytes: int):
-        line = self.line_bytes
-        first = address - (address % line)
-        last = (address + max(nbytes, 1) - 1) // line * line
-        cursor = first
-        while cursor <= last:
-            yield cursor
-            cursor += line
-
     def load(self, cycle: int, address: int, nbytes: int, pc: int = 0) -> int:
         """A demand load of ``nbytes``; returns data-ready cycle."""
         line_bytes = self.line_bytes
@@ -119,12 +110,24 @@ class CacheHierarchy:
         Used when the HIVE/HIPE engine stores to DRAM behind the caches:
         any stale cached copy must disappear, which is also why the
         processor's subsequent bitmask reads pay DRAM latency (Fig. 3b's
-        HIVE penalty).
+        HIVE penalty).  One pass over the range's L1-sized lines, each
+        dropped from every level's set, as aligned to that level's own
+        line size (:meth:`CacheLevel.invalidate` in line).
         """
-        for line in self._split_lines(address, nbytes):
-            self.l1.invalidate(line)
-            self.l2.invalidate(line)
-            self.l3.invalidate(line)
+        line_bytes = self.line_bytes
+        line = address - address % line_bytes
+        end = address + (nbytes if nbytes > 1 else 1)
+        levels = (self.l1, self.l2, self.l3)
+        while line < end:
+            for level in levels:
+                size = level.line_bytes
+                own = line - line % size
+                cache_set = level._sets[(own // size) % level.num_sets]
+                if own in cache_set.tags:
+                    del cache_set.tags[own]
+                    cache_set.dirty.pop(own, None)
+                    level._n_invalidations += 1
+            line += line_bytes
 
     def contains(self, address: int) -> bool:
         """True if any level holds the line (tests/debugging)."""

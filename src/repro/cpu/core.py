@@ -62,12 +62,18 @@ class PimBackend:
         return self.submit_inst(inst, cycle)
 
     def submit_inst(self, inst, cycle: int) -> tuple:
-        """Inject a bare instruction payload (see :meth:`submit`).
-
-        The run-compiled kernels call this directly — a compiled body
-        carries payloads, not Uop objects.
-        """
+        """Inject a bare instruction payload (see :meth:`submit`)."""
         raise NotImplementedError
+
+    def issuer(self, inst):
+        """What a run-compiled kernel calls for ``inst``'s body step.
+
+        A compiled body carries payloads, not Uop objects, and binds one
+        callable per PIM step with :meth:`submit_inst`'s signature and
+        result; a backend that times each instruction shape with its
+        own function returns that function.
+        """
+        return self.submit_inst
 
 
 class CoreResult:

@@ -19,10 +19,14 @@ uop, make the constant small:
   dispatch decided at compile time — front-end depths, ROB size,
   functional-unit pools/latencies/occupancies, pcs, branch directions
   and mispredict penalties are literals; the cache hierarchy, branch
-  predictor, MOB/issue/commit resources and the PIM backend are baked
-  in as bound-method default arguments; addresses arrive as per-run
-  base tuples plus literal per-iteration deltas; rotating register ids
-  are recovered from the iteration index in a short prelude;
+  predictor and MOB/issue/commit resources are baked in as bound-method
+  default arguments, and so is each PIM step's issue function, which
+  the backend builds for that step's instruction shape
+  (:meth:`~repro.cpu.core.PimBackend.issuer`: one function that times
+  the whole instruction on HIVE/HIPE, ``submit_inst`` on HMC); addresses
+  arrive as per-run base tuples plus literal per-iteration deltas;
+  rotating register ids are recovered from the iteration index in a
+  short prelude;
 * later runs with the same key reuse the generated function outright:
   their address bases and register-allocation phase are *synthesised*
   from the run's declared ``regions``/``reg_base`` without
@@ -653,7 +657,6 @@ def _emit(shape: RunShape, execution) -> None:
     }
     if execution._pim_window is not None:
         binds["_pw"] = execution._pim_window
-        binds["_sub"] = execution.pim_backend.submit_inst
     pools: dict = {}
     lits: dict = {}
 
@@ -901,6 +904,9 @@ def _emit(shape: RunShape, execution) -> None:
             inst, _p0, pdelta, speculative = aux
             name = f"_pi{pim_ordinal}"
             binds[name] = inst
+            # The backend's function for this step's instruction shape:
+            # named by position, so the source stays structural.
+            binds[f"_is{pim_ordinal}"] = execution.pim_backend.issuer(inst)
             names = pool_names(execution.units._table[UopClass.PIM.index][0])
             occupancy = execution.units._table[UopClass.PIM.index][2]
             emit("    e = rdy")
@@ -916,7 +922,7 @@ def _emit(shape: RunShape, execution) -> None:
             emit_occupy(names, "e", occupancy)
             emit(f"    {name}.address = PB[{pim_ordinal}]"
                  + (f" + dj * {K(pdelta)}" if pdelta else ""))
-            emit(f"    cp, rl = _sub({name}, st)")
+            emit(f"    cp, rl = _is{pim_ordinal}({name}, st)")
             emit_acquire("pwl", pw_entries, "st", "rl", None)
             emit("    lp = st")
             emit("    npm += 1")

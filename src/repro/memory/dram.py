@@ -72,7 +72,8 @@ class DramBank:
     def __init__(self, timings: DramTimings, burst_core_cycles_per_byte: float) -> None:
         self.timings = timings
         self._burst_cpb = burst_core_cycles_per_byte
-        self._burst_cache: dict = {}
+        #: per access size, a read's and a write's cycles (:meth:`steps`)
+        self._steps: tuple = ({}, {})
         self._resource = BusyResource()
         self.activations = 0
         self.bytes_read = 0
@@ -80,47 +81,61 @@ class DramBank:
 
     def transfer_cycles(self, nbytes: int) -> int:
         """Core cycles the data bus needs for ``nbytes`` of this bank."""
-        cycles = self._burst_cache.get(nbytes)
-        if cycles is None:
-            cycles = max(1, ceil_div(int(nbytes * self._burst_cpb * 1000), 1000))
-            self._burst_cache[nbytes] = cycles
-        return cycles
+        return max(1, ceil_div(int(nbytes * self._burst_cpb * 1000), 1000))
 
-    def access_times(
-        self, cycle: int, nbytes: int, is_write: bool, address: int = 0
-    ) -> tuple:
+    def steps(self, nbytes: int, is_write: bool) -> tuple:
+        """``(data delay, burst, hold)`` of an access of ``nbytes``.
+
+        The data starts ``data delay`` cycles after the activation: the
+        column command after tRCD, the data after CAS (read) or CWD
+        (write).  It takes ``burst`` cycles, and under the closed-page
+        policy the bank is tied up for ``hold`` cycles, the larger of
+        the access itself and the row-cycle time (tRAS + tRP).  Each
+        size is worked out once.
+        """
+        steps = self._steps[is_write].get(nbytes)
+        if steps is None:
+            if nbytes <= 0:
+                raise ValueError("nbytes must be positive")
+            t = self.timings
+            delay = t.t_rcd + (t.t_cwd if is_write else t.t_cas)
+            burst = self.transfer_cycles(nbytes)
+            steps = (delay, burst, max(delay + burst, t.row_cycle))
+            self._steps[is_write][nbytes] = steps
+        return steps
+
+    def access(self, cycle: int, nbytes: int, is_write: bool, address: int = 0) -> int:
         """Activate, access ``nbytes`` of one row, precharge.
 
         ``cycle`` is when the command could first be issued; the result
         accounts for the bank still being busy from a prior access.
-        ``address`` tags the bank for replay relabelling.  Returns
-        ``(start, data_start, data_end, bank_free)``: when the activate
-        was accepted, the first and last data beats on the bus (the last
-        is the completion of a read), and when the bank can activate
-        again.
+        ``address`` tags the bank for replay relabelling.  Returns when
+        the activate was accepted; the access's other times follow from
+        it by :meth:`steps`.
         """
-        if nbytes <= 0:
-            raise ValueError("nbytes must be positive")
-        t = self.timings
-        burst = self.transfer_cycles(nbytes)
-        # Column command after tRCD; data after CAS (read) or CWD (write).
-        column_delay = t.t_cwd if is_write else t.t_cas
-        access_latency = t.t_rcd + column_delay + burst
-        # Closed page: the bank is tied up for the larger of the access
-        # itself and the row-cycle time (tRAS + tRP).
-        hold = access_latency if access_latency > t.row_cycle else t.row_cycle
+        steps = self._steps[is_write].get(nbytes)
+        if steps is None:
+            steps = self.steps(nbytes, is_write)
         resource = self._resource
         start = resource._next_free
         if cycle > start:
             start = cycle
-        bank_free = start + hold
-        resource._next_free = bank_free
+        resource._next_free = start + steps[2]
         resource.last_address = address
-        data_start = start + t.t_rcd + column_delay
-        data_end = data_start + burst
         self.activations += 1
         if is_write:
             self.bytes_written += nbytes
         else:
             self.bytes_read += nbytes
-        return start, data_start, data_end, bank_free
+        return start
+
+    def access_times(
+        self, cycle: int, nbytes: int, is_write: bool, address: int = 0
+    ) -> tuple:
+        """:meth:`access` as ``(start, data_start, data_end, bank_free)``:
+        when the activate was accepted, the first and last data beats on
+        the bus (the last is the completion of a read), and when the bank
+        can activate again."""
+        start = self.access(cycle, nbytes, is_write, address)
+        delay, burst, hold = self._steps[is_write][nbytes]
+        return start, start + delay, start + delay + burst, start + hold

@@ -85,20 +85,17 @@ class Hmc:
             # cache-line fill and every <=256 B PIM operand), so it lands
             # in exactly one (vault, bank) — decode inline.
             rest = address >> offset_bits
-            vault = self.vaults[rest & self._vault_mask]
-            bank = (rest >> self._vault_bits) & self._bank_mask
-            done = vault.access_times(cycle, bank, nbytes, is_write,
-                                      address)[1]
-            if done < cycle:
-                done = cycle
+            done = self.vaults[rest & self._vault_mask].access(
+                cycle, (rest >> self._vault_bits) & self._bank_mask, nbytes,
+                is_write, address)
         else:
             done = cycle
             for block_addr, block_bytes in self.mapping.blocks_of(address, nbytes):
                 rest = block_addr >> offset_bits
                 vault = self.vaults[rest & self._vault_mask]
                 bank = (rest >> self._vault_bits) & self._bank_mask
-                ready = vault.access_times(cycle, bank, block_bytes, is_write,
-                                           block_addr)[1]
+                ready = vault.access(cycle, bank, block_bytes, is_write,
+                                     block_addr)
                 if ready > done:
                     done = ready
         self._n_vault_accesses += 1

@@ -40,18 +40,17 @@ class Vault:
         self._fu = BusyResource()
         self.fu_ops = 0
 
-    def access_times(
+    def access(
         self, cycle: int, bank: int, nbytes: int, is_write: bool, address: int = 0
-    ) -> tuple:
+    ) -> int:
         """Perform a closed-page access of ``nbytes`` within one row.
 
         The command is accepted by the queue, the bank performs the
         activate/access/precharge sequence, and the data beats ride the
-        vault's shared bus.  Returns vault-local timing (no link cost) as
-        ``(start, data_ready, bank_free)``: when the bank activated, when
-        the data is at the vault interface, and when the bank can
-        activate again.  ``address`` routes replay relabelling (see
-        BusyResource).  The caller (:meth:`Hmc.vault_access`) keeps
+        vault's shared bus.  Returns when the data is at the vault
+        interface (vault-local timing, no link cost).  ``address`` tags
+        the command slot, the bank and the bus for replay relabelling
+        (see BusyResource).  The caller (:meth:`Hmc.vault_access`) keeps
         ``bank`` in range and ``nbytes`` within one row-buffer block.
         """
         # One command slot per core cycle, serialised in arrival order.
@@ -61,10 +60,11 @@ class Vault:
             issued = cycle
         queue._next_free = issued + 1
         queue.last_address = address
-        start, data_start, data_end, bank_free = self.banks[bank].access_times(
-            issued, nbytes, is_write, address
-        )
+        dram = self.banks[bank]
+        start = dram.access(issued, nbytes, is_write, address)
+        delay, burst, __ = dram._steps[is_write][nbytes]
         # The shared bus must be free when the bank starts streaming beats.
+        data_start = start + delay
         bus = self._data_bus
         bus_start = bus._next_free
         if data_start > bus_start:
@@ -75,5 +75,16 @@ class Vault:
         bus_end = bus_start + duration
         bus._next_free = bus_end
         bus.last_address = address
-        data_ready = data_end if data_end > bus_end else bus_end
-        return start, data_ready, bank_free
+        data_end = data_start + burst
+        return data_end if data_end > bus_end else bus_end
+
+    def access_times(
+        self, cycle: int, bank: int, nbytes: int, is_write: bool, address: int = 0
+    ) -> tuple:
+        """:meth:`access` as ``(start, data_ready, bank_free)``: when the
+        bank activated, when the data is at the vault interface, and when
+        the bank can activate again."""
+        data_ready = self.access(cycle, bank, nbytes, is_write, address)
+        dram = self.banks[bank]
+        bank_free = dram._resource._next_free
+        return bank_free - dram._steps[is_write][nbytes][2], data_ready, bank_free

@@ -60,9 +60,10 @@ class HipeEngine(HiveEngine):
             raise ValueError("HipeEngine needs the cube and the memory image")
         super().__init__(config, hmc, image, stats=stats, invalidate_range=invalidate_range)
 
-    # Predication support is inherited: HiveEngine._predicate_lanes already
-    # implements the match logic but refuses to run it unless
-    # config.predication is set — which this class guarantees.
+    # Predication support is inherited: the issue functions HiveEngine
+    # builds for predicated loads, stores and ALU ops implement the match
+    # logic, and refuse to be built unless config.predication is set —
+    # which this class guarantees.
 
 
 class HipeBackend(HiveBackend):

@@ -34,12 +34,30 @@ engine computes each value as its instruction issues, until a locked
 block issues no predicated op.  Either way the values are the real ones
 against the memory image, bit-identical to computing each instruction
 as it issues, so scan results are verified bit-for-bit.
+
+The issue path.  The sequencer times an instruction from its static
+shape (op, size, registers, ALU function, lanes, predicate,
+``returns_value``, compound terms, tuple stride) and a few clocks: its
+own dispatch clock, the registers' ready times, the link lanes, the
+vault and the bank.  So the engine builds one function per shape, on
+first use (:meth:`HiveEngine.function`), that does in one frame all an
+instruction's issue takes: the request crossing, dispatch and the
+interlock gates, the op's latency or its cube access
+(:meth:`~repro.memory.hmc.Hmc.vault_access`), the register ready
+times, the functional log, the counters and, for a value-returning
+instruction, the response crossing.  The run-compiled kernels bind
+each PIM step's function when they compile a body
+(:meth:`HiveBackend.issuer`); :meth:`HiveBackend.submit_inst` and
+:meth:`HiveEngine.execute` look the function up by shape.  The clocks
+and counters stay engine attributes, which the replay layer shifts and
+extrapolates, and a snapshot drops the functions (they are closures),
+to be rebuilt on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +78,9 @@ from .register_bank import PimRegisterBank
 #: bounds the HMC's; a LOCK starts a block, so slices hold whole loop
 #: bodies
 VALUE_SLICE_OPS = 4096
+
+_PREDICATED_OPS = frozenset({PimOp.PIM_LOAD, PimOp.PIM_STORE, PimOp.PIM_ALU})
+_REGISTER_OPS = frozenset({PimOp.PIM_ALU, PimOp.PACK_MASK, PimOp.UNPACK_MASK})
 
 
 class HiveEngine:
@@ -122,33 +143,10 @@ class HiveEngine:
             ("_n_bytes_stored", "dram_bytes_stored"),
             ("_n_bytes_skipped", "dram_bytes_skipped"),
         ))
-        # Dense handler table indexed by PimOp.index (built once; enum
-        # hashing per instruction is measurable on million-uop traces).
-        handlers = {
-            PimOp.LOCK: self._do_lock,
-            PimOp.UNLOCK: self._do_unlock,
-            PimOp.PIM_LOAD: self._do_load,
-            PimOp.PIM_STORE: self._do_store,
-            PimOp.PIM_ALU: self._do_alu,
-            PimOp.PACK_MASK: self._do_pack,
-            PimOp.UNPACK_MASK: self._do_unpack,
-        }
-        self._handlers = [None] * len(PimOp)
-        for op, handler in handlers.items():
-            self._handlers[op.index] = handler
+        #: the timing function of each instruction shape (see :meth:`function`)
+        self._functions: Dict[tuple, Callable] = {}
 
     # -- the functional log ---------------------------------------------------
-
-    def _log(self, inst: PimInstruction) -> None:
-        """Log the values ``inst`` computes, or compute them now."""
-        if self._eager:
-            self._evaluator.step(inst, inst.address)
-            return
-        insts = self._log_insts
-        insts.append(inst)
-        self._log_addrs.append(inst.address)
-        if len(insts) >= 2 * VALUE_SLICE_OPS:
-            self._run_log()
 
     def _run_log(self) -> None:
         """Compute the values of every logged op, in program order."""
@@ -156,10 +154,12 @@ class HiveEngine:
         if not insts:
             return
         addrs = self._log_addrs
-        # Accesses made while evaluating find an empty log.
-        self._log_insts = []
-        self._log_addrs = []
-        self._evaluator.run(insts, addrs)
+        # Accesses made while evaluating find an empty log; the lists
+        # stay the same objects, which the issue functions append to.
+        logged = insts[:], addrs[:]
+        insts.clear()
+        addrs.clear()
+        self._evaluator.run(*logged)
 
     def settle(self) -> None:
         """Bring every register value, zero flag and memory byte the
@@ -207,62 +207,39 @@ class HiveEngine:
         return self._evaluator.readout_table()
 
     def __getstate__(self):
-        # A snapshot carries the values and no log.
+        # A snapshot carries the values and no log, and no issue
+        # functions: they are closures, rebuilt on first use.
         self.settle()
-        return self.__dict__.copy()
+        state = self.__dict__.copy()
+        state["_functions"] = {}
+        return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self.image.defer(self._run_log)
 
-    # -- latency helpers ----------------------------------------------------
+    # -- the issue path ------------------------------------------------------
 
-    def _alu_latency(self, func: AluFunc) -> int:
-        if func == AluFunc.MUL:
-            return self.config.int_mul_latency
-        return self.config.int_alu_latency
+    def function(self, inst: PimInstruction, backend=None) -> Callable:
+        """The timing function of ``inst``'s shape, built on first use.
 
-    def _check_size(self, nbytes: int) -> None:
-        if nbytes > self.max_op_bytes:
-            raise ValueError(
-                f"operation size {nbytes} exceeds the engine's "
-                f"{self.max_op_bytes} B maximum"
-            )
-
-    # -- predication (refused here; HIPE enables it) --------------------------
-
-    def _predicate_gate(self, inst: PimInstruction, start: int) -> int:
-        """When a predicated instruction may proceed past the match logic.
-
-        Plain HIVE has no predication support — predicated instructions
-        are a HIPE capability (config.predication).
+        A shape is everything that decides an instruction's timing but
+        its address: the op, size, registers, ALU function, lanes,
+        predicate, ``returns_value``, compound terms and tuple stride.
+        The function takes an instruction of that shape and a cycle.
+        With a ``backend`` it is the whole of
+        :meth:`HiveBackend.submit_inst` (the cycle is when the core
+        sends the packet, and it returns ``(completion, release)``);
+        without, it is :meth:`execute` (the cycle is the arrival, and
+        it returns the completion).
         """
-        if not self.config.predication:
-            raise ValueError(
-                f"{self.config.name} has no predication support; "
-                "predicated instructions require HIPE"
-            )
-        self._predicated = True
-        predicate = self.registers.read(inst.pred_reg)
-        return max(start, predicate.ready) + self.PRED_CHECK_LATENCY
-
-    def _predicate_lanes(self, inst: PimInstruction, start: int):
-        """``(gate, lanes moved)`` of a predicated load or store.
-
-        Which lanes move decides the transfer's timing, so the
-        predicate's value must be current: the log is evaluated first,
-        and the engine evaluates ops as they issue from then on, until a
-        locked block issues no predicated op.
-        """
-        gate = self._predicate_gate(inst, start)
-        if not self._eager:
-            self._run_log()
-            self._eager = True
-        flags = self._evaluator.flags(inst.pred_reg)
-        lanes = inst.size // inst.lane_bytes if inst.size else flags.size
-        return gate, (flags[:lanes] if inst.pred_expect else ~flags[:lanes])
-
-    # -- the sequencer -------------------------------------------------------
+        key = (backend, inst.op, inst.size, inst.dst_reg, inst.src_regs,
+               inst.func, inst.lane_bytes, inst.pred_reg, inst.pred_expect,
+               inst.returns_value, inst.compound, inst.tuple_stride)
+        fn = self._functions.get(key)
+        if fn is None:
+            fn = self._functions[key] = self._build(inst, backend)
+        return fn
 
     def execute(self, inst: PimInstruction, arrival: int) -> int:
         """Run one instruction arriving at ``arrival``; returns completion.
@@ -271,176 +248,367 @@ class HiveEngine:
         (unready source register) stalls it — the interlock lets loads
         proceed in the background otherwise.
         """
-        dispatch = max(arrival, self._seq_time)
-        self._n_instructions += 1
+        return self.function(inst)(inst, arrival)
 
-        handler = self._handlers[inst.op.index]
-        if handler is None:
-            raise ValueError(f"{self.config.name} cannot execute {inst.op!r}")
-        completion = handler(inst, dispatch)
-        if completion > self._block_watermark:
-            self._block_watermark = completion
-        if completion > self.last_completion:
-            self.last_completion = completion
-        return completion
+    def _build(self, inst: PimInstruction, backend) -> Callable:
+        """One function that times every instruction of ``inst``'s shape.
 
-    def _advance(self, start: int) -> int:
-        """Charge the dispatch slot; returns when execution may begin."""
-        self._seq_time = start + self.DISPATCH_OVERHEAD
-        return self._seq_time
-
-    # -- instruction classes ----------------------------------------------------
-
-    def _do_lock(self, inst: PimInstruction, dispatch: int) -> int:
-        if not self._predicated:
-            self._eager = False
-        self._predicated = False
-        if len(self._log_insts) >= VALUE_SLICE_OPS:
-            self._run_log()
-        granted = max(dispatch, self._lock_free)
-        completion = self._advance(granted)
-        self._block_watermark = completion
-        self._n_locks += 1
-        return completion
-
-    def _do_unlock(self, inst: PimInstruction, dispatch: int) -> int:
-        # The unlock *status* means "the block's work is done", so its
-        # completion (what a status-reading core waits for) is the block
-        # watermark.  The register bank itself is free for the next
-        # block as soon as the sequencer has drained the instructions —
-        # the per-register interlock already serialises any true reuse —
-        # so back-to-back blocks from a streaming core pipeline.
-        drained = self._advance(dispatch)
-        completion = max(drained, self._block_watermark)
-        self._lock_free = drained
-        self._n_unlocks += 1
-        if inst.src_regs:
-            self._log(inst)  # the status it returns is its source's flags
-        return completion
-
-    def _do_load(self, inst: PimInstruction, dispatch: int) -> int:
-        footprint = inst.size
-        if footprint > self.max_op_bytes:
-            self._check_size(footprint)
-        destination = self.registers.peek(inst.dst_reg)
-        # WAW interlock: the register must be free of its prior producer.
-        gate = max(dispatch, destination.ready)
-        effective = footprint
-        if inst.pred_reg is not None:
-            gate, wanted = self._predicate_lanes(inst, gate)
-            start = self._advance(gate)
-            if not wanted.any():
-                # Fully squashed: no DRAM access at all.
-                self._n_squashed_loads += 1
-                self._n_bytes_skipped += footprint
-                done = start + self.SQUASH_LATENCY
-                self._written(inst, destination, done)
-                return done
-            if self.config.partial_predicated_loads:
-                # Extension: gather only the matching lanes' bytes.
-                effective = max(8, int(wanted.sum()) * inst.lane_bytes)
-                self._n_partial_loads += 1
-                self._n_bytes_skipped += footprint - effective
-        else:
-            start = self._advance(gate)
-        done = self.hmc.vault_access(start, inst.address, effective, is_write=False)
-        self._written(inst, destination, done)
-        self._n_loads += 1
-        self._n_bytes_loaded += effective
-        return done
-
-    def _written(self, inst: PimInstruction, destination, done: int) -> None:
-        """Time ``inst``'s register write and log the value it writes."""
-        if done > destination.ready:
-            destination.ready = done
-        self.registers._n_writes += 1
-        self._log(inst)
-
-    def _do_store(self, inst: PimInstruction, dispatch: int) -> int:
-        source = self.registers.read(inst.src_regs[0])
-        gate = max(dispatch, source.ready)
-        nbytes = inst.size
-        effective = nbytes
-        if inst.pred_reg is not None:
-            gate, wanted = self._predicate_lanes(inst, gate)
-            start = self._advance(gate)
-            self._check_size(nbytes)
-            if not wanted.any():
-                self._n_squashed_stores += 1
-                self._n_bytes_skipped += nbytes
-                return start + self.SQUASH_LATENCY
-            # Predicated store: only the matched lanes' values land.
-            if self.config.partial_predicated_loads:
-                effective = max(8, int(wanted.sum()) * inst.lane_bytes)
-                self._n_bytes_skipped += nbytes - effective
-        else:
-            start = self._advance(gate)
-            self._check_size(nbytes)
-
-        drained = self.hmc.vault_access(start, inst.address, effective, is_write=True)
-        self._log(inst)
-        if self._invalidate_range is not None:
-            # In-memory stores bypass the processor caches.
-            self._invalidate_range(inst.address, nbytes)
-        self._n_stores += 1
-        self._n_bytes_stored += effective
-        # Stores are posted: the source register frees once the data is
-        # handed to the vault queue, so the block does not wait for the
-        # DRAM write to land — but the run's drain time does.
-        if drained > self.last_completion:
-            self.last_completion = drained
-        return start + self.DISPATCH_OVERHEAD
-
-    def _do_pack(self, inst: PimInstruction, dispatch: int) -> int:
-        """Deposit ``src``'s zero flags as bits at ``imm_lo`` of the accumulator.
-
-        ``size`` is the number of lanes (tuples) being packed.  The
-        accumulator keeps its other bits, so a block's chunks accumulate
-        into one register that a single store then writes to DRAM.
+        Each function does in one frame what the sequencer does: the
+        request crossing (with a backend), dispatch and the interlock
+        gates, the op's latency or its cube access, the register ready
+        times, the functional log (or the value, while predicated code
+        runs), the counters, and the response crossing of a
+        value-returning instruction.  What depends only on the shape —
+        registers, latencies, lane counts, payloads — is looked up here,
+        once; the clocks and counters stay engine attributes, which the
+        replay layer shifts and extrapolates.
         """
-        registers = self.registers
-        source = registers.read(inst.src_regs[0])
-        accumulator = registers.peek(inst.dst_reg)
-        start = self._advance(max(dispatch, source.ready, accumulator.ready))
-        done = start + self.config.int_alu_latency
-        self._written(inst, accumulator, done)
-        self._n_pack += 1
-        return done
+        config = self.config
+        op = inst.op
+        eng = self
+        bank = self.registers
+        peek = bank.peek
+        cross = backend is not None
+        if cross:
+            request = backend.hmc.links.request
+            response = backend.hmc.links.response
+        returns = inst.returns_value
+        # A value-returning instruction's response carries a flag bit
+        # per lane.
+        payload = max(2, ceil_div(
+            max(1, inst.size // inst.lane_bytes) if inst.size else 1, 8))
+        size = inst.size
+        dispatch_cycles = self.DISPATCH_OVERHEAD
+        squash_cycles = self.SQUASH_LATENCY
+        alu_latency = config.int_alu_latency
+        vault_access = self.hmc.vault_access
+        log_insts, log_addrs = self._log_insts, self._log_addrs
+        step = self._evaluator.step
+        run_log = self._run_log
+        log_limit = 2 * VALUE_SLICE_OPS
 
-    def _do_unpack(self, inst: PimInstruction, dispatch: int) -> int:
-        """Expand packed bits at ``imm_lo`` of ``src`` into 0/1 lanes."""
-        registers = self.registers
-        source = registers.read(inst.src_regs[0])
-        destination = registers.peek(inst.dst_reg)
-        start = self._advance(max(dispatch, source.ready, destination.ready))
-        done = start + self.config.int_alu_latency
-        self._written(inst, destination, done)
-        self._n_unpack += 1
-        return done
+        # Loads, stores and ALU ops may carry a predicate.
+        predicated = inst.pred_reg is not None and op in _PREDICATED_OPS
+        if predicated:
+            if not config.predication:
+                raise ValueError(
+                    f"{config.name} has no predication support; "
+                    "predicated instructions require HIPE")
+            predicate = peek(inst.pred_reg)
+            pred_index = inst.pred_reg
+            pred_cycles = self.PRED_CHECK_LATENCY
+            flags = self._evaluator.flags
+            # The predicate's flags for the op's lanes, and the flag
+            # value a moved lane has.
+            flag_lanes = inst.size // inst.lane_bytes if inst.size else None
+            moves = 1 if inst.pred_expect else 0
+            partial = config.partial_predicated_loads
+            lane_bytes = inst.lane_bytes
+        if (op is PimOp.PIM_LOAD or op is PimOp.PIM_STORE) \
+                and not 0 < size <= self.max_op_bytes:
+            raise ValueError(
+                f"operation size {size} is outside the engine's "
+                f"1-{self.max_op_bytes} B range")
 
-    def _do_alu(self, inst: PimInstruction, dispatch: int) -> int:
-        registers = self.registers
-        gate = dispatch
-        for r in inst.src_regs:
-            ready = registers.read(r).ready
-            if ready > gate:
-                gate = ready
-        if inst.pred_reg is not None:
-            # The match logic gates on the predicate register, but an ALU
-            # op's timing never depends on which lanes it keeps.
-            gate = self._predicate_gate(inst, gate)
-        start = self._advance(gate)
-        done = start + self._alu_latency(inst.func)
-        self._written(inst, registers.peek(inst.dst_reg), done)
-        self._n_alu += 1
-        register_bytes = self.config.register_bytes
-        if inst.compound is not None:
-            nbytes = min(inst.size or register_bytes, register_bytes)
-            self._n_alu_lanes += max(1, nbytes // inst.tuple_stride)
+        if op is PimOp.LOCK:
+            def issue(inst, cycle):
+                if cross:
+                    __, accepted, cycle = request(cycle)
+                    backend._n_sent += 1
+                dispatch = eng._seq_time
+                if cycle > dispatch:
+                    dispatch = cycle
+                eng._n_instructions += 1
+                if not eng._predicated:
+                    eng._eager = False
+                eng._predicated = False
+                if len(log_insts) >= VALUE_SLICE_OPS:
+                    run_log()
+                granted = eng._lock_free
+                if dispatch > granted:
+                    granted = dispatch
+                done = eng._seq_time = granted + dispatch_cycles
+                eng._block_watermark = done
+                eng._n_locks += 1
+                if done > eng.last_completion:
+                    eng.last_completion = done
+                if not cross:
+                    return done
+                if returns:
+                    arrival = response(done, payload)[2]
+                    return arrival, max(arrival, eng._seq_time)
+                return accepted, eng._seq_time
+
+        elif op is PimOp.UNLOCK:
+            # The unlock *status* means "the block's work is done", so
+            # its completion (what a status-reading core waits for) is
+            # the block watermark.  The register bank itself is free for
+            # the next block as soon as the sequencer has drained the
+            # instructions — the per-register interlock already
+            # serialises any true reuse — so back-to-back blocks from a
+            # streaming core pipeline.  An UNLOCK with a source returns
+            # that register's flags, so it is logged.
+            logged = bool(inst.src_regs)
+
+            def issue(inst, cycle):
+                if cross:
+                    __, accepted, cycle = request(cycle)
+                    backend._n_sent += 1
+                dispatch = eng._seq_time
+                if cycle > dispatch:
+                    dispatch = cycle
+                eng._n_instructions += 1
+                drained = eng._seq_time = dispatch + dispatch_cycles
+                done = eng._block_watermark
+                if drained > done:
+                    done = eng._block_watermark = drained
+                eng._lock_free = drained
+                eng._n_unlocks += 1
+                if logged:
+                    if eng._eager:
+                        step(inst, inst.address)
+                    else:
+                        log_insts.append(inst)
+                        log_addrs.append(inst.address)
+                        if len(log_insts) >= log_limit:
+                            run_log()
+                if done > eng.last_completion:
+                    eng.last_completion = done
+                if not cross:
+                    return done
+                if returns:
+                    arrival = response(done, payload)[2]
+                    return arrival, max(arrival, eng._seq_time)
+                return accepted, eng._seq_time
+
+        elif op is PimOp.PIM_LOAD:
+            destination = peek(inst.dst_reg)
+
+            def issue(inst, cycle):
+                if cross:
+                    __, accepted, cycle = request(cycle)
+                    backend._n_sent += 1
+                dispatch = eng._seq_time
+                if cycle > dispatch:
+                    dispatch = cycle
+                eng._n_instructions += 1
+                # WAW interlock: the register must be free of its prior
+                # producer.
+                gate = destination.ready
+                if dispatch > gate:
+                    gate = dispatch
+                moved = size
+                if predicated:
+                    eng._predicated = True
+                    bank._n_reads += 1
+                    if predicate.ready > gate:
+                        gate = predicate.ready
+                    gate += pred_cycles
+                    # Which lanes move decides the timing, so the
+                    # predicate's value must be current: evaluate the
+                    # log, and every op as it issues from now on, until
+                    # a locked block issues no predicated op.
+                    if not eng._eager:
+                        run_log()
+                        eng._eager = True
+                    wanted = flags(pred_index)[:flag_lanes].tobytes()
+                    if moves not in wanted:
+                        moved = 0
+                    elif partial:
+                        # Extension: gather only the matching lanes' bytes.
+                        matched = wanted.count(1)
+                        moved = max(8, (matched if moves else len(wanted) - matched)
+                                    * lane_bytes)
+                        eng._n_partial_loads += 1
+                        eng._n_bytes_skipped += size - moved
+                start = eng._seq_time = gate + dispatch_cycles
+                address = inst.address
+                if moved:
+                    done = vault_access(start, address, moved, False)
+                    eng._n_loads += 1
+                    eng._n_bytes_loaded += moved
+                else:
+                    # Fully squashed: no DRAM access at all.
+                    done = start + squash_cycles
+                    eng._n_squashed_loads += 1
+                    eng._n_bytes_skipped += size
+                if done > destination.ready:
+                    destination.ready = done
+                bank._n_writes += 1
+                if eng._eager:
+                    step(inst, address)
+                else:
+                    log_insts.append(inst)
+                    log_addrs.append(address)
+                    if len(log_insts) >= log_limit:
+                        run_log()
+                if done > eng._block_watermark:
+                    eng._block_watermark = done
+                if done > eng.last_completion:
+                    eng.last_completion = done
+                if not cross:
+                    return done
+                if returns:
+                    arrival = response(done, payload)[2]
+                    return arrival, max(arrival, eng._seq_time)
+                return accepted, eng._seq_time
+
+        elif op is PimOp.PIM_STORE:
+            source = peek(inst.src_regs[0])
+            invalidate = self._invalidate_range
+
+            def issue(inst, cycle):
+                if cross:
+                    __, accepted, cycle = request(cycle)
+                    backend._n_sent += 1
+                dispatch = eng._seq_time
+                if cycle > dispatch:
+                    dispatch = cycle
+                eng._n_instructions += 1
+                bank._n_reads += 1
+                gate = source.ready
+                if dispatch > gate:
+                    gate = dispatch
+                moved = size
+                if predicated:
+                    eng._predicated = True
+                    bank._n_reads += 1
+                    if predicate.ready > gate:
+                        gate = predicate.ready
+                    gate += pred_cycles
+                    if not eng._eager:
+                        run_log()
+                        eng._eager = True
+                    wanted = flags(pred_index)[:flag_lanes].tobytes()
+                    if moves not in wanted:
+                        moved = 0
+                    elif partial:
+                        # Only the matched lanes' values land.
+                        matched = wanted.count(1)
+                        moved = max(8, (matched if moves else len(wanted) - matched)
+                                    * lane_bytes)
+                        eng._n_bytes_skipped += size - moved
+                start = eng._seq_time = gate + dispatch_cycles
+                if moved:
+                    address = inst.address
+                    drained = vault_access(start, address, moved, True)
+                    if eng._eager:
+                        step(inst, address)
+                    else:
+                        log_insts.append(inst)
+                        log_addrs.append(address)
+                        if len(log_insts) >= log_limit:
+                            run_log()
+                    if invalidate is not None:
+                        # In-memory stores bypass the processor caches.
+                        invalidate(address, size)
+                    eng._n_stores += 1
+                    eng._n_bytes_stored += moved
+                    # Stores are posted: the source register frees once
+                    # the data is handed to the vault queue, so the block
+                    # does not wait for the DRAM write to land — but the
+                    # run's drain time does.
+                    if drained > eng.last_completion:
+                        eng.last_completion = drained
+                    done = start + dispatch_cycles
+                else:
+                    done = start + squash_cycles
+                    eng._n_squashed_stores += 1
+                    eng._n_bytes_skipped += size
+                if done > eng._block_watermark:
+                    eng._block_watermark = done
+                if done > eng.last_completion:
+                    eng.last_completion = done
+                if not cross:
+                    return done
+                if returns:
+                    arrival = response(done, payload)[2]
+                    return arrival, max(arrival, eng._seq_time)
+                return accepted, eng._seq_time
+
+        elif op in _REGISTER_OPS:
+            # An ALU op waits for its one or two sources, PACK (deposit
+            # ``src``'s zero flags as bits at ``imm_lo`` of the
+            # accumulator, which keeps its other bits) and UNPACK (expand
+            # packed bits at ``imm_lo`` of ``src`` into 0/1 lanes) for
+            # their source and destination.
+            alu = op is PimOp.PIM_ALU
+            if alu:
+                if not 1 <= len(inst.src_regs) <= 2:
+                    raise ValueError(
+                        f"{config.name}: an ALU op reads one or two "
+                        f"registers, not {len(inst.src_regs)}")
+                first, last = peek(inst.src_regs[0]), peek(inst.src_regs[-1])
+                reads = len(inst.src_regs) + predicated
+            else:
+                first, last = peek(inst.src_regs[0]), peek(inst.dst_reg)
+                reads = 1
+            destination = peek(inst.dst_reg)
+            latency = (config.int_mul_latency if inst.func is AluFunc.MUL and alu
+                       else alu_latency)
+            register_bytes = config.register_bytes
+            if inst.compound is not None:
+                nbytes = min(inst.size or register_bytes, register_bytes)
+                alu_lanes = max(1, nbytes // inst.tuple_stride)
+            else:
+                whole = register_bytes // inst.lane_bytes
+                alu_lanes = min(inst.size // inst.lane_bytes or whole, whole)
+            packs = op is PimOp.PACK_MASK
+
+            def issue(inst, cycle):
+                if cross:
+                    __, accepted, cycle = request(cycle)
+                    backend._n_sent += 1
+                gate = eng._seq_time
+                if cycle > gate:
+                    gate = cycle
+                eng._n_instructions += 1
+                bank._n_reads += reads
+                if first.ready > gate:
+                    gate = first.ready
+                if last.ready > gate:
+                    gate = last.ready
+                if predicated:
+                    # The match logic gates on the predicate register,
+                    # but an ALU op's timing never depends on which
+                    # lanes it keeps.
+                    eng._predicated = True
+                    if predicate.ready > gate:
+                        gate = predicate.ready
+                    gate += pred_cycles
+                start = eng._seq_time = gate + dispatch_cycles
+                done = start + latency
+                if done > destination.ready:
+                    destination.ready = done
+                bank._n_writes += 1
+                if eng._eager:
+                    step(inst, inst.address)
+                else:
+                    log_insts.append(inst)
+                    log_addrs.append(inst.address)
+                    if len(log_insts) >= log_limit:
+                        run_log()
+                if alu:
+                    eng._n_alu += 1
+                    eng._n_alu_lanes += alu_lanes
+                elif packs:
+                    eng._n_pack += 1
+                else:
+                    eng._n_unpack += 1
+                if done > eng._block_watermark:
+                    eng._block_watermark = done
+                if done > eng.last_completion:
+                    eng.last_completion = done
+                if not cross:
+                    return done
+                if returns:
+                    arrival = response(done, payload)[2]
+                    return arrival, max(arrival, eng._seq_time)
+                return accepted, eng._seq_time
+
         else:
-            whole = register_bytes // inst.lane_bytes
-            self._n_alu_lanes += min(inst.size // inst.lane_bytes or whole, whole)
-        return done
+            raise ValueError(f"{config.name} cannot execute {op!r}")
+        return issue
 
 
 class HiveBackend(PimBackend):
@@ -463,6 +631,10 @@ class HiveBackend(PimBackend):
         self.max_outstanding = max_outstanding
         self.stats.batch(self, (("_n_sent", "instructions_sent"),))
 
+    def issuer(self, inst: PimInstruction) -> Callable:
+        """The engine's timing function of ``inst``'s shape, links included."""
+        return self.engine.function(inst, self)
+
     def submit_inst(self, inst: PimInstruction, cycle: int) -> tuple:
         """One instruction packet out; completion depends on returns_value.
 
@@ -473,13 +645,4 @@ class HiveBackend(PimBackend):
         can run ahead of the core's.  (Before this backpressure the
         modelled buffer was unbounded, which no hardware is.)
         """
-        __, accepted, arrival = self.hmc.links.request(cycle)
-        completion = self.engine.execute(inst, arrival)
-        release = self.engine._seq_time  # the sequencer consumed the entry
-        self._n_sent += 1
-        if inst.returns_value:
-            lanes = max(1, inst.size // inst.lane_bytes) if inst.size else 1
-            payload = max(2, ceil_div(lanes, 8))
-            arrival = self.hmc.links.response(completion, payload)[2]
-            return arrival, max(arrival, release)
-        return accepted, release
+        return self.engine.function(inst, self)(inst, cycle)

@@ -499,3 +499,120 @@ class TestBackends:
         backend = HiveBackend(HiveEngine(hive_logic_config(), hmc, image), hmc)
         with pytest.raises(ValueError):
             backend.submit(Uop(UopClass.PIM, pc=1), 0)
+
+
+def _shape_steps(image, passes):
+    """One HIPE sequence as ``(fields, addresses)`` per step: each step's
+    instruction fields but its address, and its address in each pass.
+
+    Neighbouring steps differ in one field of the instruction shape —
+    size, destination, sources, ALU function, lanes, compound terms,
+    tuple stride, predicate register, expected flag, returns_value —
+    so a shape cache that leaves a field out times one step with the
+    function built for another.
+    """
+    span = 256 * passes
+    a = image.allocate_array("a", np.arange(span // 4, dtype=np.int32) % 64).base
+    b = image.allocate_array("b", np.arange(span // 4, dtype=np.int32) * 3 % 50).base
+    out = image.allocate("out", span).base
+    masks = image.allocate("masks", span).base
+    terms = ((0, AluFunc.CMP_GE, 10, 0),)
+    lock, unlock, load, store, alu = (PimOp.LOCK, PimOp.UNLOCK, PimOp.PIM_LOAD,
+                                      PimOp.PIM_STORE, PimOp.PIM_ALU)
+    steps = [
+        (dict(op=lock), None),
+        (dict(op=load, size=256, dst_reg=0), a),
+        (dict(op=load, size=128, dst_reg=0), b),
+        (dict(op=load, size=128, dst_reg=1), b),
+        (dict(op=alu, size=256, src_regs=(0,), dst_reg=2, func=AluFunc.CMP_GE,
+              imm_lo=32), None),
+        (dict(op=alu, size=256, src_regs=(0,), dst_reg=3, func=AluFunc.CMP_GE,
+              imm_lo=20), None),
+        (dict(op=alu, size=256, src_regs=(0,), dst_reg=3, func=AluFunc.CMP_GE,
+              compound=terms), None),
+        (dict(op=alu, size=256, src_regs=(0,), dst_reg=3, func=AluFunc.CMP_GE,
+              compound=terms, tuple_stride=32), None),
+        (dict(op=alu, size=128, src_regs=(0, 1), dst_reg=4, func=AluFunc.MUL), None),
+        (dict(op=alu, size=128, src_regs=(0, 1), dst_reg=4, func=AluFunc.ADD), None),
+        (dict(op=alu, size=128, src_regs=(4, 1), dst_reg=4, func=AluFunc.ADD), None),
+        (dict(op=alu, size=64, src_regs=(2, 2), dst_reg=5, func=AluFunc.AND,
+              lane_bytes=8), None),
+        (dict(op=alu, size=64, src_regs=(2, 2), dst_reg=5, func=AluFunc.AND), None),
+        (dict(op=PimOp.PACK_MASK, size=64, src_regs=(2,), dst_reg=35), None),
+        (dict(op=PimOp.UNPACK_MASK, size=256, src_regs=(35,), dst_reg=6), None),
+        (dict(op=store, size=32, src_regs=(35,)), masks),
+        (dict(op=unlock, returns_value=True, src_regs=(2,)), None),
+        (dict(op=lock), None),
+        # Predicated on r2 (half its lanes match: partial lanes), on r10
+        # (never written, no lane matches: squashed) and on r2's
+        # complement.
+        (dict(op=load, size=256, dst_reg=7, pred_reg=2), b),
+        (dict(op=load, size=256, dst_reg=7, pred_reg=10), b),
+        (dict(op=load, size=256, dst_reg=7, pred_reg=2, pred_expect=False), b),
+        (dict(op=alu, size=256, src_regs=(7,), dst_reg=8, func=AluFunc.CMP_LT,
+              imm_lo=25, pred_reg=2), None),
+        (dict(op=store, size=256, src_regs=(8,), pred_reg=2), out),
+        (dict(op=store, size=256, src_regs=(8,), pred_reg=10), out),
+        (dict(op=unlock, returns_value=True), None),
+        (dict(op=lock), None),
+        (dict(op=unlock), None),
+    ]
+    return [(fields, [None if base is None else base + 256 * p
+                      for p in range(passes)]) for fields, base in steps]
+
+
+class TestShapeCache:
+    """The engine times each instruction with the function built for its
+    shape: a shape's function must time every instruction of that shape
+    — a fresh object or one reused with its address rewritten, as the
+    compiled kernels do — exactly as one built for that instruction."""
+
+    PASSES = 3
+
+    def _run(self, mode: str):
+        from dataclasses import replace
+
+        hmc, image = make_cube()
+        config = replace(hipe_logic_config(), partial_predicated_loads=True)
+        engine = HipeEngine(config, hmc, image)
+        backend = HipeBackend(engine, hmc)
+        steps = _shape_steps(image, self.PASSES)
+        if mode == "reused":
+            objects = [PimInstruction(**fields) for fields, __ in steps]
+            # Bound once per step, in another order than they issue.
+            issuers = [backend.issuer(inst) for inst in objects[::-1]][::-1]
+        results = []
+        cycle = 0
+        for p in range(self.PASSES):
+            for k, (fields, addresses) in enumerate(steps):
+                address = addresses[p] or 0
+                if mode == "reused":
+                    inst = objects[k]
+                    inst.address = address
+                    results.append(issuers[k](inst, cycle))
+                else:
+                    if mode == "cold":
+                        engine._functions.clear()
+                    results.append(backend.submit_inst(
+                        PimInstruction(address=address, **fields), cycle))
+                cycle += 3
+        return {
+            "completions": results,
+            "ready": [r.ready for r in engine.registers.registers],
+            "engine": engine.stats.flatten(),
+            "backend": backend.stats.flatten(),
+            "cube": hmc.collect_stats().flatten(),
+            "unlock_flags": engine.unlock_flags().tolist(),
+            "image": image.view("out", np.uint8).tolist(),
+        }
+
+    def test_the_sequence_exercises_every_path(self):
+        stats = self._run("cold")["engine"]
+        assert stats["hipe.squashed_loads"] == self.PASSES
+        assert stats["hipe.partial_loads"] == 2 * self.PASSES
+        assert stats["hipe.squashed_stores"] == self.PASSES
+        assert stats["hipe.pack_ops"] == stats["hipe.unpack_ops"] == self.PASSES
+
+    @pytest.mark.parametrize("mode", ["fresh", "reused"])
+    def test_cached_functions_time_like_their_own(self, mode):
+        assert self._run(mode) == self._run("cold")

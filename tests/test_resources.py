@@ -215,6 +215,91 @@ class TestSlottedRing:
         assert res.reserve(5100) == 5102
 
 
+class _DictRing:
+    """The historical bounded-dict model the ring reproduces: one dict
+    entry per granted cycle, and a prune that drops every entry below
+    the new horizon once a grant lands more than twice the window past
+    it.  It has no cells, rotation or reset of its own."""
+
+    def __init__(self, slots: int, window: int) -> None:
+        self.slots = slots
+        self.window = window
+        self.used: dict = {}
+        self.horizon = 0
+        self.peak = 0
+
+    def reserve(self, cycle: int) -> int:
+        when = max(cycle, self.horizon)
+        while self.used.get(when, 0) >= self.slots:
+            when += 1
+        self.used[when] = self.used.get(when, 0) + 1
+        self.peak = max(self.peak, when)
+        if when - self.horizon > 2 * self.window:
+            self.horizon = when - self.window
+            self.used = {c: n for c, n in self.used.items() if c >= self.horizon}
+        return when
+
+    def used_at(self, cycle: int) -> int:
+        if cycle < self.horizon or cycle > self.peak:
+            return 0
+        return self.used.get(cycle, 0)
+
+    def sig_entries(self, now: int, grace: int):
+        lo = max(now - grace, self.horizon)
+        return tuple((c - now, self.used[c]) for c in sorted(self.used)
+                     if lo <= c <= self.peak)
+
+    def shift_time(self, dt: int) -> None:
+        self.horizon += dt
+        self.peak += dt
+        self.used = {c + dt: n for c, n in self.used.items()}
+
+
+_WINDOW = 16
+#: a request relative to the latest one: dense steps (one, or a run of
+#: consecutive cycles long enough to wrap the ring), sparse jumps past
+#: twice the window (a prune) and past the ring (a reset), steps back
+#: inside the window, and time shifts
+_REQUESTS = st.one_of(
+    st.tuples(st.just("step"), st.integers(0, 3)),
+    st.tuples(st.just("run"), st.integers(1, 12 * _WINDOW)),
+    st.tuples(st.just("jump"), st.integers(2 * _WINDOW + 1, 8 * _WINDOW)),
+    st.tuples(st.just("back"), st.integers(1, _WINDOW)),
+    st.tuples(st.just("shift"), st.integers(1, 4 * _WINDOW)),
+)
+
+
+class TestRingPruning:
+    @given(st.lists(_REQUESTS, min_size=1, max_size=150), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_ring_matches_the_bounded_dict_model(self, requests, width):
+        ring = SlottedResource(width, window=_WINDOW)
+        reference = _DictRing(width, _WINDOW)
+        now = 0
+        for kind, amount in requests:
+            if kind == "shift":
+                ring.shift_time(amount)
+                reference.shift_time(amount)
+                now += amount
+                continue
+            if kind == "run":
+                for cycle in range(now, now + amount):
+                    assert ring.reserve(cycle) == reference.reserve(cycle)
+                now += amount
+                continue
+            if kind == "back":
+                cycle = max(0, now - amount)
+            else:
+                cycle = now = now + amount
+            assert ring.reserve(cycle) == reference.reserve(cycle)
+            assert ring._horizon == reference.horizon
+            assert (ring.sig_entries(now, 2 * _WINDOW)
+                    == reference.sig_entries(now, 2 * _WINDOW))
+            span = range(ring._horizon - 2, ring._peak + 3)
+            assert ([ring.used_at(c) for c in span]
+                    == [reference.used_at(c) for c in span])
+
+
 class TestOccupancyEdges:
     def test_full_window_acquire_grants_at_earliest_release(self):
         res = OccupancyResource(4)

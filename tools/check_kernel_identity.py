@@ -2,7 +2,9 @@
 """Cross-check run-compiled kernels against the uncompiled uop path.
 
 Runs the Q6 column scan on every architecture (HIVE also at 16 B, whose
-skip-fragmented later passes compile across their short runs), the NSM
+skip-fragmented later passes compile across their short runs, and HIPE
+at 16 B, whose predicated loads and stores squash and move partial
+lanes while a share of its uops runs uncompiled), the NSM
 tuple-at-a-time scan on x86, HMC and HIVE (HIVE at 64 and 16 B, whose
 groups' compare results are verified), and three filter-then-aggregate
 plans (HIPE selectivity 0.4, x86 Q6 revenue and HIVE Q6 revenue, whose
@@ -32,12 +34,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 #: (arch, layout, strategy, op bytes, plan); the tuple points cover the
 #: match-keyed tuple run shapes (HMC-16B: four load-compares per tuple,
 #: HIVE-16B four engine loads per verified compare), HIVE-16B column the
-#: fragmented passes, and the plans the aggregate runs (HIVE Q6 revenue:
-#: the engine's ADD accumulators)
+#: fragmented passes, HIPE-16B column the predicated squashes and partial
+#: lanes, and the plans the aggregate runs (HIVE Q6 revenue: the engine's
+#: ADD accumulators)
 POINTS = [
     ("x86", "dsm", "column", 64, "q6"), ("x86", "dsm", "column", 16, "q6"),
     ("hmc", "dsm", "column", 256, "q6"), ("hive", "dsm", "column", 256, "q6"),
     ("hipe", "dsm", "column", 256, "q6"), ("hive", "dsm", "column", 16, "q6"),
+    ("hipe", "dsm", "column", 16, "q6"),
     ("x86", "nsm", "tuple", 16, "q6"), ("hmc", "nsm", "tuple", 16, "q6"),
     ("hive", "nsm", "tuple", 64, "q6"), ("hive", "nsm", "tuple", 16, "q6"),
     ("hipe", "dsm", "column", 256, "sel_0.4"),
